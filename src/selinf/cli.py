@@ -25,7 +25,7 @@ from .distances import (
     preset_order,
 )
 from .errors import DatasetParseError, MarginalSelectivityError, SizeGuardError
-from .experiment import Dataset, check_marginal_selectivity, make_design, validate_dataset
+from .experiment import check_marginal_selectivity, make_design, validate_dataset
 from .generators import (
     AngleSpec,
     gen_classical,
@@ -35,18 +35,10 @@ from .generators import (
     gen_singlet,
     parse_angle,
 )
-from .io import dump_dataset, load_dataset
+from .io import dump_dataset, format_exact, load_dataset
 from .lft import run_lft
 
 SCHEMA_VERSION = "1"
-
-
-def _frac_str(v: Fraction) -> str:
-    return f"{v.numerator}/{v.denominator}"
-
-
-def _load(path: str) -> Dataset:
-    return load_dataset(path)
 
 
 def _emit(doc: dict, as_json: bool, lines: list[str]) -> None:
@@ -58,7 +50,7 @@ def _emit(doc: dict, as_json: bool, lines: list[str]) -> None:
 
 
 def cmd_validate(args) -> int:
-    dataset = _load(args.file)
+    dataset = load_dataset(args.file)
     report = validate_dataset(dataset)
     doc = {
         "schema_version": SCHEMA_VERSION,
@@ -100,7 +92,7 @@ def _stage_marginal(dataset, args):
             {
                 "subset": list(v.subset),
                 "treatments": [list(v.treatment_a), list(v.treatment_b)],
-                "discrepancy": _frac_str(v.discrepancy),
+                "discrepancy": format_exact(v.discrepancy),
             }
             for v in report.violations
         ],
@@ -111,23 +103,17 @@ def _stage_marginal(dataset, args):
 
 
 def _stage_fine(dataset):
-    design = dataset.design
-    shaped = (
-        design.n == 2
-        and design.input_sizes == (2, 2)
-        and design.outcome_sizes == (2, 2)
-        and design.is_factorial
-    )
-    if not shaped:
-        return "skip", "design is not the 2x2 binary full factorial", {}
-    report = fine_inequalities(dataset)
+    try:
+        report = fine_inequalities(dataset)
+    except ValueError as exc:
+        return "skip", str(exc), {}
     detail = {
         "inequalities": [
             {
                 "family": r.family,
                 "bound": r.bound,
                 "expression": r.expression,
-                "value": _frac_str(r.value),
+                "value": format_exact(r.value),
                 "satisfied": r.satisfied,
             }
             for r in report.records
@@ -136,7 +122,7 @@ def _stage_fine(dataset):
     if report.passed:
         return "pass", "all eight bounds hold", detail
     worst = [r for r in report.records if not r.satisfied]
-    text = "; ".join(f"{r.family} value {_frac_str(r.value)} breaks {r.bound} bound" for r in worst)
+    text = "; ".join(f"{r.family} value {format_exact(r.value)} breaks {r.bound} bound" for r in worst)
     return "fail", text, detail
 
 
@@ -160,9 +146,9 @@ def _stage_chain(dataset, args):
                 "failures": [
                     {
                         "points": list(map(list, r.sequence.points)),
-                        "lhs": _frac_str(r.lhs),
-                        "rhs": _frac_str(r.rhs),
-                        "slack": _frac_str(r.slack),
+                        "lhs": format_exact(r.lhs),
+                        "rhs": format_exact(r.rhs),
+                        "slack": format_exact(r.slack),
                     }
                     for r in bad
                 ],
@@ -174,15 +160,12 @@ def _stage_chain(dataset, args):
         return "pass", f"{len(sequences)} sequence(s) x {len(orders)} order(s) hold", detail
     name, rec = failures[0]
     text = (
-        f"order {name}: chain {rec.sequence.points} has slack {_frac_str(rec.slack)}"
+        f"order {name}: chain {rec.sequence.points} has slack {format_exact(rec.slack)}"
     )
     return "fail", text, detail
 
 
 def _stage_cosphericity(dataset, args):
-    design = dataset.design
-    if design.n != 2 or design.input_sizes != (2, 2) or not design.is_factorial:
-        return "skip", "design is not a 2-input, 2-value full factorial", {}
     try:
         quad = correlations_from_dataset(dataset)
     except ValueError as exc:
@@ -210,7 +193,7 @@ def _stage_lft(dataset, args):
 
 
 def cmd_test(args) -> int:
-    dataset = _load(args.file)
+    dataset = load_dataset(args.file)
     vreport = validate_dataset(dataset)
     if not vreport.valid:
         print(f"{args.file}: invalid dataset: {vreport.summary()}", file=sys.stderr)

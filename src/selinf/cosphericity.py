@@ -70,7 +70,7 @@ def correlations_from_dataset(
     naming the degenerate (treatment, output).
     """
     design = dataset.design
-    if design.n != 2 or design.input_sizes != (2, 2) or not design.is_factorial:
+    if not design.is_2x2:
         raise ValueError("correlation quad needs a 2-input, 2-value full factorial design")
     if any(m < 2 for m in design.outcome_sizes):
         raise ValueError("both outputs need at least two outcomes")

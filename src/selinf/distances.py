@@ -14,7 +14,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import MarginalSelectivityError, SizeGuardError
 from .experiment import (
@@ -164,29 +164,30 @@ class InputPointSequence:
         return self.points[0], self.points[-1]
 
 
-def _pair_realizers(design: ExperimentDesign, a: Point, b: Point) -> list[Treatment]:
-    """Treatments containing both input points (a point is (input, value))."""
+def _realizers(design: ExperimentDesign, points: Iterable[Point]) -> Iterator[Treatment]:
+    """Treatments containing every given input point (a point is (input, value)),
+    in sorted order; none when two points give one input different values."""
     want: dict[int, int] = {}
-    for lam, w in (a, b):
-        if want.get(lam, w) != w:
-            return []
-        want[lam] = w
-    return [
-        tr
-        for tr in design.treatments
-        if all(tr[lam - 1] == w for lam, w in want.items())
-    ]
+    for lam, w in points:
+        if want.setdefault(lam, w) != w:
+            return
+    for tr in design.treatments:
+        if all(tr[lam - 1] == w for lam, w in want.items()):
+            yield tr
+
+
+def _pair_realizers(design: ExperimentDesign, a: Point, b: Point) -> list[Treatment]:
+    return list(_realizers(design, (a, b)))
 
 
 def _points_cooccur(design: ExperimentDesign, points: Iterable[Point]) -> bool:
-    want: dict[int, int] = {}
-    for lam, w in points:
-        if want.get(lam, w) != w:
-            return False
-        want[lam] = w
-    return any(
-        all(tr[lam - 1] == w for lam, w in want.items()) for tr in design.treatments
-    )
+    return next(_realizers(design, points), None) is not None
+
+
+def _with_links(design: ExperimentDesign, seq: tuple[Point, ...]) -> InputPointSequence:
+    """The sequence with its first realizing treatment per link, endpoint link first."""
+    pairs = [(seq[0], seq[-1])] + [(seq[i - 1], seq[i]) for i in range(1, len(seq))]
+    return InputPointSequence(seq, tuple(_pair_realizers(design, a, b)[0] for a, b in pairs))
 
 
 def enumerate_irreducible_sequences(
@@ -215,12 +216,6 @@ def enumerate_irreducible_sequences(
         return hit
 
     results: list[InputPointSequence] = []
-
-    def attach_links(seq: tuple[Point, ...]) -> InputPointSequence:
-        link_treatments = [_pair_realizers(design, seq[0], seq[-1])[0]]
-        for i in range(1, len(seq)):
-            link_treatments.append(_pair_realizers(design, seq[i - 1], seq[i])[0])
-        return InputPointSequence(seq, tuple(link_treatments))
 
     def extend(seq: list[Point], target: int) -> None:
         j = len(seq) + 1  # position being filled, 1-based
@@ -251,7 +246,7 @@ def enumerate_irreducible_sequences(
                         f"more than {sequence_guard} irreducible sequences; raise "
                         f"sequence_guard (CLI: --sequence-guard) to enumerate them all"
                     )
-                results.append(attach_links((*seq, cand)))
+                results.append(_with_links(design, (*seq, cand)))
             else:
                 seq.append(cand)
                 extend(seq, target)
@@ -287,12 +282,7 @@ def enumerate_tetradic_sequences(design: ExperimentDesign) -> list[InputPointSeq
                             if t_w == y_w:
                                 continue
                             seq = ((lam1, x_w), (lam2, y_w), (lam1, s_w), (lam2, t_w))
-                            links = [_pair_realizers(design, seq[0], seq[3])[0]]
-                            for i in range(1, 4):
-                                links.append(
-                                    _pair_realizers(design, seq[i - 1], seq[i])[0]
-                                )
-                            out.append(InputPointSequence(seq, tuple(links)))
+                            out.append(_with_links(design, seq))
     out.sort(key=lambda s: s.points)
     return out
 
@@ -433,12 +423,7 @@ def fine_inequalities(dataset: Dataset) -> FineReport:
     the two preset orders.
     """
     design = dataset.design
-    if (
-        design.n != 2
-        or design.input_sizes != (2, 2)
-        or design.outcome_sizes != (2, 2)
-        or not design.is_factorial
-    ):
+    if not design.is_2x2 or design.outcome_sizes != (2, 2):
         raise ValueError(
             "Fine battery needs the 2-input, 2-value, binary-outcome full factorial design"
         )

@@ -30,9 +30,7 @@ def coerce_prob(value) -> Fraction:
     """Exact conversion; floats are rejected to keep every verdict exact."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
+    if isinstance(value, (int, str)):
         return Fraction(value)
     raise TypeError(
         f"probabilities must be Fraction, int or exact string, got {type(value).__name__}"
@@ -136,6 +134,12 @@ class ExperimentDesign:
     @property
     def is_factorial(self) -> bool:
         return len(self.treatments) == prod(self.input_sizes)
+
+    @property
+    def is_2x2(self) -> bool:
+        """Two inputs with two values each, every treatment allowed: the shape
+        the Fine battery and cosphericity apply to."""
+        return self.input_sizes == (2, 2) and self.is_factorial
 
     def has_treatment(self, treatment) -> bool:
         return tuple(treatment) in self._treatment_set
@@ -305,6 +309,16 @@ def marginal(dataset: Dataset, treatment, subset: Iterable[int]) -> dict[Outcome
     return {k: v for k, v in out.items() if v != 0}
 
 
+def marginal_discrepancy(
+    ma: Mapping[OutcomeTuple, Fraction], mb: Mapping[OutcomeTuple, Fraction]
+) -> Fraction:
+    """Largest |difference| between two marginals; a missing key is zero."""
+    return max(
+        (abs(ma.get(key, ZERO) - mb.get(key, ZERO)) for key in set(ma) | set(mb)),
+        default=ZERO,
+    )
+
+
 @dataclass(frozen=True)
 class MarginalViolation:
     subset: tuple[int, ...]
@@ -368,12 +382,7 @@ def check_marginal_selectivity(
         for group in groups:
             margs = {tr: marginal(dataset, tr, lam_list) for tr in group}
             for ta, tb in combinations(group, 2):
-                ma, mb = margs[ta], margs[tb]
-                worst = ZERO
-                for key in set(ma) | set(mb):
-                    d = abs(ma.get(key, ZERO) - mb.get(key, ZERO))
-                    if d > worst:
-                        worst = d
+                worst = marginal_discrepancy(margs[ta], margs[tb])
                 if worst != 0:
                     violations.append(MarginalViolation(lam_list, ta, tb, worst))
     return MarginalReport(tuple(violations), total, max_subset_size)

@@ -10,14 +10,13 @@ from __future__ import annotations
 
 import math
 import random
-from collections import defaultdict
 from itertools import product
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .experiment import Dataset, ExperimentDesign, Input, Output, ZERO, make_design
-from .lft import QVector, assignment_outcome, q_length, q_slot_offsets
+from .lft import QVector, construct_si2, q_length
 
 ONE = Fraction(1)
 HALF = Fraction(1, 2)
@@ -99,18 +98,7 @@ def gen_classical(
         q = QVector(design, tuple(Fraction(w, total) for w in weights))
     elif not isinstance(q, QVector):
         q = QVector(design, tuple(Fraction(v) for v in q))
-    if any(v < 0 for v in q.values) or sum(q.values) != 1:
-        raise ValueError("Q must be nonnegative and sum to 1")
-
-    offsets = q_slot_offsets(design)
-    tables = {}
-    support = q.support()
-    for tr in design.treatments:
-        row: dict[tuple[int, ...], Fraction] = defaultdict(lambda: ZERO)
-        for weight, assignment in support:
-            row[assignment_outcome(assignment, tr, offsets)] += weight
-        tables[tr] = dict(row)
-    return Dataset(design, tables), q
+    return construct_si2(q, design).simulate(), q
 
 
 def gen_prbox() -> Dataset:

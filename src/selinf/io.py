@@ -41,6 +41,11 @@ def parse_exact(value) -> Fraction:
     raise DatasetParseError(f"not a probability: {value!r}")
 
 
+def format_exact(value: Fraction) -> str:
+    """The exact "p/q" text form used in dataset files and reports."""
+    return f"{value.numerator}/{value.denominator}"
+
+
 def _parse_outcome_key(key: str, n: int) -> tuple[int, ...]:
     parts = [p.strip() for p in str(key).split(",")]
     if len(parts) != n:
@@ -124,7 +129,7 @@ def dataset_to_json_dict(dataset: Dataset) -> dict[str, Any]:
             {
                 "treatment": list(tr),
                 "probabilities": {
-                    ",".join(str(a) for a in outcome): f"{p.numerator}/{p.denominator}"
+                    ",".join(str(a) for a in outcome): format_exact(p)
                     for outcome, p in sorted(dataset.tables[tr].items())
                 },
             }

@@ -19,7 +19,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import accumulate, product
 from math import prod
 from typing import Sequence
 
@@ -33,8 +33,10 @@ from .experiment import (
     Treatment,
     ZERO,
     marginal,
+    marginal_discrepancy,
     validate_dataset,
 )
+from .io import format_exact
 from .rational_lp import SparseMatrix, solve_equality_feasibility, verify_certificate
 
 Assignment = tuple[int, ...]
@@ -42,16 +44,18 @@ Assignment = tuple[int, ...]
 
 def q_slot_offsets(design: ExperimentDesign) -> tuple[int, ...]:
     """Start position of each input's block of slots inside an assignment."""
-    offs = []
-    acc = 0
-    for k in design.input_sizes:
-        offs.append(acc)
-        acc += k
-    return tuple(offs)
+    return tuple(accumulate(design.input_sizes[:-1], initial=0))
+
+
+def slot_bases(design: ExperimentDesign) -> tuple[int, ...]:
+    """Radix of each assignment slot: the outcome count of the slot's input."""
+    return tuple(
+        m for m, k in zip(design.outcome_sizes, design.input_sizes) for _ in range(k)
+    )
 
 
 def q_length(design: ExperimentDesign) -> int:
-    return prod(m**k for m, k in zip(design.outcome_sizes, design.input_sizes))
+    return prod(slot_bases(design))
 
 
 def p_length(design: ExperimentDesign) -> int:
@@ -123,11 +127,7 @@ class QVector:
             )
 
     def slot_bases(self) -> tuple[int, ...]:
-        return tuple(
-            m
-            for m, k in zip(self.design.outcome_sizes, self.design.input_sizes)
-            for _ in range(k)
-        )
+        return slot_bases(self.design)
 
     def index_of(self, assignment: Sequence[int]) -> int:
         bases = self.slot_bases()
@@ -157,10 +157,7 @@ class QVector:
 
 def iter_assignments(design: ExperimentDesign):
     """All assignments in flat-index order."""
-    bases = tuple(
-        m for m, k in zip(design.outcome_sizes, design.input_sizes) for _ in range(k)
-    )
-    return product(*(range(1, b + 1) for b in bases))
+    return product(*(range(1, b + 1) for b in slot_bases(design)))
 
 
 def assignment_outcome(
@@ -243,17 +240,15 @@ class LftVerdict:
     pivots: int
 
     def to_json_dict(self) -> dict:
-        def fmt(v: Fraction) -> str:
-            return f"{v.numerator}/{v.denominator}"
-
         doc: dict = {
             "verdict": "feasible" if self.feasible else "infeasible",
             "pivots": self.pivots,
         }
         if self.feasible:
-            doc["witness"] = [fmt(v) for v in self.witness.values]
+            doc["witness"] = [format_exact(v) for v in self.witness.values]
             doc["witness_support"] = [
-                {"weight": fmt(w), "assignment": list(a)} for w, a in self.witness.support()
+                {"weight": format_exact(w), "assignment": list(a)}
+                for w, a in self.witness.support()
             ]
             doc["index_legend"] = (
                 "witness index is mixed radix over assignment slots "
@@ -261,7 +256,7 @@ class LftVerdict:
                 "deterministic outcome for that input value"
             )
         else:
-            doc["farkas"] = [fmt(v) for v in self.farkas]
+            doc["farkas"] = [format_exact(v) for v in self.farkas]
             doc["index_legend"] = (
                 "farkas index runs over (treatment, outcome tuple) rows: treatment "
                 "blocks in sorted order, outcome tuples lexicographic within a block"
@@ -341,22 +336,15 @@ def restrict_design(dataset: Dataset, subset) -> Dataset:
 
     violations = []
     margs: dict[Treatment, dict[OutcomeTuple, Fraction]] = {}
-    for proj, members in groups.items():
-        per = {tr: marginal(dataset, tr, lam_list) for tr in members}
-        ref_tr = members[0]
-        ref = per[ref_tr]
-        for tr in members[1:]:
-            other = per[tr]
-            worst = ZERO
-            for key in set(ref) | set(other):
-                d = abs(ref.get(key, ZERO) - other.get(key, ZERO))
-                if d > worst:
-                    worst = d
+    for proj, (ref_tr, *others) in groups.items():
+        ref = margs[proj] = marginal(dataset, ref_tr, lam_list)
+        for tr in others:
+            worst = marginal_discrepancy(ref, marginal(dataset, tr, lam_list))
             if worst != 0:
                 violations.append(MarginalViolation(lam_list, ref_tr, tr, worst))
-        margs[proj] = ref
     if violations:
-        report = MarginalReport(tuple(violations), len(violations), len(lam_list))
+        comparisons = sum(len(members) - 1 for members in groups.values())
+        report = MarginalReport(tuple(violations), comparisons, len(lam_list))
         raise MarginalSelectivityError(
             f"marginal selectivity fails on inputs {lam_list}", report
         )

@@ -46,7 +46,8 @@ class SparseMatrix:
                 if col in seen:
                     raise ValueError(f"row {i}: duplicate column {col}")
                 seen.add(col)
-                val = Fraction(val)
+                if not isinstance(val, Fraction):
+                    val = Fraction(val)
                 if val == 0:
                     raise ValueError(f"row {i}: explicit zero entry at column {col}")
                 entries.append((col, val))
@@ -77,7 +78,7 @@ class SparseMatrix:
     def mat_vec(self, q: Sequence[Fraction]) -> list[Fraction]:
         if len(q) != self.ncols:
             raise ValueError("dimension mismatch")
-        return [sum((v * q[j] for j, v in row), ZERO) for row in self.rows]
+        return [sum((v * q[j] for j, v in row if q[j]), ZERO) for row in self.rows]
 
     def vec_mat(self, y: Sequence[Fraction]) -> list[Fraction]:
         if len(y) != self.nrows:

@@ -13,6 +13,7 @@ from selinf.experiment import (
     check_marginal_selectivity,
     make_design,
     marginal,
+    marginal_discrepancy,
     transform_outputs,
     validate_dataset,
 )
@@ -34,6 +35,11 @@ class TestDesign:
         d = make_design((2, 2), (2, 2), treatments=[(2, 1), (1, 2)])
         assert d.treatments == ((1, 2), (2, 1))
         assert not d.is_factorial
+        assert make_design((2, 2), (2, 2)).is_2x2
+        assert make_design((2, 2), (3, 3)).is_2x2  # outcome counts do not matter
+        assert not make_design((2, 3), (2, 2)).is_2x2
+        assert not make_design((2, 2), (2, 2), treatments=[(1, 1), (1, 2), (2, 1)]).is_2x2
+        assert not make_design((2, 2, 2), (2, 2, 2)).is_2x2
 
     def test_duplicate_treatments_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
@@ -100,6 +106,10 @@ class TestMarginal:
         pr = gen_prbox()
         m = marginal(pr, (1, 1), {1})
         assert m == {(1,): F(1, 2), (2,): F(1, 2)}
+        assert marginal_discrepancy(m, marginal(pr, (1, 2), {1})) == 0
+        # a key missing on one side counts as probability zero there
+        assert marginal_discrepancy(m, {(2,): F(1)}) == F(1, 2)
+        assert marginal_discrepancy({(1,): F(1)}, {(2,): F(1)}) == 1
 
     def test_full_subset_is_identity(self):
         pr = gen_prbox()

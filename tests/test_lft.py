@@ -228,6 +228,7 @@ class TestRestrictDesign:
         with pytest.raises(MarginalSelectivityError) as exc:
             restrict_design(Dataset(design, tables), {1})
         assert exc.value.report.violations
+        assert exc.value.report.comparisons == 2
 
     def test_nestedness(self):
         rng = random.Random(31)
