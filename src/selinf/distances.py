@@ -14,7 +14,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .errors import MarginalSelectivityError, SizeGuardError
 from .experiment import (
@@ -131,12 +131,9 @@ def order_distance(
 
 @dataclass(frozen=True)
 class InputPointSequence:
-    """A chain of input points x_1 ... x_l (l >= 3) with, when known, one
-    realizing treatment per link: first the endpoint link {x_1, x_l}, then
-    {x_1, x_2}, ..., {x_{l-1}, x_l}."""
+    """A chain of input points x_1 ... x_l (l >= 3)."""
 
     points: tuple[Point, ...]
-    link_treatments: tuple[Treatment, ...] | None = None
 
     def __post_init__(self):
         object.__setattr__(
@@ -144,11 +141,6 @@ class InputPointSequence:
         )
         if len(self.points) < 3:
             raise ValueError("sequences need at least three points")
-        if self.link_treatments is not None:
-            lts = tuple(tuple(t) for t in self.link_treatments)
-            if len(lts) != len(self.points):
-                raise ValueError("need one treatment per link (endpoint link first)")
-            object.__setattr__(self, "link_treatments", lts)
 
     def __len__(self) -> int:
         return len(self.points)
@@ -164,30 +156,17 @@ class InputPointSequence:
         return self.points[0], self.points[-1]
 
 
-def _realizers(design: ExperimentDesign, points: Iterable[Point]) -> Iterator[Treatment]:
-    """Treatments containing every given input point (a point is (input, value)),
-    in sorted order; none when two points give one input different values."""
-    want: dict[int, int] = {}
-    for lam, w in points:
-        if want.setdefault(lam, w) != w:
-            return
+def _pair_realizers(design: ExperimentDesign) -> dict[tuple[Point, Point], list[Treatment]]:
+    """Each ordered pair of input points (a point is (input, value)) mapped to
+    the treatments containing both, in sorted order.  A point paired with
+    itself is included; a pair that no treatment contains is absent."""
+    pairs: dict[tuple[Point, Point], list[Treatment]] = {}
     for tr in design.treatments:
-        if all(tr[lam - 1] == w for lam, w in want.items()):
-            yield tr
-
-
-def _pair_realizers(design: ExperimentDesign, a: Point, b: Point) -> list[Treatment]:
-    return list(_realizers(design, (a, b)))
-
-
-def _points_cooccur(design: ExperimentDesign, points: Iterable[Point]) -> bool:
-    return next(_realizers(design, points), None) is not None
-
-
-def _with_links(design: ExperimentDesign, seq: tuple[Point, ...]) -> InputPointSequence:
-    """The sequence with its first realizing treatment per link, endpoint link first."""
-    pairs = [(seq[0], seq[-1])] + [(seq[i - 1], seq[i]) for i in range(1, len(seq))]
-    return InputPointSequence(seq, tuple(_pair_realizers(design, a, b)[0] for a, b in pairs))
+        points = list(enumerate(tr, start=1))
+        for a in points:
+            for b in points:
+                pairs.setdefault((a, b), []).append(tr)
+    return pairs
 
 
 def enumerate_irreducible_sequences(
@@ -204,17 +183,7 @@ def enumerate_irreducible_sequences(
     if max_len < 3:
         raise ValueError("max_len must be >= 3")
     points = design.input_points()
-    pair_ok: dict[tuple[Point, Point], bool] = {}
-
-    def cooccur(a: Point, b: Point) -> bool:
-        key = (a, b)
-        hit = pair_ok.get(key)
-        if hit is None:
-            hit = _points_cooccur(design, (a, b))
-            pair_ok[key] = hit
-            pair_ok[(b, a)] = hit
-        return hit
-
+    pairs = _pair_realizers(design)
     results: list[InputPointSequence] = []
 
     def extend(seq: list[Point], target: int) -> None:
@@ -223,12 +192,12 @@ def enumerate_irreducible_sequences(
         for cand in points:
             if cand == seq[-1]:
                 continue  # adjacent duplicates are always reducible
-            if not cooccur(seq[-1], cand):
+            if (seq[-1], cand) not in pairs:
                 continue
             ok = True
             for a in range(1, j - 1):  # positions 1..j-2 pair with position j
                 must_cooccur = last and a == 1
-                does = cooccur(seq[a - 1], cand)
+                does = (seq[a - 1], cand) in pairs
                 if must_cooccur:
                     if not does or seq[0] == cand:
                         ok = False
@@ -239,14 +208,16 @@ def enumerate_irreducible_sequences(
             if not ok:
                 continue
             if last:
-                if target == 3 and _points_cooccur(design, (*seq, cand)):
+                if target == 3 and any(
+                    tr[cand[0] - 1] == cand[1] for tr in pairs[(seq[0], seq[1])]
+                ):
                     continue  # a 3-chain inside one treatment is reducible
                 if len(results) >= sequence_guard:
                     raise SizeGuardError(
                         f"more than {sequence_guard} irreducible sequences; raise "
                         f"sequence_guard (CLI: --sequence-guard) to enumerate them all"
                     )
-                results.append(_with_links(design, (*seq, cand)))
+                results.append(InputPointSequence((*seq, cand)))
             else:
                 seq.append(cand)
                 extend(seq, target)
@@ -282,7 +253,7 @@ def enumerate_tetradic_sequences(design: ExperimentDesign) -> list[InputPointSeq
                             if t_w == y_w:
                                 continue
                             seq = ((lam1, x_w), (lam2, y_w), (lam1, s_w), (lam2, t_w))
-                            out.append(_with_links(design, seq))
+                            out.append(InputPointSequence(seq))
     out.sort(key=lambda s: s.points)
     return out
 
@@ -325,24 +296,6 @@ class ChainReport:
         return tuple(r for r in self.records if not r.passed)
 
 
-def _link_distance_cached(
-    dataset: Dataset,
-    order: OrderRelation,
-    cache: dict,
-    tr: Treatment,
-    a: Point,
-    b: Point,
-) -> Fraction:
-    if a == b:
-        return ZERO  # Pr[X strictly below X] for the same input point
-    key = (tr, a[0], b[0])
-    val = cache.get(key)
-    if val is None:
-        val = order_distance(dataset, tr, a[0], b[0], order)
-        cache[key] = val
-    return val
-
-
 def chain_test(
     dataset: Dataset, order: OrderRelation, sequences: Sequence[InputPointSequence]
 ) -> ChainReport:
@@ -354,28 +307,27 @@ def chain_test(
     hold for every realization, so this is the tightest necessary condition
     (under marginal selectivity all realizations coincide).
     """
-    design = dataset.design
-    cache: dict = {}
+    pairs = _pair_realizers(dataset.design)
+    evaluated: dict[tuple[Point, Point, bool], LinkEvaluation] = {}
+
+    def evaluate(a: Point, b: Point, pick_max: bool) -> LinkEvaluation:
+        ev = evaluated.get((a, b, pick_max))
+        if ev is None:
+            if (a, b) not in pairs:
+                raise ValueError(f"no treatment realizes the pair {a}, {b}")
+            ds = tuple(
+                # Pr[X strictly below X] is 0 for the same input point
+                (tr, ZERO if a == b else order_distance(dataset, tr, a[0], b[0], order))
+                for tr in pairs[(a, b)]
+            )
+            tr, d = (max if pick_max else min)(ds, key=lambda td: td[1])
+            ev = evaluated[(a, b, pick_max)] = LinkEvaluation((a, b), d, tr, ds)
+        return ev
+
     records = []
     for seq in sequences:
-        evals: list[LinkEvaluation] = []
-        x1, xl = seq.endpoints
-        for pair, pick_max in [((x1, xl), True)] + [(lk, False) for lk in seq.links()]:
-            a, b = pair
-            realizers = _pair_realizers(design, a, b)
-            if not realizers:
-                raise ValueError(f"no treatment realizes the pair {a}, {b}")
-            ds = [
-                (tr, _link_distance_cached(dataset, order, cache, tr, a, b))
-                for tr in realizers
-            ]
-            if pick_max:
-                tr, d = max(ds, key=lambda td: td[1])
-            else:
-                tr, d = min(ds, key=lambda td: td[1])
-            evals.append(LinkEvaluation(pair, d, tr, tuple(ds)))
-        endpoint = evals[0]
-        links = tuple(evals[1:])
+        endpoint = evaluate(*seq.endpoints, True)
+        links = tuple(evaluate(a, b, False) for a, b in seq.links())
         rhs = sum((lk.distance for lk in links), ZERO)
         records.append(
             ChainRecord(seq, endpoint.distance, rhs, rhs - endpoint.distance, endpoint, links)

@@ -339,29 +339,20 @@ class MarginalReport:
 
 
 def check_marginal_selectivity(
-    dataset: Dataset,
-    max_subset_size: int | None = None,
-    comparison_guard: int = 10**6,
-    force: bool = False,
+    dataset: Dataset, comparison_guard: int = 10**6
 ) -> MarginalReport:
-    """Compare, for every nonempty proper input subset up to `max_subset_size`
-    and every pair of treatments agreeing on it, the exact subset marginals.
+    """Compare, for every nonempty proper input subset and every pair of
+    treatments agreeing on it, the exact subset marginals.
 
-    Default `max_subset_size` is n-1 (all proper subsets).  If the number of
-    (subset, pair) comparisons exceeds `comparison_guard`, raises
-    SizeGuardError unless `force=True`.
+    If the number of (subset, pair) comparisons exceeds `comparison_guard`,
+    raises SizeGuardError.
     """
     design = dataset.design
     n = design.n
-    if max_subset_size is None:
-        max_subset_size = max(1, n - 1)
-    if max_subset_size < 1:
-        raise ValueError("max_subset_size must be >= 1")
-    sizes = range(1, min(max_subset_size, n - 1) + 1)
 
     groups_per_subset: list[tuple[tuple[int, ...], list[list[Treatment]]]] = []
     total = 0
-    for size in sizes:
+    for size in range(1, n):
         for lam_list in combinations(range(1, n + 1), size):
             groups: dict[tuple[int, ...], list[Treatment]] = defaultdict(list)
             for tr in design.treatments:
@@ -370,10 +361,10 @@ def check_marginal_selectivity(
             total += sum(comb(len(g), 2) for g in multi)
             if multi:
                 groups_per_subset.append((lam_list, multi))
-    if total > comparison_guard and not force:
+    if total > comparison_guard:
         raise SizeGuardError(
             f"marginal-selectivity check needs {total} comparisons "
-            f"(guard {comparison_guard}); pass force=True or raise the guard "
+            f"(guard {comparison_guard}); raise comparison_guard "
             f"(CLI: --marginal-guard) to run anyway"
         )
 
@@ -385,7 +376,7 @@ def check_marginal_selectivity(
                 worst = marginal_discrepancy(margs[ta], margs[tb])
                 if worst != 0:
                     violations.append(MarginalViolation(lam_list, ta, tb, worst))
-    return MarginalReport(tuple(violations), total, max_subset_size)
+    return MarginalReport(tuple(violations), total, max(1, n - 1))
 
 
 def transform_outputs(

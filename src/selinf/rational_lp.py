@@ -219,12 +219,13 @@ def solve_equality_feasibility(M: SparseMatrix, P: Sequence) -> FeasibilityResul
     m, n = M.nrows, M.ncols
     rows = M.rows
     # sign of each row over its ORIGINAL entries: +1 all-positive, -1 all-negative,
-    # None mixed or empty (only uniform-sign rows may force columns to zero)
+    # None mixed or empty (only uniform-sign rows may force columns to zero);
+    # a Fraction's denominator is positive, so its numerator carries the sign
     row_sign: list[int | None] = []
     for row in rows:
-        if row and all(v > 0 for _, v in row):
+        if row and all(v.numerator > 0 for _, v in row):
             row_sign.append(1)
-        elif row and all(v < 0 for _, v in row):
+        elif row and all(v.numerator < 0 for _, v in row):
             row_sign.append(-1)
         else:
             row_sign.append(None)

@@ -186,12 +186,18 @@ class TestEnumeration:
             enumerate_irreducible_sequences(design, max_len=4, sequence_guard=5)
 
     def test_link_treatments_attached(self):
-        design = make_design((2, 2), (2, 2))
-        for seq in enumerate_irreducible_sequences(design, max_len=4):
-            assert seq.link_treatments is not None
+        # every link of an enumerated chain, endpoint link first, is reported
+        # with a realizing treatment that contains both of its points
+        ds = uniform_chsh()
+        seqs = enumerate_irreducible_sequences(ds.design, max_len=4)
+        report = chain_test(ds, preset_order(ds.design, "d1"), seqs)
+        for seq, rec in zip(seqs, report.records):
             x1, xl = seq.endpoints
-            tr = seq.link_treatments[0]
-            assert tr[x1[0] - 1] == x1[1] and tr[xl[0] - 1] == xl[1]
+            assert rec.endpoint.pair == (x1, xl)
+            assert [link.pair for link in rec.links] == list(seq.links())
+            for link in (rec.endpoint, *rec.links):
+                tr = link.treatment
+                assert all(tr[lam - 1] == w for lam, w in link.pair)
 
 
 class TestChain:
@@ -294,6 +300,18 @@ class TestChain:
             assert len(link.evaluated) == 2  # free third input gives 2 realizations
             assert link.distance == min(d for _, d in link.evaluated)
         assert rec.endpoint.distance == max(d for _, d in rec.endpoint.evaluated)
+        # every realization named contains both points of its pair, in sorted
+        # treatment order; a repeated point's link has distance 0 and lists
+        # every treatment containing that point
+        repeated = InputPointSequence(((1, 1), (1, 1), (2, 1)))
+        rep = chain_test(ds, order, [repeated]).records[0]
+        for link in (rec.endpoint, *rec.links, rep.endpoint, *rep.links):
+            trs = [link.treatment] + [tr for tr, _ in link.evaluated]
+            assert all(tr[l - 1] == w for tr in trs for l, w in link.pair)
+            assert [tr for tr, _ in link.evaluated] == sorted(tr for tr, _ in link.evaluated)
+        same = rep.links[0]
+        assert same.pair == ((1, 1), (1, 1)) and same.distance == 0
+        assert [tr for tr, _ in same.evaluated] == [tr for tr in design.treatments if tr[0] == 1]
 
 
 class TestFine:

@@ -181,9 +181,9 @@ class TestMarginalSelectivity:
 
     def test_guard_trips(self):
         pr = gen_prbox()
-        with pytest.raises(SizeGuardError, match="force=True"):
-            check_marginal_selectivity(pr, comparison_guard=1)
-        assert check_marginal_selectivity(pr, comparison_guard=1, force=True).passed
+        with pytest.raises(SizeGuardError, match="comparison_guard"):
+            check_marginal_selectivity(pr, comparison_guard=3)
+        assert check_marginal_selectivity(pr, comparison_guard=4).passed
 
 
 class TestTransformOutputs:
