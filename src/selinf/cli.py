@@ -69,14 +69,19 @@ def cmd_validate(args) -> int:
 
 def _parse_orders(args, design) -> list[OrderRelation]:
     if args.orders_file:
-        with open(args.orders_file, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-        orders = []
-        for rec in doc["orders"]:
-            classes = tuple(
-                frozenset((int(k), int(a)) for k, a in cls) for cls in rec["classes"]
-            )
-            orders.append(OrderRelation(classes, name=str(rec.get("name", "custom"))))
+        try:
+            with open(args.orders_file, "r", encoding="utf-8") as fh:
+                doc = json.load(fh)
+            orders = []
+            for rec in doc["orders"]:
+                classes = tuple(
+                    frozenset((int(k), int(a)) for k, a in cls) for cls in rec["classes"]
+                )
+                orders.append(OrderRelation(classes, name=str(rec.get("name", "custom"))))
+        except KeyError as exc:
+            raise ValueError(f"orders file {args.orders_file}: missing key {exc}") from None
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"orders file {args.orders_file}: {exc}") from None
         return orders
     names = [s.strip() for s in args.orders.split(",") if s.strip()]
     return [preset_order(design, name) for name in names]

@@ -77,7 +77,11 @@ def dataset_from_json_dict(doc: dict) -> Dataset:
     n = len(inputs)
     treatments = []
     tables = {}
+    if not isinstance(doc["treatments"], list):
+        raise DatasetParseError("section 'treatments' must be a list")
     for rec in doc["treatments"]:
+        if not isinstance(rec, dict):
+            raise DatasetParseError(f"treatment record {rec!r} is not an object")
         if "treatment" not in rec:
             raise DatasetParseError("treatment record lacks 'treatment'")
         try:
@@ -90,13 +94,16 @@ def dataset_from_json_dict(doc: dict) -> Dataset:
             raise DatasetParseError(
                 f"treatment {tr}: give exactly one of 'probabilities' or 'counts'"
             )
+        section = "probabilities" if has_p else "counts"
+        if not isinstance(rec[section], dict):
+            raise DatasetParseError(f"treatment {tr}: {section!r} must be an object")
         table: dict[tuple[int, ...], Fraction] = {}
         if has_p:
-            for key, val in rec["probabilities"].items():
+            for key, val in rec[section].items():
                 table[_parse_outcome_key(key, n)] = parse_exact(val)
         else:
             counts = {}
-            for key, val in rec["counts"].items():
+            for key, val in rec[section].items():
                 if isinstance(val, str):
                     if not val.lstrip("-").isdigit():
                         raise DatasetParseError(f"bad count {val!r} under {tr}")

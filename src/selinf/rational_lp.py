@@ -1,18 +1,23 @@
 """Exact linear feasibility: does MQ = P, Q >= 0 have a solution?
 
-Everything runs in rational arithmetic.  The solver is a phase-one simplex
-on the standard-form system with artificial variables (minimize their sum)
-under Bland's least-index anti-cycling rule, so it terminates on every input
-and is deterministic: identical inputs give identical witnesses and pivot
-counts.  Infeasibility comes with a Farkas vector y (y'M <= 0 componentwise,
-y'P > 0) read off the optimal phase-one reduced-cost row, so every verdict is
-self-verifying via `verify_certificate`.
+The solver is a phase-one simplex on the standard-form system with artificial
+variables (minimize their sum) under Bland's least-index anti-cycling rule, so
+it terminates on every input and is deterministic: identical inputs give
+identical witnesses and pivot counts.  Its tableau holds integers, d times the
+Fraction tableau's values with d the last pivot, and divides exactly (Edmonds'
+integer-preserving pivoting).  The system becomes integer by scaling every row
+by one positive number and every variable by another.  That multiplies each
+reduced cost, and all ratios of one ratio test, by positive factors, so Bland's
+rule takes the same pivots; the phase-one dual, hence the Farkas vector, is
+unchanged and the witness is scaled back.  Infeasibility comes with a Farkas
+vector y (y'M <= 0, y'P > 0) read off the optimal phase-one reduced-cost row,
+so every verdict is self-verifying via `verify_certificate`.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import lcm
 from typing import Sequence
 
 ZERO = Fraction(0)
@@ -103,54 +108,28 @@ class FeasibilityResult:
     pivots: int
 
 
-def _int_row(values: list[Fraction], extra: list[Fraction]) -> tuple[list[int], int]:
-    """Clear denominators: represent a rational row as (numerators, denominator)."""
-    den = 1
-    for v in values:
-        den = den * v.denominator // gcd(den, v.denominator)
-    for v in extra:
-        den = den * v.denominator // gcd(den, v.denominator)
-    nums = [v.numerator * (den // v.denominator) for v in values]
-    nums += [v.numerator * (den // v.denominator) for v in extra]
-    return nums, den
+def _phase_one(A: list[list[int]], b: list[int]) -> tuple[bool, list[Fraction], int]:
+    """Phase-one simplex on AQ = b, Q >= 0 with integer A and integer b >= 0.
 
-
-def _reduce_row(nums: list[int], den: int) -> tuple[list[int], int]:
-    g = den
-    for v in nums:
-        if v:
-            g = gcd(g, v)
-            if g == 1:
-                return nums, den
-    if g > 1:
-        return [v // g for v in nums], den // g
-    return nums, den
-
-
-def _phase_one(A: list[list[Fraction]], b: list[Fraction]) -> tuple[bool, list[Fraction], int]:
-    """Phase-one simplex on AQ = b, Q >= 0 with b >= 0.
-
-    Rows live as integer numerators over one positive denominator per row;
-    this is plain exact simplex (Bland pivoting on the same values a Fraction
-    tableau would hold), just cheaper per entry.  Returns (feasible, witness
-    or phase-one dual y', pivot count).
+    Edmonds' integer-preserving pivoting: the rows A_i | e_i | b_i and the
+    priced-out objective row are integers over one common denominator d, the
+    last pivot (1 before the first).  Every entry is d times the value the
+    Fraction tableau would hold, and a minor of the initial integer tableau,
+    so every division below is exact.  The pivot row stays as it is: over the
+    new d, the pivot, it is the Fraction pivot row divided by its pivot.
+    Pivots are positive, so d > 0 and Bland pivoting reads the same signs and
+    ratios as on the Fraction tableau.  Returns (feasible, witness or
+    phase-one dual y', pivot count).
     """
     m = len(A)
     n = len(A[0]) if m else 0
     total = n + m
     # tableau rows: original columns, artificial identity, rhs
-    num: list[list[int]] = []
-    den: list[int] = []
-    for i in range(m):
-        art = [ONE if k == i else ZERO for k in range(m)]
-        nums, d = _int_row(A[i], art + [b[i]])
-        num.append(nums)
-        den.append(d)
+    num = [A[i] + [0] * i + [1] + [0] * (m - 1 - i) + [b[i]] for i in range(m)]
     basis = list(range(n, n + m))
     # reduced costs of min sum(artificials), priced out for the artificial basis
-    obj_frac = [-sum(A[i][j] for i in range(m)) for j in range(n)]
-    obj_frac += [ZERO] * m + [-sum(b)]
-    obj, obj_den = _int_row(obj_frac, [])
+    obj = [-sum(col) for col in zip(*A)] + [0] * m + [-sum(b)]
+    d = 1
 
     pivots = 0
     while True:
@@ -177,19 +156,12 @@ def _phase_one(A: list[list[Fraction]], b: list[Fraction]) -> tuple[bool, list[F
         prow = num[leave]
         piv = prow[enter]
         for i in range(m):
-            if i == leave:
-                continue
-            f = num[i][enter]
-            if f:
-                row = num[i]
-                num[i], den[i] = _reduce_row(
-                    [v * piv - f * pv for v, pv in zip(row, prow)], den[i] * piv
-                )
+            if i != leave:
+                f = num[i][enter]
+                num[i] = [(v * piv - f * pv) // d for v, pv in zip(num[i], prow)]
         f = obj[enter]
-        obj, obj_den = _reduce_row(
-            [v * piv - f * pv for v, pv in zip(obj, prow)], obj_den * piv
-        )
-        num[leave], den[leave] = _reduce_row(prow, piv)
+        obj = [(v * piv - f * pv) // d for v, pv in zip(obj, prow)]
+        d = piv
         basis[leave] = enter
         pivots += 1
 
@@ -197,9 +169,9 @@ def _phase_one(A: list[list[Fraction]], b: list[Fraction]) -> tuple[bool, list[F
         x = [ZERO] * n
         for i, bv in enumerate(basis):
             if bv < n:
-                x[bv] = Fraction(num[i][total], den[i])
+                x[bv] = Fraction(num[i][total], d)
         return True, x, pivots
-    y = [ONE - Fraction(obj[n + k], obj_den) for k in range(m)]
+    y = [ONE - Fraction(obj[n + k], d) for k in range(m)]
     return False, y, pivots
 
 
@@ -289,23 +261,19 @@ def solve_equality_feasibility(M: SparseMatrix, P: Sequence) -> FeasibilityResul
     if not kept_rows:
         return FeasibilityResult(True, tuple([ZERO] * n), None, 0)
 
-    col_pos = {j: k for k, j in enumerate(kept_cols)}
+    # integer system: scale_a scales every row alike, scale_b every variable
     flip = [1 if P[i] >= 0 else -1 for i in kept_rows]
-    A = []
-    b = []
-    for i, s in zip(kept_rows, flip):
-        dense = [ZERO] * len(kept_cols)
-        for j, v in rows[i]:
-            if not dropped_col[j]:
-                dense[col_pos[j]] = s * v
-        A.append(dense)
-        b.append(s * P[i])
+    kept = [{j: s * v for j, v in rows[i] if not dropped_col[j]} for i, s in zip(kept_rows, flip)]
+    scale_a = lcm(*(v.denominator for row in kept for v in row.values()))
+    rhs = [s * P[i] * scale_a for i, s in zip(kept_rows, flip)]
+    scale_b = lcm(*(r.denominator for r in rhs))
+    A = [[int(row.get(j, 0) * scale_a) for j in kept_cols] for row in kept]
 
-    feasible, vec, pivots = _phase_one(A, b)
+    feasible, vec, pivots = _phase_one(A, [int(r * scale_b) for r in rhs])
     if feasible:
         witness = [ZERO] * n
         for k, j in enumerate(kept_cols):
-            witness[j] = vec[k]
+            witness[j] = vec[k] / scale_b
         return FeasibilityResult(True, tuple(witness), None, pivots)
     kept_y = {i: s * vec[k] for k, (i, s) in enumerate(zip(kept_rows, flip))}
     return FeasibilityResult(False, None, assemble_farkas(kept_y), pivots)

@@ -44,6 +44,9 @@ class TestValidate:
         }
         path.write_text(json.dumps(doc))
         assert main(["validate", str(path)]) == 2
+        doc["treatments"][0]["probabilities"] = ["1/2", "1/2"]
+        path.write_text(json.dumps(doc))
+        assert main(["validate", str(path)]) == 2
 
 
 class TestTest:
@@ -136,6 +139,12 @@ class TestTest:
         doc = json.loads(capsys.readouterr().out)
         chain = next(s for s in doc["stages"] if s["name"] == "chain-tests")
         assert chain["detail"]["orders"][0]["order"] == "mine"
+        # malformed orders files are input errors that name the file
+        for bad in ({"nope": 1}, {"orders": [{"classes": [[1, 1]]}]}):
+            opath.write_text(json.dumps(bad))
+            assert main(["test", path, "--orders-file", str(opath)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: orders file") and str(opath) in err
 
 
 class TestGenerate:

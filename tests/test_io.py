@@ -82,6 +82,17 @@ def test_both_probabilities_and_counts_rejected():
     doc["treatments"][0]["counts"] = {"1,1": 1}
     with pytest.raises(DatasetParseError, match="exactly one"):
         dataset_from_json_dict(doc)
+    # wrongly shaped sections name the section instead of crashing
+    for edit, match in (
+        (lambda d: d.update(treatments=7), "'treatments' must be a list"),
+        (lambda d: d.update(treatments=[5]), "record 5 is not an object"),
+        (lambda d: d["treatments"][0].update(probabilities=["1/2", "1/2"]), "'probabilities' must"),
+        (lambda d: d["treatments"][2].update(counts=[1, 2]), "'counts' must be an object"),
+    ):
+        doc = json.loads(json.dumps(CHSH_DOC))
+        edit(doc)
+        with pytest.raises(DatasetParseError, match=match):
+            dataset_from_json_dict(doc)
 
 
 def test_inefficient_detector_shape_loads():

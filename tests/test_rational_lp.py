@@ -1,9 +1,14 @@
+import hashlib
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from selinf.experiment import make_design
+from selinf.generators import AngleSpec, gen_classical, gen_singlet
+from selinf.io import format_exact
+from selinf.lft import run_lft
 from selinf.rational_lp import (
     FeasibilityResult,
     SparseMatrix,
@@ -150,6 +155,45 @@ def _random_system(rng: random.Random, max_rows: int, max_cols: int):
     else:
         p = [F(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(m)]
     return dense, p
+
+
+def _digest(certificate) -> str:
+    return hashlib.sha256(",".join(map(format_exact, certificate)).encode()).hexdigest()
+
+
+class TestPinnedPivotPath:
+    """Pivot counts and certificates recorded with an earlier tableau
+    representation: a change of arithmetic must not move the Bland path."""
+
+    def test_classical_feasible(self):
+        verdict = run_lft(gen_classical(make_design((3, 3), (2, 2)), seed=5)[0])
+        assert verdict.feasible and verdict.pivots == 53
+        assert _digest(verdict.witness.values) == (
+            "1ba4660f8cf1bf0c7e89c9dd40aad950e506c9a5bfbb6668958bc0b645462090"
+        )
+
+    def test_singlet_infeasible(self):
+        angles = AngleSpec(((F(0), F(1, 2)), (F(1, 4), F(3, 4))))
+        verdict = run_lft(gen_singlet(angles, 12))
+        assert not verdict.feasible and verdict.pivots == 10
+        assert _digest(verdict.farkas) == (
+            "dc924fb51da22771a16a3e5b337160873c845160dd22434bc63d9f8931b27e38"
+        )
+
+    @pytest.mark.parametrize(
+        "seed, feasible, digest",
+        [
+            (0, True, "b35e3cc72b9eb392c6cb804cabc42687c4a4ff4ae1564979a2508d9056c7137f"),
+            (12, False, "02bdf2a4bced4e9a29c8c07ae03b01d8e5adbbe1050e2d40d02919b5b9c3b463"),
+        ],
+    )
+    def test_random_rational_system(self, seed, feasible, digest):
+        dense, p = _random_system(random.Random(seed), 6, 8)
+        assert any(v.denominator > 1 for row in dense for v in row)
+        assert any(v.denominator > 1 for v in p)
+        res = solve_equality_feasibility(SparseMatrix.from_dense(dense), p)
+        assert res.feasible == feasible and res.pivots == 5
+        assert _digest(res.witness if feasible else res.farkas) == digest
 
 
 class TestSoundnessAndCompleteness:
