@@ -82,9 +82,14 @@ def _parse_orders(args, design) -> list[OrderRelation]:
             raise ValueError(f"orders file {args.orders_file}: missing key {exc}") from None
         except (TypeError, ValueError) as exc:
             raise ValueError(f"orders file {args.orders_file}: {exc}") from None
-        return orders
-    names = [s.strip() for s in args.orders.split(",") if s.strip()]
-    return [preset_order(design, name) for name in names]
+        where = f"orders file {args.orders_file}"
+    else:
+        names = [s.strip() for s in args.orders.split(",") if s.strip()]
+        orders = [preset_order(design, name) for name in names]
+        where = f"--orders {args.orders!r}"
+    if not orders:
+        raise ValueError(f"{where} names no order relation")
+    return orders
 
 
 def _stage_marginal(dataset, args):

@@ -16,11 +16,16 @@ comma-joined 1-based indices.
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 from typing import Any, IO
 
 from .errors import DatasetParseError
 from .experiment import Dataset, ExperimentDesign, Input, Output
+
+# Fraction("1e-10000000") builds 10**10**7, so larger exponents are refused
+MAX_EXPONENT = 1000
+_EXPONENT = re.compile(r"e([-+]?[\d_]+)\s*\Z", re.IGNORECASE)
 
 
 def parse_exact(value) -> Fraction:
@@ -35,6 +40,9 @@ def parse_exact(value) -> Fraction:
         )
     if isinstance(value, str):
         try:
+            exponent = _EXPONENT.search(value)
+            if exponent and abs(int(exponent.group(1))) > MAX_EXPONENT:
+                raise ValueError(f"decimal exponent beyond {MAX_EXPONENT}")
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
             raise DatasetParseError(f"malformed probability string {value!r}: {exc}") from None
@@ -56,6 +64,29 @@ def _parse_outcome_key(key: str, n: int) -> tuple[int, ...]:
         raise DatasetParseError(f"outcome key {key!r} is not a tuple of integers") from None
 
 
+def _list(value, what: str) -> list:
+    if not isinstance(value, list):
+        raise DatasetParseError(f"{what} must be a list, got {value!r}")
+    return value
+
+
+def _parse_count(value, tr: tuple[int, ...]) -> int:
+    if isinstance(value, str) and value.isdecimal():
+        value = int(value)
+    if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+        raise DatasetParseError(f"bad count {value!r} under {tr}")
+    return value
+
+
+def _unique_keys(pairs: list[tuple[str, Any]]) -> dict:
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise DatasetParseError(f"repeated JSON key {key!r}")
+        doc[key] = value
+    return doc
+
+
 def dataset_from_json_dict(doc: dict) -> Dataset:
     if not isinstance(doc, dict):
         raise DatasetParseError("top level must be an object")
@@ -64,11 +95,11 @@ def dataset_from_json_dict(doc: dict) -> Dataset:
             raise DatasetParseError(f"missing section {section!r}")
     try:
         inputs = tuple(
-            Input(str(rec["label"]), tuple(str(v) for v in rec["values"]))
+            Input(str(rec["label"]), tuple(str(v) for v in _list(rec["values"], "values")))
             for rec in doc["inputs"]
         )
         outputs = tuple(
-            Output(str(rec["label"]), tuple(str(v) for v in rec["values"]))
+            Output(str(rec["label"]), tuple(str(v) for v in _list(rec["values"], "values")))
             for rec in doc["outputs"]
         )
     except (KeyError, TypeError, ValueError) as exc:
@@ -85,7 +116,7 @@ def dataset_from_json_dict(doc: dict) -> Dataset:
         if "treatment" not in rec:
             raise DatasetParseError("treatment record lacks 'treatment'")
         try:
-            tr = tuple(int(j) for j in rec["treatment"])
+            tr = tuple(int(j) for j in _list(rec["treatment"], "treatment"))
         except (TypeError, ValueError):
             raise DatasetParseError(f"bad treatment tuple {rec.get('treatment')!r}") from None
         has_p = "probabilities" in rec
@@ -97,24 +128,17 @@ def dataset_from_json_dict(doc: dict) -> Dataset:
         section = "probabilities" if has_p else "counts"
         if not isinstance(rec[section], dict):
             raise DatasetParseError(f"treatment {tr}: {section!r} must be an object")
-        table: dict[tuple[int, ...], Fraction] = {}
-        if has_p:
-            for key, val in rec[section].items():
-                table[_parse_outcome_key(key, n)] = parse_exact(val)
-        else:
-            counts = {}
-            for key, val in rec[section].items():
-                if isinstance(val, str):
-                    if not val.lstrip("-").isdigit():
-                        raise DatasetParseError(f"bad count {val!r} under {tr}")
-                    val = int(val)
-                if not isinstance(val, int) or isinstance(val, bool) or val < 0:
-                    raise DatasetParseError(f"bad count {val!r} under {tr}")
-                counts[_parse_outcome_key(key, n)] = val
-            total = sum(counts.values())
+        table: dict[tuple[int, ...], Fraction | int] = {}
+        for key, val in rec[section].items():
+            outcome = _parse_outcome_key(key, n)
+            if outcome in table:
+                raise DatasetParseError(f"treatment {tr}: outcome key {key!r} repeats {outcome}")
+            table[outcome] = parse_exact(val) if has_p else _parse_count(val, tr)
+        if has_c:
+            total = sum(table.values())
             if total == 0:
                 raise DatasetParseError(f"treatment {tr}: counts sum to zero")
-            table = {k: Fraction(c, total) for k, c in counts.items()}
+            table = {k: Fraction(c, total) for k, c in table.items()}
         treatments.append(tr)
         tables[tr] = table
 
@@ -154,7 +178,7 @@ def load_dataset(source: str | IO[str]) -> Dataset:
         with open(source, "r", encoding="utf-8") as fh:
             text = fh.read()
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise DatasetParseError(
             f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"

@@ -178,11 +178,16 @@ def _phase_one(A: list[list[int]], b: list[int]) -> tuple[bool, list[Fraction], 
 def solve_equality_feasibility(M: SparseMatrix, P: Sequence) -> FeasibilityResult:
     """Decide MQ = P, Q >= 0 exactly.
 
-    Presolve: rows with no usable coefficients and P-component 0 are dropped
-    (nonzero P-component: immediately infeasible); rows with P-component 0
-    whose coefficients all share one sign force their columns to zero.  The
-    phase-one simplex then runs on the reduced system, and certificates are
-    mapped back to the full one.
+    Presolve settles rows in two sweeps over the rows in order, skipping
+    settled ones.  A row with no live (undropped) column is settled if its
+    P-component is 0 and proves infeasibility otherwise.  A row with P-component
+    0 whose entries all share one sign fires: its live columns are dropped
+    (forced to zero) and it is settled.  Two sweeps reach the fixpoint: whether
+    a row can fire depends only on its P-component and its entries' signs, so
+    every firing happens in the first sweep; dropping columns can only empty
+    rows, which the second sweep settles, and settling drops nothing more.
+    The phase-one simplex then runs on the reduced system, and certificates
+    are mapped back to the full one.
     """
     P = [Fraction(p) for p in P]
     if len(P) != M.nrows:
@@ -190,80 +195,59 @@ def solve_equality_feasibility(M: SparseMatrix, P: Sequence) -> FeasibilityResul
 
     m, n = M.nrows, M.ncols
     rows = M.rows
-    # sign of each row over its ORIGINAL entries: +1 all-positive, -1 all-negative,
-    # None mixed or empty (only uniform-sign rows may force columns to zero);
-    # a Fraction's denominator is positive, so its numerator carries the sign
-    row_sign: list[int | None] = []
-    for row in rows:
-        if row and all(v.numerator > 0 for _, v in row):
-            row_sign.append(1)
-        elif row and all(v.numerator < 0 for _, v in row):
-            row_sign.append(-1)
-        else:
-            row_sign.append(None)
-
-    dropped_col = [False] * n
-    state = ["active"] * m  # active | empty | fired
+    settled = [False] * m
+    fired: list[int] = []
+    dropped: set[int] = set()
     infeasible_row = -1
-    changed = True
-    while changed and infeasible_row < 0:
-        changed = False
-        for i in range(m):
-            if state[i] != "active":
-                continue
-            act = [(c, v) for c, v in rows[i] if not dropped_col[c]]
-            if not act:
-                if P[i] != 0:
-                    infeasible_row = i
-                    break
-                state[i] = "empty"
-                changed = True
-            elif P[i] == 0 and row_sign[i] is not None:
-                for c, _ in act:
-                    dropped_col[c] = True
-                state[i] = "fired"
-                changed = True
+    for i in 2 * list(range(m)):
+        if settled[i]:
+            continue
+        row = rows[i]
+        live = [c for c, _ in row if c not in dropped]
+        if not live:
+            if P[i] != 0:
+                infeasible_row = i
+                break
+            settled[i] = True
+        elif P[i] == 0:
+            # a Fraction's denominator is positive, so its numerator carries the sign
+            positive = row[0][1].numerator > 0
+            if all((v.numerator > 0) == positive for _, v in row):
+                settled[i] = True
+                fired.append(i)
+                dropped.update(live)
 
     def assemble_farkas(kept_y: dict[int, Fraction]) -> tuple[Fraction, ...]:
-        # columns eliminated by fired rows need a uniform large multiplier -K
+        # columns dropped by fired rows need a uniform large multiplier -K
         # on those rows so that y'M <= 0 holds on them too
-        firing = [z for z in range(m) if state[z] == "fired"]
-        K = ONE
-        if any(dropped_col):
-            num = [ZERO] * n
-            den = [ZERO] * n
-            for i, yi in kept_y.items():
-                for j, v in rows[i]:
-                    if dropped_col[j]:
-                        num[j] += yi * v
-            for z in firing:
-                for j, v in rows[z]:
-                    if dropped_col[j]:
-                        den[j] += abs(v)
-            for j in range(n):
-                if dropped_col[j] and num[j] > 0:
-                    cand = num[j] / den[j]
-                    if cand > K:
-                        K = cand
-        y = [ZERO] * m
+        num: dict[int, Fraction] = {}
         for i, yi in kept_y.items():
-            y[i] = yi
-        for z in firing:
-            y[z] = -row_sign[z] * K
+            for j, v in rows[i]:
+                if j in dropped:
+                    num[j] = num.get(j, ZERO) + yi * v
+        den = {j: ZERO for j, s in num.items() if s > 0}
+        for z in fired:
+            for j, v in rows[z]:
+                if j in den:
+                    den[j] += abs(v)
+        K = max([ONE] + [num[j] / den[j] for j in den])
+        y = [kept_y.get(i, ZERO) for i in range(m)]
+        for z in fired:
+            y[z] = -K if rows[z][0][1] > 0 else K
         return tuple(y)
 
     if infeasible_row >= 0:
         sign = ONE if P[infeasible_row] > 0 else -ONE
         return FeasibilityResult(False, None, assemble_farkas({infeasible_row: sign}), 0)
 
-    kept_rows = [i for i in range(m) if state[i] == "active"]
-    kept_cols = [j for j in range(n) if not dropped_col[j]]
+    kept_rows = [i for i in range(m) if not settled[i]]
+    kept_cols = [j for j in range(n) if j not in dropped]
     if not kept_rows:
         return FeasibilityResult(True, tuple([ZERO] * n), None, 0)
 
     # integer system: scale_a scales every row alike, scale_b every variable
     flip = [1 if P[i] >= 0 else -1 for i in kept_rows]
-    kept = [{j: s * v for j, v in rows[i] if not dropped_col[j]} for i, s in zip(kept_rows, flip)]
+    kept = [{j: s * v for j, v in rows[i] if j not in dropped} for i, s in zip(kept_rows, flip)]
     scale_a = lcm(*(v.denominator for row in kept for v in row.values()))
     rhs = [s * P[i] * scale_a for i, s in zip(kept_rows, flip)]
     scale_b = lcm(*(r.denominator for r in rhs))

@@ -47,6 +47,12 @@ class TestValidate:
         doc["treatments"][0]["probabilities"] = ["1/2", "1/2"]
         path.write_text(json.dumps(doc))
         assert main(["validate", str(path)]) == 2
+        # two keys naming one outcome, once as a repeated JSON key
+        doc["treatments"][0]["probabilities"] = {"1": "1/2", "01": "1/2"}
+        path.write_text(json.dumps(doc))
+        assert main(["validate", str(path)]) == 2
+        path.write_text(json.dumps(doc).replace('"01"', '"1"'))
+        assert main(["validate", str(path)]) == 2
 
 
 class TestTest:
@@ -145,6 +151,12 @@ class TestTest:
             assert main(["test", path, "--orders-file", str(opath)]) == 2
             err = capsys.readouterr().err
             assert err.startswith("error: orders file") and str(opath) in err
+        # no order at all would let every chain test pass vacuously
+        opath.write_text(json.dumps({"orders": []}))
+        assert main(["test", path, "--orders-file", str(opath)]) == 2
+        assert "no order" in capsys.readouterr().err
+        assert main(["test", path, "--orders", ","]) == 2
+        assert "no order" in capsys.readouterr().err
 
 
 class TestGenerate:

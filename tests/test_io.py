@@ -56,6 +56,13 @@ def test_malformed_probability_string():
     doc["treatments"][0]["probabilities"]["1,1"] = "one half"
     with pytest.raises(DatasetParseError, match="malformed probability"):
         dataset_from_json_dict(doc)
+    # a short string with a huge exponent is refused before Fraction expands it
+    doc["treatments"][0]["probabilities"]["1,1"] = "1e-10000000"
+    with pytest.raises(DatasetParseError, match="malformed probability.*exponent"):
+        dataset_from_json_dict(doc)
+    for text, value in (("0.25", F(1, 4)), ("1/4", F(1, 4)), ("2.5e-1", F(1, 4))):
+        doc["treatments"][0]["probabilities"]["1,1"] = text
+        assert dataset_from_json_dict(doc).prob((1, 1), (1, 1)) == value
 
 
 def test_float_probability_rejected():
@@ -75,6 +82,10 @@ def test_bad_outcome_key():
 def test_json_error_carries_position():
     with pytest.raises(DatasetParseError, match="line 1"):
         load_dataset(io.StringIO("{not json"))
+    # json.loads alone would keep only the last of two equal keys
+    text = json.dumps(CHSH_DOC).replace('"2,2": "0.5"', '"1,1": "0.5"', 1)
+    with pytest.raises(DatasetParseError, match="repeated JSON key '1,1'"):
+        load_dataset(io.StringIO(text))
 
 
 def test_both_probabilities_and_counts_rejected():
@@ -88,6 +99,16 @@ def test_both_probabilities_and_counts_rejected():
         (lambda d: d.update(treatments=[5]), "record 5 is not an object"),
         (lambda d: d["treatments"][0].update(probabilities=["1/2", "1/2"]), "'probabilities' must"),
         (lambda d: d["treatments"][2].update(counts=[1, 2]), "'counts' must be an object"),
+        (lambda d: d["inputs"][0].update(values="12"), "values must be a list"),
+        (lambda d: d["outputs"][1].update(values="12"), "values must be a list"),
+        (lambda d: d["treatments"][3].update(treatment="22"), "bad treatment tuple"),
+        (
+            lambda d: d["treatments"][0].update(
+                probabilities={"1,1": "1/2", "1, 1": "1/2", "2,2": "1/2"}
+            ),
+            "repeats",
+        ),
+        (lambda d: d["treatments"][2].update(counts={"1,1": 3, "01,1": 5}), "repeats"),
     ):
         doc = json.loads(json.dumps(CHSH_DOC))
         edit(doc)

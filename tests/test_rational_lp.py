@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from selinf.experiment import make_design
-from selinf.generators import AngleSpec, gen_classical, gen_singlet
+from selinf.generators import AngleSpec, gen_classical, gen_ghz, gen_prbox, gen_singlet
 from selinf.io import format_exact
 from selinf.lft import run_lft
 from selinf.rational_lp import (
@@ -118,6 +118,17 @@ class TestSolveBasics:
         res = solve_equality_feasibility(m, p)
         assert not res.feasible
         assert verify_certificate(m, p, res)
+        # a later row fires and empties an earlier one with P != 0, which
+        # only the second presolve sweep sees
+        for dense, p, farkas in (
+            ([[1], [1]], [1, 0], [1, -1]),
+            ([[2, 0], [1, 1], [0, -3]], [1, 0, 0], [1, -2, 0]),
+        ):
+            m = SparseMatrix.from_dense(dense)
+            res = solve_equality_feasibility(m, p)
+            assert not res.feasible and res.pivots == 0
+            assert res.farkas == tuple(map(F, farkas))
+            assert verify_certificate(m, p, res)
 
     def test_degenerate_systems_terminate(self):
         # heavily degenerate bases (many zero right-hand sides over mixed-sign
@@ -194,6 +205,32 @@ class TestPinnedPivotPath:
         res = solve_equality_feasibility(SparseMatrix.from_dense(dense), p)
         assert res.feasible == feasible and res.pivots == 5
         assert _digest(res.witness if feasible else res.farkas) == digest
+
+
+class TestPinnedPresolve:
+    """Certificates recorded with the fixpoint presolve: deciding
+    zero-probability rows in fewer sweeps must not change them."""
+
+    @pytest.mark.parametrize(
+        "dataset, digest",
+        [
+            (gen_prbox, "60d162791780785b9aad25699a2c9e477496050571386c7ce56edd436836924e"),
+            (gen_ghz, "48608dca7c558d0a88b9fd60edafed11f21e837dba5d3ecf2e8c7b972bd0c2b3"),
+        ],
+    )
+    def test_decided_in_presolve(self, dataset, digest):
+        verdict = run_lft(dataset())
+        assert not verdict.feasible and verdict.pivots == 0
+        assert _digest(verdict.farkas) == digest
+
+    def test_fires_then_phase_one(self):
+        dense, p = _random_system(random.Random(26), 6, 8)
+        res = solve_equality_feasibility(SparseMatrix.from_dense(dense), p)
+        assert not res.feasible and res.pivots == 2
+        assert F(-83, 12) in res.farkas  # -K on a fired row
+        assert _digest(res.farkas) == (
+            "785ee076f3c7535301a63864169931182ccd993ade94aaf5ee76b7a37d27ed18"
+        )
 
 
 class TestSoundnessAndCompleteness:
