@@ -35,7 +35,7 @@ from .generators import (
     gen_singlet,
     parse_angle,
 )
-from .io import dump_dataset, format_exact, load_dataset
+from .io import dump_dataset, format_exact, load_dataset, parse_index
 from .lft import run_lft
 
 SCHEMA_VERSION = "1"
@@ -75,7 +75,8 @@ def _parse_orders(args, design) -> list[OrderRelation]:
             orders = []
             for rec in doc["orders"]:
                 classes = tuple(
-                    frozenset((int(k), int(a)) for k, a in cls) for cls in rec["classes"]
+                    frozenset((parse_index(k), parse_index(a)) for k, a in cls)
+                    for cls in rec["classes"]
                 )
                 orders.append(OrderRelation(classes, name=str(rec.get("name", "custom"))))
         except KeyError as exc:

@@ -49,6 +49,15 @@ def parse_exact(value) -> Fraction:
     raise DatasetParseError(f"not a probability: {value!r}")
 
 
+def parse_index(value) -> int:
+    """An index read from JSON: an int, an integral number or an integer
+    string.  A bool or a fractional number raises ValueError rather than
+    being truncated."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"{value!r} is not an integer")
+    return int(value)
+
+
 def format_exact(value: Fraction) -> str:
     """The exact "p/q" text form used in dataset files and reports."""
     return f"{value.numerator}/{value.denominator}"
@@ -116,7 +125,7 @@ def dataset_from_json_dict(doc: dict) -> Dataset:
         if "treatment" not in rec:
             raise DatasetParseError("treatment record lacks 'treatment'")
         try:
-            tr = tuple(int(j) for j in _list(rec["treatment"], "treatment"))
+            tr = tuple(parse_index(j) for j in _list(rec["treatment"], "treatment"))
         except (TypeError, ValueError):
             raise DatasetParseError(f"bad treatment tuple {rec.get('treatment')!r}") from None
         has_p = "probabilities" in rec

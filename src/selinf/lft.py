@@ -10,6 +10,18 @@ value most significant.  M(r, c) = 1 exactly when column c's assignment
 produces row r's outcomes under row r's treatment, so each column has one 1
 per treatment.
 
+Many rows of M are redundant.  On a full-factorial design M is the Kronecker
+product over inputs of the per-input matrices M_i, whose rows are (value,
+outcome) and whose rank is 1 + k_i(m_i - 1): a row (t_i, m_i) with t_i > 1
+is the sum of the rows (1, o) over every o minus the rows (t_i, o) with
+o < m_i.  Keeping row (t, o) iff o_i < m_i or t_i = 1 for every input i
+leaves prod(1 + k_i(m_i - 1)) rows that span all of M (the Collins-Gisin
+parametrization; Collins & Gisin 2004).  A dropped row's P-component obeys
+the same relation exactly when every table agrees with its t_i = 1
+neighbour on the marginal over the outputs other than i, which is marginal
+selectivity; `collins_gisin_rows` checks that and phase one then uses only
+the kept rows.  Presolve and certificate verification still read all of M.
+
 A feasible witness converts into an explicit classical model (`Si2Model`)
 whose forward simulation reproduces the dataset exactly; infeasibility comes
 with a verified Farkas vector.
@@ -264,15 +276,52 @@ class LftVerdict:
         return doc
 
 
+def collins_gisin_rows(dataset: Dataset) -> list[int] | None:
+    """Flat P indices of the Collins-Gisin rows of a valid dataset's M, or
+    None (keep every row) when the design is not full factorial or some table
+    differs from its t_i = 1 neighbour on the marginal over the other outputs.
+
+    Row (t, o) is kept iff o_i < m_i or t_i = 1 for every input i.
+    """
+    design = dataset.design
+    if not design.is_factorial:
+        return None
+    n = design.n
+    for lam, k in enumerate(design.input_sizes, start=1):
+        if n == 1:
+            break  # the marginal over no output is the mass, 1 in every table
+        rest = [l for l in range(1, n + 1) if l != lam]
+        for base in design.treatments:
+            if base[lam - 1] != 1:
+                continue
+            ref = marginal(dataset, base, rest)
+            for j in range(2, k + 1):
+                tr = base[: lam - 1] + (j,) + base[lam:]
+                if marginal_discrepancy(ref, marginal(dataset, tr, rest)) != 0:
+                    return None
+    sizes = design.outcome_sizes
+    outcomes = list(design.all_outcomes())
+    return [
+        t_idx * len(outcomes) + pos
+        for t_idx, tr in enumerate(design.treatments)
+        for pos, outcome in enumerate(outcomes)
+        if all(o < m or j == 1 for o, m, j in zip(outcome, sizes, tr))
+    ]
+
+
 def run_lft(dataset: Dataset, column_guard: int = 10**6) -> LftVerdict:
     """Run the feasibility test on a valid dataset.
 
-    The certificate is re-verified before returning; a verification failure
-    would be an internal error and raises RuntimeError.
+    Phase one runs on the Collins-Gisin rows when `collins_gisin_rows` finds
+    them, on every row otherwise.  The certificate is re-verified against the
+    full M before returning; a verification failure would be an internal
+    error and raises RuntimeError.
     """
     p = build_p_vector(dataset)
     jdc = build_jdc_matrix(dataset.design, column_guard)
-    result = solve_equality_feasibility(jdc.matrix, list(p.values))
+    result = solve_equality_feasibility(
+        jdc.matrix, list(p.values), collins_gisin_rows(dataset)
+    )
     if not verify_certificate(jdc.matrix, list(p.values), result):
         raise RuntimeError("solver produced a certificate that failed verification")
     witness = QVector(dataset.design, result.witness) if result.feasible else None

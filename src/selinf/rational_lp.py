@@ -1,27 +1,33 @@
 """Exact linear feasibility: does MQ = P, Q >= 0 have a solution?
 
 The solver is a phase-one simplex on the standard-form system with artificial
-variables (minimize their sum) under Bland's least-index anti-cycling rule, so
-it terminates on every input and is deterministic: identical inputs give
-identical witnesses and pivot counts.  Its tableau holds integers, d times the
-Fraction tableau's values with d the last pivot, and divides exactly (Edmonds'
-integer-preserving pivoting).  The system becomes integer by scaling every row
-by one positive number and every variable by another.  That multiplies each
-reduced cost, and all ratios of one ratio test, by positive factors, so Bland's
-rule takes the same pivots; the phase-one dual, hence the Farkas vector, is
-unchanged and the witness is scaled back.  Infeasibility comes with a Farkas
-vector y (y'M <= 0, y'P > 0) read off the optimal phase-one reduced-cost row,
-so every verdict is self-verifying via `verify_certificate`.
+variables (minimize their sum).  It prices by Dantzig's rule (most negative
+reduced cost, ties to the lowest index) and falls back to Bland's
+least-index rule inside long runs of degenerate pivots, so it terminates on
+every input and is deterministic: identical inputs give identical witnesses
+and pivot counts.  Its tableau holds integers, d times the Fraction
+tableau's values with d the last pivot, and divides exactly (Edmonds'
+integer-preserving pivoting).  The system becomes integer by scaling every
+row by one positive number and every variable by another; the witness is
+scaled back, and a Farkas vector of the scaled rows is one of the original
+rows, since one positive row scale changes no sign of y'M or y'P.  Phase one
+may run on a subset of the rows that implies the others (a row basis, see
+`solve_equality_feasibility`).  Infeasibility comes with a Farkas vector y
+(y'M <= 0, y'P > 0) read off the optimal phase-one reduced-cost row, so
+every verdict is self-verifying via `verify_certificate`.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Sequence
+from typing import Iterable, Sequence
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+# once more than this many degenerate pivots come in a row, Bland's rule
+# prices instead of Dantzig's until the next nondegenerate pivot
+DEGENERATE_RUN = 50
 
 
 @dataclass(frozen=True)
@@ -117,9 +123,18 @@ def _phase_one(A: list[list[int]], b: list[int]) -> tuple[bool, list[Fraction], 
     Fraction tableau would hold, and a minor of the initial integer tableau,
     so every division below is exact.  The pivot row stays as it is: over the
     new d, the pivot, it is the Fraction pivot row divided by its pivot.
-    Pivots are positive, so d > 0 and Bland pivoting reads the same signs and
-    ratios as on the Fraction tableau.  Returns (feasible, witness or
-    phase-one dual y', pivot count).
+    Pivots are positive, so d > 0 and the integers order the reduced costs
+    and ratios as the Fraction tableau's values do.
+
+    Dantzig's rule enters the column with the most negative reduced cost,
+    ties to the lowest index.  Once more than DEGENERATE_RUN degenerate
+    pivots (ratio 0) come in a row, Bland's least-index rule enters instead
+    until the next nondegenerate pivot.  This terminates: the objective drops
+    strictly at each nondegenerate pivot, so no basis recurs across one, and
+    a cycle inside a degenerate run would end in Bland pivots only, which
+    cannot cycle.  The leaving row is the least ratio, ties to the lowest
+    basic variable.  Returns (feasible, witness or phase-one dual y', pivot
+    count).
     """
     m = len(A)
     n = len(A[0]) if m else 0
@@ -132,12 +147,13 @@ def _phase_one(A: list[list[int]], b: list[int]) -> tuple[bool, list[Fraction], 
     d = 1
 
     pivots = 0
+    stall = 0  # degenerate pivots in a row
     while True:
-        enter = -1
-        for j in range(total):
-            if obj[j] < 0:
-                enter = j
-                break
+        if stall > DEGENERATE_RUN:
+            enter = next((j for j in range(total) if obj[j] < 0), -1)
+        else:
+            low = min(obj[:total])
+            enter = obj.index(low) if low < 0 else -1
         if enter < 0:
             break
         leave = -1
@@ -164,6 +180,7 @@ def _phase_one(A: list[list[int]], b: list[int]) -> tuple[bool, list[Fraction], 
         d = piv
         basis[leave] = enter
         pivots += 1
+        stall = stall + 1 if lead_num == 0 else 0
 
     if obj[total] == 0:
         x = [ZERO] * n
@@ -175,8 +192,19 @@ def _phase_one(A: list[list[int]], b: list[int]) -> tuple[bool, list[Fraction], 
     return False, y, pivots
 
 
-def solve_equality_feasibility(M: SparseMatrix, P: Sequence) -> FeasibilityResult:
+def solve_equality_feasibility(
+    M: SparseMatrix, P: Sequence, row_basis: Iterable[int] | None = None
+) -> FeasibilityResult:
     """Decide MQ = P, Q >= 0 exactly.
+
+    `row_basis`, if given, names rows of M whose span holds every row, with
+    P obeying the same linear relations, so that the other rows follow from
+    them.  Presolve still reads every row; phase one runs only on the unsettled
+    rows of the basis (a settled row is zero on the live columns with P-component
+    0, so the relations still hold among the unsettled rows), and the Farkas
+    vector is zero on the rows it skipped.
+    A wrong basis can give a wrong certificate, which `verify_certificate`
+    against the full M rejects.
 
     Presolve settles rows in two sweeps over the rows in order, skipping
     settled ones.  A row with no live (undropped) column is settled if its
@@ -241,6 +269,9 @@ def solve_equality_feasibility(M: SparseMatrix, P: Sequence) -> FeasibilityResul
         return FeasibilityResult(False, None, assemble_farkas({infeasible_row: sign}), 0)
 
     kept_rows = [i for i in range(m) if not settled[i]]
+    if row_basis is not None:
+        basis = set(row_basis)
+        kept_rows = [i for i in kept_rows if i in basis]
     kept_cols = [j for j in range(n) if j not in dropped]
     if not kept_rows:
         return FeasibilityResult(True, tuple([ZERO] * n), None, 0)

@@ -53,6 +53,10 @@ class TestValidate:
         assert main(["validate", str(path)]) == 2
         path.write_text(json.dumps(doc).replace('"01"', '"1"'))
         assert main(["validate", str(path)]) == 2
+        # a fractional treatment index is refused, not truncated to 1
+        doc["treatments"][0].update(treatment=[1.5], probabilities={"1": "1"})
+        path.write_text(json.dumps(doc))
+        assert main(["validate", str(path)]) == 2
 
 
 class TestTest:
@@ -146,7 +150,9 @@ class TestTest:
         chain = next(s for s in doc["stages"] if s["name"] == "chain-tests")
         assert chain["detail"]["orders"][0]["order"] == "mine"
         # malformed orders files are input errors that name the file
-        for bad in ({"nope": 1}, {"orders": [{"classes": [[1, 1]]}]}):
+        # [1.9, 1.2] would be truncated to the point (1, 1)
+        fractional = {"orders": [{"classes": [[[1.9, 1.2], [2, 2]], [[1, 2], [2, 1]]]}]}
+        for bad in ({"nope": 1}, {"orders": [{"classes": [[1, 1]]}]}, fractional):
             opath.write_text(json.dumps(bad))
             assert main(["test", path, "--orders-file", str(opath)]) == 2
             err = capsys.readouterr().err

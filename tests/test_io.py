@@ -102,6 +102,9 @@ def test_both_probabilities_and_counts_rejected():
         (lambda d: d["inputs"][0].update(values="12"), "values must be a list"),
         (lambda d: d["outputs"][1].update(values="12"), "values must be a list"),
         (lambda d: d["treatments"][3].update(treatment="22"), "bad treatment tuple"),
+        # int() would truncate these to (2, 2) and (1, 2)
+        (lambda d: d["treatments"][3].update(treatment=[2.9, 2.2]), "bad treatment tuple"),
+        (lambda d: d["treatments"][1].update(treatment=[True, 2]), "bad treatment tuple"),
         (
             lambda d: d["treatments"][0].update(
                 probabilities={"1,1": "1/2", "1, 1": "1/2", "2,2": "1/2"}

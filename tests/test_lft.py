@@ -12,13 +12,14 @@ from selinf.lft import (
     QVector,
     build_jdc_matrix,
     build_p_vector,
+    collins_gisin_rows,
     construct_si2,
     p_length,
     q_length,
     restrict_design,
     run_lft,
 )
-from selinf.rational_lp import verify_certificate
+from selinf.rational_lp import solve_equality_feasibility, verify_certificate
 
 from helpers import random_small_design
 
@@ -172,6 +173,98 @@ class TestRunLft:
         doc = run_lft(ds).to_json_dict()
         assert doc["verdict"] == "feasible"
         assert "witness" in doc and "witness_support" in doc
+
+
+def _lifted_prbox(design):
+    """The PR box on values 1, 2 and outcomes 1, 2 of inputs 1 and 2; higher
+    values act as value 2 and every other output reads outcome 1."""
+    rest = (1,) * (design.n - 2)
+    return {
+        tr: {
+            (a, b) + rest: F(1, 2)
+            for a in (1, 2)
+            for b in (1, 2)
+            if (a != b) == (tr[0] >= 2 and tr[1] >= 2)
+        }
+        for tr in design.treatments
+    }
+
+
+def _mix(weight, a, b):
+    return {
+        tr: {
+            o: weight * a[tr].get(o, 0) + (1 - weight) * b[tr].get(o, 0)
+            for o in set(a[tr]) | set(b[tr])
+        }
+        for tr in a
+    }
+
+
+class TestRowBasis:
+    """Phase one on the Collins-Gisin rows against a solve on every row."""
+
+    @staticmethod
+    def _check(ds):
+        p = list(build_p_vector(ds).values)
+        m = build_jdc_matrix(ds.design).matrix
+        rows = collins_gisin_rows(ds)
+        reduced = solve_equality_feasibility(m, p, rows)
+        assert reduced.feasible == solve_equality_feasibility(m, p).feasible
+        assert verify_certificate(m, p, reduced)
+        assert run_lft(ds).feasible == reduced.feasible
+        return rows, reduced
+
+    @pytest.mark.parametrize(
+        "ks, ms, kept",
+        [
+            ((2, 2), (2, 2), 9),
+            ((2, 2), (3, 3), 25),
+            ((3, 3), (2, 2), 16),
+            ((2, 2, 2), (2, 2, 2), 27),
+        ],
+    )
+    def test_matches_full_row_solve(self, ks, ms, kept):
+        design = make_design(ks, ms)
+        rng = random.Random(len(ks) * 100 + ks[0] * 10 + ms[0])
+        verdicts = set()
+        for _ in range(4):
+            classical = gen_classical(design, seed=rng.randrange(10**9))[0]
+            weight = F(rng.randint(1, 3), 4)
+            for tables in (classical.tables, _mix(weight, _lifted_prbox(design), classical.tables)):
+                rows, result = self._check(Dataset(design, tables))
+                assert len(rows) == kept
+                verdicts.add(result.feasible)
+        assert verdicts == {True, False}
+
+    def test_non_factorial_keeps_every_row(self):
+        design = make_design((3, 3), (2, 2), treatments=[(1, 1), (1, 2), (2, 1), (2, 2), (3, 3)])
+        rng = random.Random(5)
+        for _ in range(4):
+            classical = gen_classical(design, seed=rng.randrange(10**9))[0]
+            mixture = _mix(F(3, 4), _lifted_prbox(design), classical.tables)
+            for tables in (classical.tables, mixture):
+                rows, _ = self._check(Dataset(design, tables))
+                assert rows is None
+
+    def test_marginal_selectivity_violation_keeps_every_row(self):
+        # the first output's marginal moves with the second input's value
+        design = make_design((2, 2), (2, 2))
+        tables = {}
+        for i, j in design.treatments:
+            p1 = F(1, 3) if (i, j) == (1, 2) else F(1, 2)
+            tables[(i, j)] = {
+                (a, b): (p1 if a == 1 else 1 - p1) * F(1, 2) for a in (1, 2) for b in (1, 2)
+            }
+        ds = Dataset(design, tables)
+        rows, result = self._check(ds)
+        assert rows is None and not result.feasible
+        # on the basis rows alone the dropped rows' equations would be lost:
+        # that solve is feasible, and only the full-M check catches it
+        p = list(build_p_vector(ds).values)
+        m = build_jdc_matrix(design).matrix
+        basis = collins_gisin_rows(gen_classical(design, seed=0)[0])
+        wrong = solve_equality_feasibility(m, p, basis)
+        assert wrong.feasible and not verify_certificate(m, p, wrong)
 
 
 class TestSi2Model:

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from selinf import rational_lp
 from selinf.experiment import make_design
 from selinf.generators import AngleSpec, gen_classical, gen_ghz, gen_prbox, gen_singlet
 from selinf.io import format_exact
@@ -173,28 +174,29 @@ def _digest(certificate) -> str:
 
 
 class TestPinnedPivotPath:
-    """Pivot counts and certificates recorded with an earlier tableau
-    representation: a change of arithmetic must not move the Bland path."""
+    """Pivot counts and certificates recorded with Dantzig pricing, phase one
+    on the Collins-Gisin rows: a change of arithmetic must not move the
+    pivot path."""
 
     def test_classical_feasible(self):
         verdict = run_lft(gen_classical(make_design((3, 3), (2, 2)), seed=5)[0])
-        assert verdict.feasible and verdict.pivots == 53
+        assert verdict.feasible and verdict.pivots == 23
         assert _digest(verdict.witness.values) == (
-            "1ba4660f8cf1bf0c7e89c9dd40aad950e506c9a5bfbb6668958bc0b645462090"
+            "64da9b78eb0f590a76cea916a04f4168dbc8e89bdbaadaef15fd67dea25bf94a"
         )
 
     def test_singlet_infeasible(self):
         angles = AngleSpec(((F(0), F(1, 2)), (F(1, 4), F(3, 4))))
         verdict = run_lft(gen_singlet(angles, 12))
-        assert not verdict.feasible and verdict.pivots == 10
+        assert not verdict.feasible and verdict.pivots == 13
         assert _digest(verdict.farkas) == (
-            "dc924fb51da22771a16a3e5b337160873c845160dd22434bc63d9f8931b27e38"
+            "69f5cf7f723ca51cd0095d2fd55639060f9c563f77af8ee86d2313592bf2fcb7"
         )
 
     @pytest.mark.parametrize(
         "seed, feasible, digest",
         [
-            (0, True, "b35e3cc72b9eb392c6cb804cabc42687c4a4ff4ae1564979a2508d9056c7137f"),
+            (0, True, "88b7dc62f73621f896094355113bbce225ba324fc7d6999ce6727e0de053a27b"),
             (12, False, "02bdf2a4bced4e9a29c8c07ae03b01d8e5adbbe1050e2d40d02919b5b9c3b463"),
         ],
     )
@@ -203,7 +205,7 @@ class TestPinnedPivotPath:
         assert any(v.denominator > 1 for row in dense for v in row)
         assert any(v.denominator > 1 for v in p)
         res = solve_equality_feasibility(SparseMatrix.from_dense(dense), p)
-        assert res.feasible == feasible and res.pivots == 5
+        assert res.feasible == feasible and res.pivots == 4
         assert _digest(res.witness if feasible else res.farkas) == digest
 
 
@@ -241,6 +243,12 @@ class TestSoundnessAndCompleteness:
             m = SparseMatrix.from_dense(dense)
             res = solve_equality_feasibility(m, p)
             assert verify_certificate(m, p, res)
+
+    def test_fuzz_with_bland_after_every_degenerate_pivot(self, monkeypatch):
+        # Dantzig then prices only right after a nondegenerate pivot, so the
+        # switch to Bland's rule and back happens inside most solves
+        monkeypatch.setattr(rational_lp, "DEGENERATE_RUN", 0)
+        self.test_fuzz_certificates_always_verify()
 
     def test_verdicts_match_bruteforce_oracle(self):
         rng = random.Random(99)
