@@ -36,7 +36,7 @@ from .generators import (
     parse_angle,
 )
 from .io import dump_dataset, format_exact, load_dataset, parse_index
-from .lft import run_lft
+from .lft import COLUMN_GUARD, run_lft
 
 SCHEMA_VERSION = "1"
 
@@ -81,7 +81,7 @@ def _parse_orders(args, design) -> list[OrderRelation]:
                 orders.append(OrderRelation(classes, name=str(rec.get("name", "custom"))))
         except KeyError as exc:
             raise ValueError(f"orders file {args.orders_file}: missing key {exc}") from None
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, RecursionError) as exc:
             raise ValueError(f"orders file {args.orders_file}: {exc}") from None
         where = f"orders file {args.orders_file}"
     else:
@@ -317,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_test.add_argument("--tol", type=float, default=1e-9, help="cosphericity tolerance")
     p_test.add_argument("--max-len", type=int, default=6, help="maximum chain length")
     p_test.add_argument(
-        "--column-guard", type=int, default=10**6, help="assignment-count guard for the LFT"
+        "--column-guard", type=int, default=COLUMN_GUARD, help="assignment-count guard for the LFT"
     )
     p_test.add_argument(
         "--sequence-guard", type=int, default=10**5, help="chain enumeration guard"

@@ -117,7 +117,10 @@ class CosphericityResult:
 def cosphericity_test(quad: CorrelationQuad, tol: float = DEFAULT_TOL) -> CosphericityResult:
     """Can four unit vectors on a 3D sphere have these pairwise cosines
     across the bipartition?  Pass iff slack = RHS - LHS >= -tol; |slack| <=
-    tol is flagged "marginal"."""
+    tol is flagged "marginal".  A NaN, infinite or negative tol raises
+    ValueError."""
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"cosphericity tolerance must be finite and nonnegative, got {tol}")
     r11, r12, r21, r22 = quad.as_tuple()
 
     def c(r: float) -> float:

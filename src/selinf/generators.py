@@ -16,7 +16,8 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .experiment import Dataset, ExperimentDesign, Input, Output, ZERO, make_design
-from .lft import QVector, construct_si2, q_length
+from .errors import SizeGuardError
+from .lft import COLUMN_GUARD, QVector, construct_si2, q_length
 
 ONE = Fraction(1)
 HALF = Fraction(1, 2)
@@ -80,9 +81,14 @@ def gen_classical(
 
     Either pass a normalized Q over assignments, or a seed to draw a random
     rational Q with bounded denominators (optionally bounding the support
-    size).  Returns the dataset together with the generating Q.
+    size).  Returns the dataset together with the generating Q.  Refuses
+    designs with more than `COLUMN_GUARD` assignments.
     """
     qlen = q_length(design)
+    if qlen > COLUMN_GUARD:
+        raise SizeGuardError(
+            f"assignment space has {qlen} assignments, over the guard {COLUMN_GUARD}"
+        )
     if q is None:
         rng = random.Random(seed)
         weights = [0] * qlen

@@ -192,6 +192,8 @@ def load_dataset(source: str | IO[str]) -> Dataset:
         raise DatasetParseError(
             f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from None
+    except RecursionError:
+        raise DatasetParseError("JSON nested too deeply") from None
     return dataset_from_json_dict(doc)
 
 

@@ -16,11 +16,14 @@ outcome) and whose rank is 1 + k_i(m_i - 1): a row (t_i, m_i) with t_i > 1
 is the sum of the rows (1, o) over every o minus the rows (t_i, o) with
 o < m_i.  Keeping row (t, o) iff o_i < m_i or t_i = 1 for every input i
 leaves prod(1 + k_i(m_i - 1)) rows that span all of M (the Collins-Gisin
-parametrization; Collins & Gisin 2004).  A dropped row's P-component obeys
-the same relation exactly when every table agrees with its t_i = 1
-neighbour on the marginal over the outputs other than i, which is marginal
-selectivity; `collins_gisin_rows` checks that and phase one then uses only
-the kept rows.  Presolve and certificate verification still read all of M.
+parametrization; Collins & Gisin 2004).  `collins_gisin_rows` picks them
+from the design and phase one uses only them; presolve and certificate
+verification read all of M.  A dropped row's P-component obeys the same
+relation exactly under marginal selectivity (every table agrees with its
+t_i = 1 neighbour on the marginal over the outputs other than i).  An
+infeasible verdict on the kept rows holds for all of M; a witness from them
+fails the full-M check only on data that break marginal selectivity, and
+`run_lft` then solves on every row.
 
 A feasible witness converts into an explicit classical model (`Si2Model`)
 whose forward simulation reproduces the dataset exactly; infeasibility comes
@@ -52,6 +55,8 @@ from .io import format_exact
 from .rational_lp import SparseMatrix, solve_equality_feasibility, verify_certificate
 
 Assignment = tuple[int, ...]
+# default bound on the assignment count, the columns of M
+COLUMN_GUARD = 10**6
 
 
 def q_slot_offsets(design: ExperimentDesign) -> tuple[int, ...]:
@@ -209,7 +214,7 @@ class JdcMatrix:
         return self.matrix.ncols
 
 
-def build_jdc_matrix(design: ExperimentDesign, column_guard: int = 10**6) -> JdcMatrix:
+def build_jdc_matrix(design: ExperimentDesign, column_guard: int = COLUMN_GUARD) -> JdcMatrix:
     """Build the compatibility matrix; refuses designs whose assignment count
     exceeds `column_guard` (override by passing a larger guard)."""
     ncols = q_length(design)
@@ -276,29 +281,12 @@ class LftVerdict:
         return doc
 
 
-def collins_gisin_rows(dataset: Dataset) -> list[int] | None:
-    """Flat P indices of the Collins-Gisin rows of a valid dataset's M, or
-    None (keep every row) when the design is not full factorial or some table
-    differs from its t_i = 1 neighbour on the marginal over the other outputs.
-
-    Row (t, o) is kept iff o_i < m_i or t_i = 1 for every input i.
-    """
-    design = dataset.design
+def collins_gisin_rows(design: ExperimentDesign) -> list[int] | None:
+    """Flat P indices of the Collins-Gisin rows of the design's M: row (t, o)
+    is kept iff o_i < m_i or t_i = 1 for every input i.  None (keep every
+    row) when the design is not full factorial."""
     if not design.is_factorial:
         return None
-    n = design.n
-    for lam, k in enumerate(design.input_sizes, start=1):
-        if n == 1:
-            break  # the marginal over no output is the mass, 1 in every table
-        rest = [l for l in range(1, n + 1) if l != lam]
-        for base in design.treatments:
-            if base[lam - 1] != 1:
-                continue
-            ref = marginal(dataset, base, rest)
-            for j in range(2, k + 1):
-                tr = base[: lam - 1] + (j,) + base[lam:]
-                if marginal_discrepancy(ref, marginal(dataset, tr, rest)) != 0:
-                    return None
     sizes = design.outcome_sizes
     outcomes = list(design.all_outcomes())
     return [
@@ -309,20 +297,24 @@ def collins_gisin_rows(dataset: Dataset) -> list[int] | None:
     ]
 
 
-def run_lft(dataset: Dataset, column_guard: int = 10**6) -> LftVerdict:
+def run_lft(dataset: Dataset, column_guard: int = COLUMN_GUARD) -> LftVerdict:
     """Run the feasibility test on a valid dataset.
 
-    Phase one runs on the Collins-Gisin rows when `collins_gisin_rows` finds
-    them, on every row otherwise.  The certificate is re-verified against the
-    full M before returning; a verification failure would be an internal
-    error and raises RuntimeError.
+    Phase one runs on the rows `collins_gisin_rows` picks, and the result is
+    verified against the full M.  A witness from those rows that fails the
+    check means P breaks the relations that give the dropped rows (marginal
+    selectivity), and the system is solved again on every row.  Any other
+    verification failure would be an internal error and raises RuntimeError.
     """
-    p = build_p_vector(dataset)
-    jdc = build_jdc_matrix(dataset.design, column_guard)
-    result = solve_equality_feasibility(
-        jdc.matrix, list(p.values), collins_gisin_rows(dataset)
-    )
-    if not verify_certificate(jdc.matrix, list(p.values), result):
+    p = list(build_p_vector(dataset).values)
+    m = build_jdc_matrix(dataset.design, column_guard).matrix
+    rows = collins_gisin_rows(dataset.design)
+    result = solve_equality_feasibility(m, p, rows)
+    verified = verify_certificate(m, p, result)
+    if not verified and result.feasible and rows is not None:
+        result = solve_equality_feasibility(m, p)
+        verified = verify_certificate(m, p, result)
+    if not verified:
         raise RuntimeError("solver produced a certificate that failed verification")
     witness = QVector(dataset.design, result.witness) if result.feasible else None
     return LftVerdict(dataset.design, result.feasible, witness, result.farkas, result.pivots)

@@ -197,14 +197,16 @@ def solve_equality_feasibility(
 ) -> FeasibilityResult:
     """Decide MQ = P, Q >= 0 exactly.
 
-    `row_basis`, if given, names rows of M whose span holds every row, with
-    P obeying the same linear relations, so that the other rows follow from
-    them.  Presolve still reads every row; phase one runs only on the unsettled
-    rows of the basis (a settled row is zero on the live columns with P-component
-    0, so the relations still hold among the unsettled rows), and the Farkas
-    vector is zero on the rows it skipped.
-    A wrong basis can give a wrong certificate, which `verify_certificate`
-    against the full M rejects.
+    `row_basis`, if given, names the rows of M that phase one uses.  Presolve
+    still reads every row; phase one runs only on the unsettled rows of the
+    basis, and the Farkas vector is zero on the rows it skipped.  An
+    infeasible result is always a certificate for the whole system, since a
+    Farkas vector of some rows, zero on the rest, is one of all rows.  A
+    feasible result solves the whole system when the basis rows span every
+    row and P obeys the same linear relations (a settled row is zero on the
+    live columns with P-component 0, so the relations still hold among the
+    unsettled rows); otherwise its witness may fail the skipped rows, which
+    `verify_certificate` against the full M rejects.
 
     Presolve settles rows in two sweeps over the rows in order, skipping
     settled ones.  A row with no live (undropped) column is settled if its

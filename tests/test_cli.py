@@ -34,6 +34,10 @@ class TestValidate:
         path.write_text('{"inputs": []')
         assert main(["validate", str(path)]) == 2
         assert "error" in capsys.readouterr().err
+        path.write_text("[" * 100000 + "]" * 100000)
+        for command in ("validate", "test"):
+            assert main([command, str(path)]) == 2
+            assert "nested too deeply" in capsys.readouterr().err
 
     def test_malformed_probability_exits_two(self, tmp_path):
         path = tmp_path / "badprob.json"
@@ -113,6 +117,13 @@ class TestTest:
         doc = json.loads(capsys.readouterr().out)
         assert doc["stages"][-1]["status"] == "skip"
 
+    def test_bad_tolerance_exits_two(self, tmp_path, capsys):
+        # --tol=nan read the PR box's cosphericity failure as a pass
+        path = write(tmp_path, "pr.json", gen_prbox())
+        for tol in ("nan", "inf", "-1"):
+            assert main(["test", path, f"--tol={tol}"]) == 2
+            assert "tolerance" in capsys.readouterr().err
+
     def test_column_guard_exits_two(self, tmp_path, capsys):
         ds, _ = gen_classical(make_design((2, 2), (3, 3)), seed=1)
         path = write(tmp_path, "big.json", ds)
@@ -157,6 +168,10 @@ class TestTest:
             assert main(["test", path, "--orders-file", str(opath)]) == 2
             err = capsys.readouterr().err
             assert err.startswith("error: orders file") and str(opath) in err
+        opath.write_text("[" * 100000 + "]" * 100000)
+        assert main(["test", path, "--orders-file", str(opath)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: orders file") and str(opath) in err
         # no order at all would let every chain test pass vacuously
         opath.write_text(json.dumps({"orders": []}))
         assert main(["test", path, "--orders-file", str(opath)]) == 2
@@ -217,6 +232,9 @@ class TestGenerate:
     def test_bad_params_exit_two(self, tmp_path):
         assert main(["generate", "singlet", "--angles", "0,pi/2", "-o", str(tmp_path / "x.json")]) == 2
         assert main(["generate", "nope", "-o", str(tmp_path / "x.json")]) == 2
+        # 2**21 assignments, over the LFT's column guard
+        big = ["--inputs", "7,7,7", "--outcomes", "2,2,2"]
+        assert main(["generate", "classical", *big, "-o", str(tmp_path / "x.json")]) == 2
 
     def test_roundtrip_every_kind_100_seeds(self, tmp_path, capsys):
         # generate -> validate -> test matches the generator's ground truth:

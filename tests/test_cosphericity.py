@@ -88,6 +88,15 @@ class TestCosphericityTest:
         with pytest.raises(ValueError, match="outside"):
             CorrelationQuad(1.5, 0, 0, 0)
 
+    def test_bad_tolerance_rejected(self):
+        # NaN turns every comparison false and inf makes every quad "marginal",
+        # so either would flip the PR box's fail into a pass
+        quad = CorrelationQuad(1, 1, 1, -1)
+        for tol in (math.nan, math.inf, -math.inf, -1e-9):
+            with pytest.raises(ValueError, match="tolerance"):
+                cosphericity_test(quad, tol=tol)
+        assert cosphericity_test(quad, tol=0).verdict == "fail"
+
     def test_geometric_necessity_fuzz(self):
         rng = random.Random(424242)
         for _ in range(2000):

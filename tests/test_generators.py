@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from selinf.distances import fine_inequalities
+from selinf.errors import SizeGuardError
 from selinf.experiment import check_marginal_selectivity, make_design, validate_dataset
 from selinf.generators import (
     AngleSpec,
@@ -15,7 +16,7 @@ from selinf.generators import (
     gen_singlet,
     parse_angle,
 )
-from selinf.lft import construct_si2, q_length, run_lft
+from selinf.lft import COLUMN_GUARD, construct_si2, q_length, run_lft
 
 F = Fraction
 
@@ -47,6 +48,13 @@ class TestClassical:
         a = gen_classical(design, seed=5)
         b = gen_classical(design, seed=5)
         assert a == b
+
+    def test_size_guard(self):
+        # 2**21 assignments: refused before the weight list is allocated
+        design = make_design((7, 7, 7), (2, 2, 2))
+        assert q_length(design) > COLUMN_GUARD
+        with pytest.raises(SizeGuardError, match="2097152 assignments"):
+            gen_classical(design, seed=0)
 
     def test_ground_truth_reproduces_dataset(self):
         design = make_design((2, 2), (2, 2))

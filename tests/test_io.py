@@ -86,6 +86,9 @@ def test_json_error_carries_position():
     text = json.dumps(CHSH_DOC).replace('"2,2": "0.5"', '"1,1": "0.5"', 1)
     with pytest.raises(DatasetParseError, match="repeated JSON key '1,1'"):
         load_dataset(io.StringIO(text))
+    # the parser's recursion limit would end in a RecursionError traceback
+    with pytest.raises(DatasetParseError, match="nested too deeply"):
+        load_dataset(io.StringIO("[" * 100000 + "]" * 100000))
 
 
 def test_both_probabilities_and_counts_rejected():

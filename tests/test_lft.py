@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from selinf.errors import MarginalSelectivityError, SizeGuardError
-from selinf.experiment import Dataset, make_design, transform_outputs
+from selinf.experiment import Dataset, check_marginal_selectivity, make_design, transform_outputs
 from selinf.generators import gen_classical, gen_ghz, gen_prbox
 from selinf.lft import (
     PVector,
@@ -19,7 +19,7 @@ from selinf.lft import (
     restrict_design,
     run_lft,
 )
-from selinf.rational_lp import solve_equality_feasibility, verify_certificate
+from selinf.rational_lp import FeasibilityResult, solve_equality_feasibility, verify_certificate
 
 from helpers import random_small_design
 
@@ -204,14 +204,28 @@ class TestRowBasis:
     """Phase one on the Collins-Gisin rows against a solve on every row."""
 
     @staticmethod
-    def _check(ds):
+    def _run_lft(ds, monkeypatch):
+        """`run_lft` and the row basis of each solve it made."""
+        calls = []
+
+        def spy(m, p, row_basis=None):
+            calls.append(row_basis)
+            return solve_equality_feasibility(m, p, row_basis)
+
+        monkeypatch.setattr("selinf.lft.solve_equality_feasibility", spy)
+        verdict = run_lft(ds)
+        monkeypatch.undo()
+        return verdict, calls
+
+    def _check(self, ds, monkeypatch):
         p = list(build_p_vector(ds).values)
         m = build_jdc_matrix(ds.design).matrix
-        rows = collins_gisin_rows(ds)
+        rows = collins_gisin_rows(ds.design)
         reduced = solve_equality_feasibility(m, p, rows)
         assert reduced.feasible == solve_equality_feasibility(m, p).feasible
         assert verify_certificate(m, p, reduced)
-        assert run_lft(ds).feasible == reduced.feasible
+        verdict, calls = self._run_lft(ds, monkeypatch)
+        assert verdict.feasible == reduced.feasible and calls == [rows]
         return rows, reduced
 
     @pytest.mark.parametrize(
@@ -223,7 +237,7 @@ class TestRowBasis:
             ((2, 2, 2), (2, 2, 2), 27),
         ],
     )
-    def test_matches_full_row_solve(self, ks, ms, kept):
+    def test_matches_full_row_solve(self, ks, ms, kept, monkeypatch):
         design = make_design(ks, ms)
         rng = random.Random(len(ks) * 100 + ks[0] * 10 + ms[0])
         verdicts = set()
@@ -231,22 +245,47 @@ class TestRowBasis:
             classical = gen_classical(design, seed=rng.randrange(10**9))[0]
             weight = F(rng.randint(1, 3), 4)
             for tables in (classical.tables, _mix(weight, _lifted_prbox(design), classical.tables)):
-                rows, result = self._check(Dataset(design, tables))
+                rows, result = self._check(Dataset(design, tables), monkeypatch)
                 assert len(rows) == kept
                 verdicts.add(result.feasible)
         assert verdicts == {True, False}
 
-    def test_non_factorial_keeps_every_row(self):
+    def test_non_factorial_keeps_every_row(self, monkeypatch):
         design = make_design((3, 3), (2, 2), treatments=[(1, 1), (1, 2), (2, 1), (2, 2), (3, 3)])
         rng = random.Random(5)
         for _ in range(4):
             classical = gen_classical(design, seed=rng.randrange(10**9))[0]
             mixture = _mix(F(3, 4), _lifted_prbox(design), classical.tables)
             for tables in (classical.tables, mixture):
-                rows, _ = self._check(Dataset(design, tables))
+                rows, _ = self._check(Dataset(design, tables), monkeypatch)
                 assert rows is None
 
-    def test_marginal_selectivity_violation_keeps_every_row(self):
+    def _check_signalling(self, ds, monkeypatch):
+        """`run_lft` on data that break marginal selectivity against a solve on
+        every row.  Returns whether the basis-row solve looked feasible, which
+        is when `run_lft` must fall back to every row."""
+        assert not check_marginal_selectivity(ds).passed
+        p = list(build_p_vector(ds).values)
+        m = build_jdc_matrix(ds.design).matrix
+        basis = collins_gisin_rows(ds.design)
+        on_basis = solve_equality_feasibility(m, p, basis)
+        full = solve_equality_feasibility(m, p)
+        assert not full.feasible and verify_certificate(m, p, full)
+        verdict, calls = self._run_lft(ds, monkeypatch)
+        assert not verdict.feasible
+        cert = FeasibilityResult(False, None, verdict.farkas, verdict.pivots)
+        assert verify_certificate(m, p, cert)
+        if on_basis.feasible:
+            # the basis witness misses the dropped rows' equations
+            assert not verify_certificate(m, p, on_basis)
+            assert calls == [basis, None] and verdict.farkas == full.farkas
+        else:
+            # a Farkas vector of some rows is one of all rows
+            assert verify_certificate(m, p, on_basis)
+            assert calls == [basis] and verdict.farkas == on_basis.farkas
+        return on_basis.feasible
+
+    def test_marginal_selectivity_violation_falls_back_to_every_row(self, monkeypatch):
         # the first output's marginal moves with the second input's value
         design = make_design((2, 2), (2, 2))
         tables = {}
@@ -256,15 +295,37 @@ class TestRowBasis:
                 (a, b): (p1 if a == 1 else 1 - p1) * F(1, 2) for a in (1, 2) for b in (1, 2)
             }
         ds = Dataset(design, tables)
-        rows, result = self._check(ds)
-        assert rows is None and not result.feasible
         # on the basis rows alone the dropped rows' equations would be lost:
         # that solve is feasible, and only the full-M check catches it
         p = list(build_p_vector(ds).values)
         m = build_jdc_matrix(design).matrix
-        basis = collins_gisin_rows(gen_classical(design, seed=0)[0])
-        wrong = solve_equality_feasibility(m, p, basis)
+        wrong = solve_equality_feasibility(m, p, collins_gisin_rows(design))
         assert wrong.feasible and not verify_certificate(m, p, wrong)
+        assert self._check_signalling(ds, monkeypatch)
+
+    @pytest.mark.parametrize(
+        "ks, ms", [((2, 2), (2, 2)), ((2, 2), (3, 3)), ((3, 3), (2, 2)), ((2, 2, 2), (2, 2, 2))]
+    )
+    def test_signalling_matches_full_row_solve(self, ks, ms, monkeypatch):
+        # move mass between two outcomes that differ in output 1 only, in one
+        # table, so that table's output-1 marginal differs from its neighbours'
+        design = make_design(ks, ms)
+        rng = random.Random(len(ks) * 100 + ks[0] * 10 + ms[0] + 7)
+        fell_back = set()
+        for _ in range(3):
+            classical = gen_classical(design, seed=rng.randrange(10**9))[0]
+            weight = F(rng.randint(1, 3), 4)
+            mixture = _mix(weight, _lifted_prbox(design), classical.tables)
+            for tables in (classical.tables, mixture):
+                tables = {tr: dict(table) for tr, table in tables.items()}
+                table = tables[rng.choice(design.treatments)]
+                src = max(table, key=lambda o: (table[o], o))
+                dst = (src[0] % ms[0] + 1,) + src[1:]
+                delta = table[src] / rng.randint(2, 1000)
+                table[src] -= delta
+                table[dst] = table.get(dst, 0) + delta
+                fell_back.add(self._check_signalling(Dataset(design, tables), monkeypatch))
+        assert fell_back == {True, False}
 
 
 class TestSi2Model:
