@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
-from fractions import Fraction
 
 from .cosphericity import correlations_from_dataset, cosphericity_test
 from .distances import (
@@ -35,7 +35,7 @@ from .generators import (
     gen_singlet,
     parse_angle,
 )
-from .io import dump_dataset, format_exact, load_dataset, parse_index
+from .io import dump_dataset, format_exact, load_dataset, parse_exact, parse_index
 from .lft import COLUMN_GUARD, run_lft
 
 SCHEMA_VERSION = "1"
@@ -276,11 +276,11 @@ def cmd_generate(args) -> int:
     elif args.kind == "ghz":
         dataset = gen_ghz()
     elif args.kind == "double-detection":
-        parts = [Fraction(t.strip()) for t in args.rates.split(",")]
+        parts = [parse_exact(t.strip()) for t in args.rates.split(",")]
         if len(parts) != 4:
             raise ValueError("--rates needs four values: r11,r12,r21,r22")
         rates = {(1, 1): parts[0], (1, 2): parts[1], (2, 1): parts[2], (2, 2): parts[3]}
-        dataset = gen_double_detection(rates, Fraction(args.coupling))
+        dataset = gen_double_detection(rates, parse_exact(args.coupling))
     else:  # pragma: no cover - argparse restricts choices
         raise ValueError(f"unknown kind {args.kind}")
 
@@ -289,6 +289,17 @@ def cmd_generate(args) -> int:
     else:
         dump_dataset(dataset, sys.stdout)
     return 0
+
+
+def tolerance(text: str) -> float:
+    """The --tol value, refused before any stage runs if NaN, infinite or
+    negative: cosphericity, which also checks it, skips on most designs."""
+    tol = float(text)
+    if not (math.isfinite(tol) and tol >= 0):
+        raise argparse.ArgumentTypeError(
+            f"cosphericity tolerance must be finite and nonnegative, got {text}"
+        )
+    return tol
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -314,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_test.add_argument(
         "--orders-file", default=None, help="JSON file with custom order relations"
     )
-    p_test.add_argument("--tol", type=float, default=1e-9, help="cosphericity tolerance")
+    p_test.add_argument("--tol", type=tolerance, default=1e-9, help="cosphericity tolerance")
     p_test.add_argument("--max-len", type=int, default=6, help="maximum chain length")
     p_test.add_argument(
         "--column-guard", type=int, default=COLUMN_GUARD, help="assignment-count guard for the LFT"

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from itertools import product
 from dataclasses import dataclass
 from fractions import Fraction
@@ -135,10 +136,16 @@ def gen_singlet(angles: AngleSpec | Sequence, precision: int = 12) -> Dataset:
 
     Each probability is rounded to `precision` decimal digits and the table
     rebuilt around averaged margins, so marginal selectivity holds exactly
-    after rationalization.  Precision below 6 digits is rejected.
+    after rationalization.  Precision below 6 digits is rejected, and so is
+    precision above `sys.float_info.max_10_exp` (308), where 10**precision
+    overflows a float.
     """
     if precision < 6:
         raise ValueError("precision below 6 digits makes verdicts unreliable")
+    if precision > sys.float_info.max_10_exp:
+        raise ValueError(
+            f"precision above {sys.float_info.max_10_exp} digits overflows a float"
+        )
     if not isinstance(angles, AngleSpec):
         angles = AngleSpec(tuple(tuple(a) for a in angles))
     if len(angles.per_input) != 2 or any(len(a) != 2 for a in angles.per_input):

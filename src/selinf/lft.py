@@ -8,13 +8,14 @@ within a block).  Q ranges over all deterministic assignments: one outcome
 for every value of every input, mixed-radix indexed with input 1's first
 value most significant.  M(r, c) = 1 exactly when column c's assignment
 produces row r's outcomes under row r's treatment, so each column has one 1
-per treatment.
+per treatment.  An assignment is one block of slots per input, so row (t, o)
+is the Kronecker product of the rows (t_i, o_i) of per-input matrices M_i,
+and `build_jdc_matrix` builds it so.
 
 Many rows of M are redundant.  On a full-factorial design M is the Kronecker
-product over inputs of the per-input matrices M_i, whose rows are (value,
-outcome) and whose rank is 1 + k_i(m_i - 1): a row (t_i, m_i) with t_i > 1
-is the sum of the rows (1, o) over every o minus the rows (t_i, o) with
-o < m_i.  Keeping row (t, o) iff o_i < m_i or t_i = 1 for every input i
+product of the M_i, whose rank is 1 + k_i(m_i - 1): a row (t_i, m_i) with
+t_i > 1 is the sum of the rows (1, o) over every o minus the rows (t_i, o)
+with o < m_i.  Keeping row (t, o) iff o_i < m_i or t_i = 1 for every input i
 leaves prod(1 + k_i(m_i - 1)) rows that span all of M (the Collins-Gisin
 parametrization; Collins & Gisin 2004).  `collins_gisin_rows` picks them
 from the design and phase one uses only them; presolve and certificate
@@ -34,7 +35,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, product
+from itertools import accumulate, product, repeat
 from math import prod
 from typing import Sequence
 
@@ -52,7 +53,7 @@ from .experiment import (
     validate_dataset,
 )
 from .io import format_exact
-from .rational_lp import SparseMatrix, solve_equality_feasibility, verify_certificate
+from .rational_lp import ONE, SparseMatrix, solve_equality_feasibility, verify_certificate
 
 Assignment = tuple[int, ...]
 # default bound on the assignment count, the columns of M
@@ -172,11 +173,6 @@ class QVector:
         ]
 
 
-def iter_assignments(design: ExperimentDesign):
-    """All assignments in flat-index order."""
-    return product(*(range(1, b + 1) for b in slot_bases(design)))
-
-
 def assignment_outcome(
     assignment: Assignment, treatment: Treatment, offsets: tuple[int, ...]
 ) -> OutcomeTuple:
@@ -216,30 +212,33 @@ class JdcMatrix:
 
 def build_jdc_matrix(design: ExperimentDesign, column_guard: int = COLUMN_GUARD) -> JdcMatrix:
     """Build the compatibility matrix; refuses designs whose assignment count
-    exceeds `column_guard` (override by passing a larger guard)."""
+    exceeds `column_guard` (override by passing a larger guard).  Input i's
+    table maps (slot w, outcome a) to its block's values with a in slot w,
+    times the block's stride (the later blocks' sizes multiplied); row (t, o)
+    sums one entry per input at (t_i, o_i), ascending as input 1 is slowest."""
     ncols = q_length(design)
     if ncols > column_guard:
         raise SizeGuardError(
             f"assignment space has {ncols} columns, over the guard {column_guard}; "
             f"pass a larger column_guard (CLI: --column-guard) to proceed"
         )
-    nrows = p_length(design)
-    offsets = q_slot_offsets(design)
-    sizes = design.outcome_sizes
-    block = prod(sizes)
-
-    rows_cols: list[list[int]] = [[] for _ in range(nrows)]
-    for col, assignment in enumerate(iter_assignments(design)):
-        for t_idx, tr in enumerate(design.treatments):
-            pos = 0
-            for off, j, m in zip(offsets, tr, sizes):
-                pos = pos * m + (assignment[off + j - 1] - 1)
-            rows_cols[t_idx * block + pos].append(col)
-    one = Fraction(1)
-    sparse = SparseMatrix(
-        nrows, ncols, tuple(tuple((c, one) for c in cols) for cols in rows_cols)
-    )
-    return JdcMatrix(design, sparse)
+    tables = []
+    stride = ncols
+    for k, m in zip(design.input_sizes, design.outcome_sizes):
+        stride //= m**k
+        table = defaultdict(list)
+        for value, block in enumerate(product(range(1, m + 1), repeat=k)):
+            for w, a in enumerate(block, 1):
+                table[w, a].append(value * stride)
+        tables.append(table)
+    rows = []
+    for tr in design.treatments:
+        for outcome in design.all_outcomes():
+            cols = [0]
+            for table, w, a in zip(tables, tr, outcome):
+                cols = [c + d for c in cols for d in table[w, a]]
+            rows.append(tuple(zip(cols, repeat(ONE))))
+    return JdcMatrix(design, SparseMatrix(p_length(design), ncols, tuple(rows)))
 
 
 @dataclass(frozen=True)

@@ -34,7 +34,8 @@ DEGENERATE_RUN = 50
 class SparseMatrix:
     """Row-major sparse matrix of exact rationals.
 
-    Per row: sorted (column, entry) pairs, entries nonzero, columns unique.
+    Per row: (column, entry) pairs, int columns strictly increasing, nonzero
+    `Fraction` entries; checked and kept as given (`from_dense` converts).
     """
 
     nrows: int
@@ -46,25 +47,23 @@ class SparseMatrix:
             raise ValueError("negative dimension")
         if len(self.rows) != self.nrows:
             raise ValueError(f"expected {self.nrows} rows, got {len(self.rows)}")
-        norm = []
+        ncols = self.ncols
         for i, row in enumerate(self.rows):
-            seen = set()
-            entries = []
+            prev = -1
             for col, val in row:
-                col = int(col)
-                if not 0 <= col < self.ncols:
+                if type(col) is not int:
+                    raise ValueError(f"row {i}: column {col!r} is not an int")
+                if not 0 <= col < ncols:
                     raise ValueError(f"row {i}: column {col} out of range")
-                if col in seen:
+                if col == prev:
                     raise ValueError(f"row {i}: duplicate column {col}")
-                seen.add(col)
+                if col < prev:
+                    raise ValueError(f"row {i}: column {col} after {prev}, not increasing")
                 if not isinstance(val, Fraction):
-                    val = Fraction(val)
-                if val == 0:
+                    raise ValueError(f"row {i}: entry {val!r} at column {col} is not a Fraction")
+                if not val:
                     raise ValueError(f"row {i}: explicit zero entry at column {col}")
-                entries.append((col, val))
-            entries.sort()
-            norm.append(tuple(entries))
-        object.__setattr__(self, "rows", tuple(norm))
+                prev = col
 
     @classmethod
     def from_dense(cls, rows: Sequence[Sequence]) -> "SparseMatrix":

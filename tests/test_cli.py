@@ -4,7 +4,7 @@ from fractions import Fraction
 
 from selinf.cli import main
 from selinf.experiment import Dataset, make_design
-from selinf.generators import gen_classical, gen_prbox
+from selinf.generators import gen_classical, gen_ghz, gen_prbox
 from selinf.io import dump_dataset, load_dataset
 
 F = Fraction
@@ -123,6 +123,11 @@ class TestTest:
         for tol in ("nan", "inf", "-1"):
             assert main(["test", path, f"--tol={tol}"]) == 2
             assert "tolerance" in capsys.readouterr().err
+        # refused before any stage runs, also where cosphericity skips
+        ghz = write(tmp_path, "ghz.json", gen_ghz())
+        for tol in ("nan", "inf", "-1"):
+            assert main(["test", ghz, f"--tol={tol}", "--no-lft"]) == 2
+            assert "tolerance" in capsys.readouterr().err
 
     def test_column_guard_exits_two(self, tmp_path, capsys):
         ds, _ = gen_classical(make_design((2, 2), (3, 3)), seed=1)
@@ -229,12 +234,25 @@ class TestGenerate:
         )
         assert main(["test", str(path)]) == 0
 
-    def test_bad_params_exit_two(self, tmp_path):
+    def test_bad_params_exit_two(self, tmp_path, capsys):
         assert main(["generate", "singlet", "--angles", "0,pi/2", "-o", str(tmp_path / "x.json")]) == 2
         assert main(["generate", "nope", "-o", str(tmp_path / "x.json")]) == 2
         # 2**21 assignments, over the LFT's column guard
         big = ["--inputs", "7,7,7", "--outcomes", "2,2,2"]
         assert main(["generate", "classical", *big, "-o", str(tmp_path / "x.json")]) == 2
+        capsys.readouterr()
+        # a zero denominator, a huge exponent or a precision past the float
+        # range is one error line, not a traceback
+        for extra in (
+            ["--rates", "1/2,1/2,1/2,1/0"],
+            ["--coupling", "1/0"],
+            ["--coupling", "1e-100000000"],
+            ["--precision", "309"],
+        ):
+            kind = "singlet" if extra[0] == "--precision" else "double-detection"
+            assert main(["generate", kind, *extra, "-o", str(tmp_path / "x.json")]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_roundtrip_every_kind_100_seeds(self, tmp_path, capsys):
         # generate -> validate -> test matches the generator's ground truth:

@@ -116,6 +116,13 @@ class TestSinglet:
         with pytest.raises(ValueError, match="precision"):
             gen_singlet(AngleSpec(((F(0), F(1, 2)), (F(1, 4), F(3, 4)))), 5)
 
+    def test_precision_past_float_range_rejected(self):
+        # 10**309 does not fit a float; 308 digits still work
+        angles = AngleSpec(((F(0), F(1, 2)), (F(1, 4), F(3, 4))))
+        with pytest.raises(ValueError, match="precision above 308"):
+            gen_singlet(angles, 309)
+        assert gen_singlet(angles, 308).design.input_sizes == (2, 2)
+
     def test_angle_parsing(self):
         assert parse_angle("pi/2") == F(1, 2)
         assert parse_angle("3pi/4") == F(3, 4)

@@ -10,12 +10,14 @@ from selinf.generators import gen_classical, gen_ghz, gen_prbox
 from selinf.lft import (
     PVector,
     QVector,
+    assignment_outcome,
     build_jdc_matrix,
     build_p_vector,
     collins_gisin_rows,
     construct_si2,
     p_length,
     q_length,
+    q_slot_offsets,
     restrict_design,
     run_lft,
 )
@@ -96,6 +98,43 @@ class TestJdcMatrix:
             for c, _ in row:
                 col_counts[c] += 1
         assert all(cnt == 8 for cnt in col_counts)
+
+    @staticmethod
+    def assert_matches_definition(design):
+        # M(r, c) = 1 exactly when column c's assignment yields row r's
+        # outcomes under row r's treatment, built here column by column
+        jdc = build_jdc_matrix(design)
+        p = PVector(design, (F(0),) * p_length(design))
+        q = QVector(design, (F(0),) * q_length(design))
+        offsets = q_slot_offsets(design)
+        want = [[] for _ in range(p_length(design))]
+        for c in range(q_length(design)):
+            assignment = q.assignment_at(c)
+            for tr in design.treatments:
+                want[p.index_of(tr, assignment_outcome(assignment, tr, offsets))].append(c)
+        assert (jdc.nrows, jdc.ncols) == (p_length(design), q_length(design))
+        assert [[c for c, _ in row] for row in jdc.matrix.rows] == want
+        assert all(v == 1 and type(v) is F for row in jdc.matrix.rows for _, v in row)
+
+    @pytest.mark.parametrize(
+        "sizes",
+        [((1, 3), (2, 1)), ((2, 3), (3, 2)), ((3, 1, 2), (2, 3, 2))],
+    )
+    def test_every_entry_matches_definition(self, sizes):
+        self.assert_matches_definition(make_design(*sizes))
+
+    def test_every_entry_matches_definition_ghz(self):
+        self.assert_matches_definition(gen_ghz().design)
+
+    def test_every_entry_matches_definition_non_factorial(self):
+        # a row depends only on its treatment and outcome, so a subset of
+        # the treatments gets the matching subset of the full design's rows
+        rng = random.Random(11)
+        for sizes in (((2, 3), (3, 2)), ((3, 1, 2), (2, 3, 2)), ((3, 3), (2, 2))):
+            full = make_design(*sizes).treatments
+            for _ in range(5):
+                subset = rng.sample(full, rng.randint(1, len(full) - 1))
+                self.assert_matches_definition(make_design(*sizes, treatments=subset))
 
     def test_column_guard(self):
         design = make_design((2, 2), (3, 3))  # 81 columns

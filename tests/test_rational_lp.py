@@ -35,6 +35,18 @@ class TestSparseMatrix:
             SparseMatrix(1, 2, (((2, F(1)),),))
         with pytest.raises(ValueError, match="zero entry"):
             SparseMatrix(1, 2, (((0, F(0)),),))
+        # rows are checked and kept as given: nothing is sorted or converted
+        with pytest.raises(ValueError, match="not increasing"):
+            SparseMatrix(1, 2, (((1, F(1)), (0, F(2))),))
+        with pytest.raises(ValueError, match="not an int"):
+            SparseMatrix(1, 2, (((1.9, F(1)),),))
+        with pytest.raises(ValueError, match="not an int"):
+            SparseMatrix(1, 2, (((True, F(1)),),))
+        for entry in (1, 0.5):
+            with pytest.raises(ValueError, match="not a Fraction"):
+                SparseMatrix(1, 2, (((0, entry),),))
+        rows = (((0, F(1)), (1, F(-2))),)
+        assert SparseMatrix(1, 2, rows).rows is rows
 
     def test_mat_vec(self):
         m = SparseMatrix.from_dense([[F(1), F(2)], [F(0), F(3)]])
