@@ -80,6 +80,11 @@ def p_length(design: ExperimentDesign) -> int:
     return prod(design.outcome_sizes) * len(design.treatments)
 
 
+def _fractions(values) -> tuple[Fraction, ...]:
+    """The values as Fractions, converting only those that are not already."""
+    return tuple(v if isinstance(v, Fraction) else Fraction(v) for v in values)
+
+
 @dataclass(frozen=True)
 class PVector:
     """Flat vector of all observed probabilities with its index maps.
@@ -92,7 +97,7 @@ class PVector:
     values: tuple[Fraction, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "values", tuple(Fraction(v) for v in self.values))
+        object.__setattr__(self, "values", _fractions(self.values))
         if len(self.values) != p_length(self.design):
             raise ValueError(
                 f"P has length {len(self.values)}, design needs {p_length(self.design)}"
@@ -138,7 +143,7 @@ class QVector:
     values: tuple[Fraction, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "values", tuple(Fraction(v) for v in self.values))
+        object.__setattr__(self, "values", _fractions(self.values))
         if len(self.values) != q_length(self.design):
             raise ValueError(
                 f"Q has length {len(self.values)}, design needs {q_length(self.design)}"

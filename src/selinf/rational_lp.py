@@ -1,20 +1,20 @@
 """Exact linear feasibility: does MQ = P, Q >= 0 have a solution?
 
-The solver is a phase-one simplex on the standard-form system with artificial
-variables (minimize their sum).  It prices by Dantzig's rule (most negative
-reduced cost, ties to the lowest index) and falls back to Bland's
+The solver is a phase-one revised simplex on the standard-form system with
+artificial variables (minimize their sum).  It prices by Dantzig's rule (most
+negative reduced cost, ties to the lowest index) and falls back to Bland's
 least-index rule inside long runs of degenerate pivots, so it terminates on
 every input and is deterministic: identical inputs give identical witnesses
-and pivot counts.  Its tableau holds integers, d times the Fraction
-tableau's values with d the last pivot, and divides exactly (Edmonds'
-integer-preserving pivoting).  The system becomes integer by scaling every
-row by one positive number and every variable by another; the witness is
-scaled back, and a Farkas vector of the scaled rows is one of the original
-rows, since one positive row scale changes no sign of y'M or y'P.  Phase one
-may run on a subset of the rows that implies the others (a row basis, see
-`solve_equality_feasibility`).  Infeasibility comes with a Farkas vector y
-(y'M <= 0, y'P > 0) read off the optimal phase-one reduced-cost row, so
-every verdict is self-verifying via `verify_certificate`.
+and pivot counts.  Its state is the basis inverse and the artificial reduced
+costs times d, the last pivot, all integers (Edmonds' integer-preserving
+pivoting); it prices from the sparse columns, forming no full tableau.  The
+system becomes integer by scaling every row by one positive number and every
+variable by another; the witness is scaled back, and a Farkas vector of the
+scaled rows is one of the original rows, since one positive row scale changes
+no sign of y'M or y'P.  Phase one may run on a subset of the rows that implies
+the others (a row basis, see `solve_equality_feasibility`).  Infeasibility
+comes with a Farkas vector y (y'M <= 0, y'P > 0) read off the optimal
+phase-one duals, so every verdict is self-verifying via `verify_certificate`.
 """
 from __future__ import annotations
 
@@ -85,23 +85,6 @@ class SparseMatrix:
                 dense[i][j] = v
         return dense
 
-    def mat_vec(self, q: Sequence[Fraction]) -> list[Fraction]:
-        if len(q) != self.ncols:
-            raise ValueError("dimension mismatch")
-        return [sum((v * q[j] for j, v in row if q[j]), ZERO) for row in self.rows]
-
-    def vec_mat(self, y: Sequence[Fraction]) -> list[Fraction]:
-        if len(y) != self.nrows:
-            raise ValueError("dimension mismatch")
-        out = [ZERO] * self.ncols
-        for i, row in enumerate(self.rows):
-            yi = y[i]
-            if yi == 0:
-                continue
-            for j, v in row:
-                out[j] += yi * v
-        return out
-
 
 @dataclass(frozen=True)
 class FeasibilityResult:
@@ -113,54 +96,58 @@ class FeasibilityResult:
     pivots: int
 
 
-def _phase_one(A: list[list[int]], b: list[int]) -> tuple[bool, list[Fraction], int]:
-    """Phase-one simplex on AQ = b, Q >= 0 with integer A and integer b >= 0.
+def _phase_one(cols: list[list[tuple[int, int]]], b: list[int]) -> tuple[bool, list[Fraction], int]:
+    """Phase-one revised simplex on AQ = b, Q >= 0, integer A and integer b >= 0.
 
-    Edmonds' integer-preserving pivoting: the rows A_i | e_i | b_i and the
-    priced-out objective row are integers over one common denominator d, the
-    last pivot (1 before the first).  Every entry is d times the value the
-    Fraction tableau would hold, and a minor of the initial integer tableau,
-    so every division below is exact.  The pivot row stays as it is: over the
-    new d, the pivot, it is the Fraction pivot row divided by its pivot.
-    Pivots are positive, so d > 0 and the integers order the reduced costs
-    and ratios as the Fraction tableau's values do.
+    `cols[j]` lists column j of A as (row, entry) pairs.  The state is the
+    rows d*B^-1 | d*x_B and `art` = d*(artificial reduced costs | -objective),
+    B the basis matrix and d the last pivot (1 before the first): the last
+    m+1 columns of Edmonds' integer tableau over A | I | b, whose entries are
+    d times the Fraction tableau's values and minors of A | I | b, so every
+    division is exact.  The pivot row stays as it is: over the new d, the
+    pivot, it is the Fraction pivot row divided by its pivot.  The other
+    columns are priced from `cols`: the tableau holds (d*B^-1)_i . a_j in row
+    i of column j and sum_i (art_i - d) a_ij as its reduced cost, d - art_i
+    being d times row i's dual, so every integer compared is the tableau's.
+    Pivots are positive, so d > 0 and the integers order as the Fractions do.
 
     Dantzig's rule enters the column with the most negative reduced cost,
-    ties to the lowest index.  Once more than DEGENERATE_RUN degenerate
-    pivots (ratio 0) come in a row, Bland's least-index rule enters instead
-    until the next nondegenerate pivot.  This terminates: the objective drops
-    strictly at each nondegenerate pivot, so no basis recurs across one, and
-    a cycle inside a degenerate run would end in Bland pivots only, which
-    cannot cycle.  The leaving row is the least ratio, ties to the lowest
-    basic variable.  Returns (feasible, witness or phase-one dual y', pivot
-    count).
+    ties to the lowest index (structural columns first).  Once more than
+    DEGENERATE_RUN degenerate pivots (ratio 0) come in a row, Bland's
+    least-index rule enters instead until the next nondegenerate pivot.  This
+    terminates: the objective drops strictly at each nondegenerate pivot, so
+    no basis recurs across one, and a cycle inside a degenerate run would end
+    in Bland pivots only, which cannot cycle.  The leaving row is the least
+    ratio, ties to the lowest basic variable.  Returns (feasible, witness or
+    phase-one dual y', pivot count).
     """
-    m = len(A)
-    n = len(A[0]) if m else 0
-    total = n + m
-    # tableau rows: original columns, artificial identity, rhs
-    num = [A[i] + [0] * i + [1] + [0] * (m - 1 - i) + [b[i]] for i in range(m)]
+    m, n = len(b), len(cols)
+    inv = [[0] * i + [1] + [0] * (m - 1 - i) + [b[i]] for i in range(m)]
     basis = list(range(n, n + m))
-    # reduced costs of min sum(artificials), priced out for the artificial basis
-    obj = [-sum(col) for col in zip(*A)] + [0] * m + [-sum(b)]
+    art = [0] * m + [-sum(b)]
     d = 1
 
     pivots = 0
     stall = 0  # degenerate pivots in a row
     while True:
+        dual = [a - d for a in art[:m]]  # -d times the duals
+        obj = [sum([dual[i] * v for i, v in col]) for col in cols] + art[:m]
         if stall > DEGENERATE_RUN:
-            enter = next((j for j in range(total) if obj[j] < 0), -1)
+            enter = next((j for j, v in enumerate(obj) if v < 0), -1)
         else:
-            low = min(obj[:total])
+            low = min(obj)
             enter = obj.index(low) if low < 0 else -1
         if enter < 0:
             break
+        if enter < n:
+            alpha = [sum([row[i] * v for i, v in cols[enter]]) for row in inv]
+        else:
+            alpha = [row[enter - n] for row in inv]
         leave = -1
         lead_num = lead_den = 0  # best ratio = lead_num / lead_den, lead_den > 0
-        for i in range(m):
-            a = num[i][enter]
+        for i, a in enumerate(alpha):
             if a > 0:
-                ri_num = num[i][total]
+                ri_num = inv[i][m]
                 cmp = ri_num * lead_den - lead_num * a
                 if leave < 0 or cmp < 0 or (cmp == 0 and basis[i] < basis[leave]):
                     leave = i
@@ -168,26 +155,25 @@ def _phase_one(A: list[list[int]], b: list[int]) -> tuple[bool, list[Fraction], 
         if leave < 0:
             raise RuntimeError("phase-one objective unbounded; invariant violated")
 
-        prow = num[leave]
-        piv = prow[enter]
-        for i in range(m):
+        prow = inv[leave]
+        piv = alpha[leave]
+        for i, f in enumerate(alpha):
             if i != leave:
-                f = num[i][enter]
-                num[i] = [(v * piv - f * pv) // d for v, pv in zip(num[i], prow)]
+                inv[i] = [(v * piv - f * pv) // d for v, pv in zip(inv[i], prow)]
         f = obj[enter]
-        obj = [(v * piv - f * pv) // d for v, pv in zip(obj, prow)]
+        art = [(v * piv - f * pv) // d for v, pv in zip(art, prow)]
         d = piv
         basis[leave] = enter
         pivots += 1
         stall = stall + 1 if lead_num == 0 else 0
 
-    if obj[total] == 0:
+    if art[m] == 0:
         x = [ZERO] * n
         for i, bv in enumerate(basis):
             if bv < n:
-                x[bv] = Fraction(num[i][total], d)
+                x[bv] = Fraction(inv[i][m], d)
         return True, x, pivots
-    y = [ONE - Fraction(obj[n + k], d) for k in range(m)]
+    y = [ONE - Fraction(art[k], d) for k in range(m)]
     return False, y, pivots
 
 
@@ -279,13 +265,17 @@ def solve_equality_feasibility(
 
     # integer system: scale_a scales every row alike, scale_b every variable
     flip = [1 if P[i] >= 0 else -1 for i in kept_rows]
-    kept = [{j: s * v for j, v in rows[i] if j not in dropped} for i, s in zip(kept_rows, flip)]
-    scale_a = lcm(*(v.denominator for row in kept for v in row.values()))
+    live = [[(j, v) for j, v in rows[i] if j not in dropped] for i in kept_rows]
+    scale_a = lcm(*{v.denominator for row in live for _, v in row})
     rhs = [s * P[i] * scale_a for i, s in zip(kept_rows, flip)]
     scale_b = lcm(*(r.denominator for r in rhs))
-    A = [[int(row.get(j, 0) * scale_a) for j in kept_cols] for row in kept]
+    position = dict(zip(kept_cols, range(n)))
+    cols = [[] for _ in kept_cols]
+    for k, (row, s) in enumerate(zip(live, flip)):
+        for j, v in row:
+            cols[position[j]].append((k, s * v.numerator * (scale_a // v.denominator)))
 
-    feasible, vec, pivots = _phase_one(A, [int(r * scale_b) for r in rhs])
+    feasible, vec, pivots = _phase_one(cols, [int(r * scale_b) for r in rhs])
     if feasible:
         witness = [ZERO] * n
         for k, j in enumerate(kept_cols):
@@ -297,20 +287,30 @@ def solve_equality_feasibility(
 
 def verify_certificate(M: SparseMatrix, P: Sequence, result: FeasibilityResult) -> bool:
     """Re-check the certificate by direct exact arithmetic, independent of the
-    solver: MQ = P with Q >= 0, or y'M <= 0 with y'P > 0."""
+    solver: MQ = P with Q >= 0, or y'M <= 0 with y'P > 0, over integers: the
+    certificate times its denominators' lcm, each entry of M it meets as its
+    numerator times (the met entries' denominators' lcm // its denominator)."""
     P = [Fraction(p) for p in P]
     if len(P) != M.nrows:
         return False
+    cert = result.witness if result.feasible else result.farkas
+    if cert is None or len(cert) != (M.ncols if result.feasible else M.nrows):
+        return False
+    nonzero = {i: Fraction(v) for i, v in enumerate(cert) if v}
+    scale_c = lcm(*(v.denominator for v in nonzero.values()))
+    c = {i: v.numerator * (scale_c // v.denominator) for i, v in nonzero.items()}
     if result.feasible:
-        q = result.witness
-        if q is None or len(q) != M.ncols:
-            return False
-        if any(v < 0 for v in q):
-            return False
-        return M.mat_vec(list(q)) == P
-    y = result.farkas
-    if y is None or len(y) != M.nrows:
-        return False
-    if any(v > 0 for v in M.vec_mat(list(y))):
-        return False
-    return sum(yi * pi for yi, pi in zip(y, P)) > 0
+        met = [[(j, v) for j, v in row if j in c] for row in M.rows]
+        scale_m = lcm(*{v.denominator for row in met for _, v in row})
+        return all(v > 0 for v in c.values()) and all(
+            sum([c[j] * v.numerator * (scale_m // v.denominator) for j, v in row])
+            == p * scale_c * scale_m
+            for row, p in zip(met, P)
+        )
+    met = [(ci, M.rows[i]) for i, ci in c.items()]
+    scale_m = lcm(*{v.denominator for _, row in met for _, v in row})
+    out = [0] * M.ncols
+    for ci, row in met:
+        for j, v in row:
+            out[j] += ci * v.numerator * (scale_m // v.denominator)
+    return all(v <= 0 for v in out) and sum(ci * P[i] for i, ci in c.items()) > 0

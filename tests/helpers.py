@@ -146,3 +146,48 @@ def random_small_design(rng: random.Random, max_n=3, max_k=2, max_m=3, factorial
     size = rng.randint(2, len(full))
     subset = rng.sample(full, size)
     return make_design(k, m, treatments=subset)
+
+
+def textbook_phase_one(A: list[list[Fraction]], b: list[Fraction], degenerate_run: int):
+    """Dense Fraction phase-one tableau on AQ = b, Q >= 0 (b >= 0), with the
+    pricing and ratio rules the exact solver documents: Dantzig's most
+    negative reduced cost, ties to the lowest index; Bland's first negative
+    one once more than `degenerate_run` degenerate pivots come in a row; the
+    least ratio, ties to the lowest basic variable.  Returns (feasible,
+    witness or phase-one dual y, pivot count)."""
+    m, n = len(A), len(A[0]) if A else 0
+    total = n + m
+    rows = [list(A[i]) + [F(int(i == k)) for k in range(m)] + [b[i]] for i in range(m)]
+    basis = list(range(n, total))
+    obj = [-sum((row[j] for row in A), ZERO) for j in range(n)] + [ZERO] * m + [-sum(b, ZERO)]
+    pivots = stall = 0
+    while True:
+        negative = [j for j in range(total) if obj[j] < 0]
+        if not negative:
+            break
+        if stall > degenerate_run:
+            enter = negative[0]
+        else:
+            enter = min(negative, key=lambda j: (obj[j], j))
+        leave = min(
+            (i for i in range(m) if rows[i][enter] > 0),
+            key=lambda i: (rows[i][total] / rows[i][enter], basis[i]),
+        )
+        stall = stall + 1 if rows[leave][total] == 0 else 0
+        piv = rows[leave][enter]
+        rows[leave] = [v / piv for v in rows[leave]]
+        for i in range(m):
+            if i != leave and rows[i][enter]:
+                f = rows[i][enter]
+                rows[i] = [v - f * pv for v, pv in zip(rows[i], rows[leave])]
+        f = obj[enter]
+        obj = [v - f * pv for v, pv in zip(obj, rows[leave])]
+        basis[leave] = enter
+        pivots += 1
+    if obj[total] == 0:
+        x = [ZERO] * n
+        for i, bv in enumerate(basis):
+            if bv < n:
+                x[bv] = rows[i][total]
+        return True, x, pivots
+    return False, [1 - obj[n + k] for k in range(m)], pivots

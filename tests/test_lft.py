@@ -58,6 +58,21 @@ class TestIndexing:
         for flat in range(q_length(design)):
             assert q.index_of(q.assignment_at(flat)) == flat
 
+    def test_values_convert_to_exact_fractions(self):
+        # Fractions are kept as given; ints and strings from library callers
+        # are still converted, exactly
+        design = make_design((1,), (2,))
+        kept = F(1, 3)
+        q = QVector(design, (kept, "2/3"))
+        assert q.values[0] is kept
+        assert q.values == (F(1, 3), F(2, 3)) and all(type(v) is F for v in q.values)
+        assert QVector(design, (0, 1)).values == (F(0), F(1))
+        p = PVector(design, ("0.1", 1))
+        assert p.values == (F(1, 10), F(1)) and all(type(v) is F for v in p.values)
+        assert p.values[0] != 0.1  # exact, not the float nearest 1/10
+        with pytest.raises(ValueError):
+            QVector(design, ("half", 0))
+
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(st.integers(0, 10**6), st.integers(0, 3))
     def test_q_roundtrip_property(self, flat, pick):

@@ -17,7 +17,7 @@ from selinf.rational_lp import (
     verify_certificate,
 )
 
-from helpers import lp_feasible_bruteforce
+from helpers import lp_feasible_bruteforce, textbook_phase_one
 
 F = Fraction
 
@@ -48,11 +48,6 @@ class TestSparseMatrix:
         rows = (((0, F(1)), (1, F(-2))),)
         assert SparseMatrix(1, 2, rows).rows is rows
 
-    def test_mat_vec(self):
-        m = SparseMatrix.from_dense([[F(1), F(2)], [F(0), F(3)]])
-        assert m.mat_vec([F(1), F(1, 2)]) == [F(2), F(3, 2)]
-        assert m.vec_mat([F(1), F(1)]) == [F(1), F(5)]
-
 
 class TestSolveBasics:
     def test_identity_feasible(self):
@@ -66,7 +61,7 @@ class TestSolveBasics:
         res = solve_equality_feasibility(m, [F(-1)])
         assert not res.feasible
         y = res.farkas
-        assert all(v <= 0 for v in m.vec_mat(list(y)))
+        assert y[0] <= 0  # y'M = y, as M = [1]
         assert sum(yi * pi for yi, pi in zip(y, [F(-1)])) > 0
         assert verify_certificate(m, [F(-1)], res)
 
@@ -99,6 +94,27 @@ class TestSolveBasics:
         assert not verify_certificate(m, [F(1)], bad)
         neg = FeasibilityResult(True, (F(2), F(-1)), None, 0)
         assert not verify_certificate(m, [F(1)], neg)
+
+    def test_verify_over_common_denominators(self):
+        # MQ and y'M are summed in integers; M, Q, y and P have denominators
+        m = SparseMatrix.from_dense([[F(1), F(2, 3)], [F(0), F(3, 4)]])
+
+        def holds(p, *cert, feasible):
+            result = FeasibilityResult(feasible, cert if feasible else None,
+                                       None if feasible else cert, 0)
+            return verify_certificate(m, p, result)
+
+        p = [F(4, 3), F(3, 4)]
+        assert holds(p, F(2, 3), F(1), feasible=True)
+        assert not holds(p, F(2, 3), F(1, 2), feasible=True)
+        # MQ = P with a negative entry in Q
+        assert not holds([F(1), F(3, 2)], F(-1, 3), F(2), feasible=True)
+        # y'M = (-1/2, -29/60) and y'P = 2/5 > 0
+        assert holds([F(-1), F(1, 2)], F(-1, 2), F(-1, 5), feasible=False)
+        assert not holds(p, F(-1, 2), F(-1, 5), feasible=False)  # y'P < 0
+        # y'M = (-3/4, 0) exactly; nudging y makes its second entry 3/4000
+        assert holds([F(-1), F(1, 2)], F(-3, 4), F(2, 3), feasible=False)
+        assert not holds([F(-1), F(1, 2)], F(-3, 4), F(2, 3) + F(1, 1000), feasible=False)
 
     def test_determinism(self):
         rng = random.Random(0)
@@ -245,6 +261,44 @@ class TestPinnedPresolve:
         assert _digest(res.farkas) == (
             "785ee076f3c7535301a63864169931182ccd993ade94aaf5ee76b7a37d27ed18"
         )
+
+
+class TestAgainstTextbookTableau:
+    """Phase one, on the systems presolve hands it, against a dense Fraction
+    tableau with the same pricing and ratio rules."""
+
+    @pytest.mark.parametrize("degenerate_run", [rational_lp.DEGENERATE_RUN, 0])
+    def test_same_pivots_and_certificates(self, monkeypatch, degenerate_run):
+        monkeypatch.setattr(rational_lp, "DEGENERATE_RUN", degenerate_run)
+        calls = []
+        phase_one = rational_lp._phase_one
+
+        def spy(cols, b):
+            calls.append((cols, b, phase_one(cols, b)))
+            return calls[-1][2]
+
+        monkeypatch.setattr(rational_lp, "_phase_one", spy)
+        rng = random.Random(2012)
+        narrowed = 0
+        while len(calls) < 2000:
+            dense, p = _random_system(rng, 6, 8)
+            if rng.random() < 0.3:
+                # a nonnegative row with P-component 0 makes presolve fire
+                i = rng.randrange(len(dense))
+                dense[i] = [abs(v) for v in dense[i]]
+                p[i] = F(0)
+            before = len(calls)
+            solve_equality_feasibility(SparseMatrix.from_dense(dense), p)
+            if len(calls) == before:
+                continue
+            cols, b, got = calls[-1]
+            narrowed += len(cols) < len(dense[0])
+            A = [[F(0)] * len(cols) for _ in b]
+            for j, col in enumerate(cols):
+                for i, v in col:
+                    A[i][j] = F(v)
+            assert got == textbook_phase_one(A, list(map(F, b)), degenerate_run)
+        assert narrowed > 100
 
 
 class TestSoundnessAndCompleteness:
