@@ -35,7 +35,7 @@ from .generators import (
     gen_singlet,
     parse_angle,
 )
-from .io import dump_dataset, format_exact, load_dataset, parse_exact, parse_index
+from .io import dump_dataset, format_exact, load_dataset, parse_exact
 from .lft import COLUMN_GUARD, run_lft
 
 SCHEMA_VERSION = "1"
@@ -74,11 +74,7 @@ def _parse_orders(args, design) -> list[OrderRelation]:
                 doc = json.load(fh)
             orders = []
             for rec in doc["orders"]:
-                classes = tuple(
-                    frozenset((parse_index(k), parse_index(a)) for k, a in cls)
-                    for cls in rec["classes"]
-                )
-                orders.append(OrderRelation(classes, name=str(rec.get("name", "custom"))))
+                orders.append(OrderRelation(rec["classes"], name=str(rec.get("name", "custom"))))
         except KeyError as exc:
             raise ValueError(f"orders file {args.orders_file}: missing key {exc}") from None
         except (TypeError, ValueError, RecursionError) as exc:

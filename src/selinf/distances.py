@@ -23,6 +23,7 @@ from .experiment import (
     Treatment,
     ZERO,
     check_marginal_selectivity,
+    parse_index,
 )
 
 Point = tuple[int, int]  # (input position, value index), 1-based
@@ -43,7 +44,9 @@ class OrderRelation:
     _rank: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
-        classes = tuple(frozenset((int(k), int(a)) for k, a in cls) for cls in self.classes)
+        classes = tuple(
+            frozenset((parse_index(k), parse_index(a)) for k, a in cls) for cls in self.classes
+        )
         if not classes or any(not cls for cls in classes):
             raise ValueError("order needs nonempty classes")
         rank: dict[Labeled, int] = {}
@@ -136,9 +139,8 @@ class InputPointSequence:
     points: tuple[Point, ...]
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "points", tuple((int(l), int(w)) for l, w in self.points)
-        )
+        points = tuple((parse_index(l), parse_index(w)) for l, w in self.points)
+        object.__setattr__(self, "points", points)
         if len(self.points) < 3:
             raise ValueError("sequences need at least three points")
 

@@ -26,6 +26,16 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
+def parse_index(value) -> int:
+    """An index: an int, an integral number or an integer string.  A bool or
+    a fractional number (or inf or nan, whose % 1 is nan) raises ValueError."""
+    if type(value) is int:
+        return value
+    if isinstance(value, bool) or (not isinstance(value, str) and value % 1):
+        raise ValueError(f"{value!r} is not an integer")
+    return int(value)
+
+
 def coerce_prob(value) -> Fraction:
     """Exact conversion; floats are rejected to keep every verdict exact."""
     if isinstance(value, Fraction):
@@ -103,7 +113,7 @@ class ExperimentDesign:
             raise ValueError("duplicate output labels")
         treatments = []
         for tr in self.treatments:
-            tr = tuple(int(j) for j in tr)
+            tr = tuple(parse_index(j) for j in tr)
             if len(tr) != len(inputs):
                 raise ValueError(f"treatment {tr} has wrong arity")
             for lam, j in enumerate(tr, start=1):
@@ -143,6 +153,14 @@ class ExperimentDesign:
 
     def has_treatment(self, treatment) -> bool:
         return tuple(treatment) in self._treatment_set
+
+    def treatment_groups(self, subset: Sequence[int]) -> dict[Treatment, list[Treatment]]:
+        """The treatments grouped by their values on `subset`, sorted 1-based input
+        positions; each group in sorted order, so its first is least on the others."""
+        groups: dict[Treatment, list[Treatment]] = defaultdict(list)
+        for tr in self.treatments:
+            groups[tuple(tr[lam - 1] for lam in subset)].append(tr)
+        return dict(groups)
 
     def all_outcomes(self) -> Iterator[OutcomeTuple]:
         """All outcome tuples in lexicographic order (first coordinate slowest)."""
@@ -191,12 +209,12 @@ class Dataset:
     def __post_init__(self):
         norm: dict[Treatment, dict[OutcomeTuple, Fraction]] = {}
         for tr, table in self.tables.items():
-            key = tuple(int(j) for j in tr)
+            key = tuple(parse_index(j) for j in tr)
             row: dict[OutcomeTuple, Fraction] = {}
             for outcome, p in table.items():
                 p = coerce_prob(p)
                 if p != 0:
-                    row[tuple(int(a) for a in outcome)] = p
+                    row[tuple(parse_index(a) for a in outcome)] = p
             norm[key] = row
         object.__setattr__(self, "tables", norm)
 
@@ -298,7 +316,7 @@ def marginal(dataset: Dataset, treatment, subset: Iterable[int]) -> dict[Outcome
     tr = tuple(treatment)
     if not dataset.design.has_treatment(tr):
         raise ValueError(f"unknown treatment {tr}")
-    lam_list = sorted(set(int(l) for l in subset))
+    lam_list = sorted(set(parse_index(l) for l in subset))
     if not lam_list:
         raise ValueError("subset must be nonempty")
     if lam_list[0] < 1 or lam_list[-1] > dataset.design.n:
@@ -354,10 +372,7 @@ def check_marginal_selectivity(
     total = 0
     for size in range(1, n):
         for lam_list in combinations(range(1, n + 1), size):
-            groups: dict[tuple[int, ...], list[Treatment]] = defaultdict(list)
-            for tr in design.treatments:
-                groups[_subset_key(tr, lam_list)].append(tr)
-            multi = [g for g in groups.values() if len(g) > 1]
+            multi = [g for g in design.treatment_groups(lam_list).values() if len(g) > 1]
             total += sum(comb(len(g), 2) for g in multi)
             if multi:
                 groups_per_subset.append((lam_list, multi))

@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Any, IO
 
 from .errors import DatasetParseError
-from .experiment import Dataset, ExperimentDesign, Input, Output
+from .experiment import Dataset, ExperimentDesign, Input, Output, parse_index
 
 # Fraction("1e-10000000") builds 10**10**7, so larger exponents are refused
 MAX_EXPONENT = 1000
@@ -47,15 +47,6 @@ def parse_exact(value) -> Fraction:
         except (ValueError, ZeroDivisionError) as exc:
             raise DatasetParseError(f"malformed probability string {value!r}: {exc}") from None
     raise DatasetParseError(f"not a probability: {value!r}")
-
-
-def parse_index(value) -> int:
-    """An index read from JSON: an int, an integral number or an integer
-    string.  A bool or a fractional number raises ValueError rather than
-    being truncated."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-        raise ValueError(f"{value!r} is not an integer")
-    return int(value)
 
 
 def format_exact(value: Fraction) -> str:

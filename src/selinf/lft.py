@@ -12,19 +12,10 @@ per treatment.  An assignment is one block of slots per input, so row (t, o)
 is the Kronecker product of the rows (t_i, o_i) of per-input matrices M_i,
 and `build_jdc_matrix` builds it so.
 
-Many rows of M are redundant.  On a full-factorial design M is the Kronecker
-product of the M_i, whose rank is 1 + k_i(m_i - 1): a row (t_i, m_i) with
-t_i > 1 is the sum of the rows (1, o) over every o minus the rows (t_i, o)
-with o < m_i.  Keeping row (t, o) iff o_i < m_i or t_i = 1 for every input i
-leaves prod(1 + k_i(m_i - 1)) rows that span all of M (the Collins-Gisin
-parametrization; Collins & Gisin 2004).  `collins_gisin_rows` picks them
-from the design and phase one uses only them; presolve and certificate
-verification read all of M.  A dropped row's P-component obeys the same
-relation exactly under marginal selectivity (every table agrees with its
-t_i = 1 neighbour on the marginal over the outputs other than i).  An
-infeasible verdict on the kept rows holds for all of M; a witness from them
-fails the full-M check only on data that break marginal selectivity, and
-`run_lft` then solves on every row.
+Many rows of M are redundant.  Phase one uses only the rows that
+`collins_gisin_rows` picks from the design, which span M on any treatment
+set; presolve and certificate verification read all of M.  P obeys the
+relations that give the dropped rows exactly under marginal selectivity.
 
 A feasible witness converts into an explicit classical model (`Si2Model`)
 whose forward simulation reproduces the dataset exactly; infeasibility comes
@@ -50,6 +41,7 @@ from .experiment import (
     ZERO,
     marginal,
     marginal_discrepancy,
+    parse_index,
     validate_dataset,
 )
 from .io import format_exact
@@ -80,9 +72,35 @@ def p_length(design: ExperimentDesign) -> int:
     return prod(design.outcome_sizes) * len(design.treatments)
 
 
-def _fractions(values) -> tuple[Fraction, ...]:
-    """The values as Fractions, converting only those that are not already."""
-    return tuple(v if isinstance(v, Fraction) else Fraction(v) for v in values)
+def mixed_radix_index(digits: Sequence[int], bases: Sequence[int]) -> int:
+    """Index of 1-based digits in mixed radix `bases`, the first most significant."""
+    if len(digits) != len(bases):
+        raise ValueError(f"{tuple(digits)} has {len(digits)} digits, expected {len(bases)}")
+    idx = 0
+    for d, base in zip(digits, bases):
+        if not 1 <= d <= base:
+            raise ValueError(f"{tuple(digits)} out of range")
+        idx = idx * base + (d - 1)
+    return idx
+
+
+def mixed_radix_digits(idx: int, bases: Sequence[int]) -> tuple[int, ...]:
+    """The 1-based digits of `idx` in mixed radix `bases`: `mixed_radix_index`'s inverse."""
+    if not 0 <= idx < prod(bases):
+        raise ValueError("index out of range")
+    digits = []
+    for base in reversed(bases):
+        idx, d = divmod(idx, base)
+        digits.append(d + 1)
+    return tuple(reversed(digits))
+
+
+def _store_exact(vector, name: str, length: int) -> None:
+    """Store `vector.values` as Fractions, converting only non-Fractions, and check the count."""
+    values = tuple(v if isinstance(v, Fraction) else Fraction(v) for v in vector.values)
+    if len(values) != length:
+        raise ValueError(f"{name} has length {len(values)}, design needs {length}")
+    object.__setattr__(vector, "values", values)
 
 
 @dataclass(frozen=True)
@@ -97,37 +115,21 @@ class PVector:
     values: tuple[Fraction, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "values", _fractions(self.values))
-        if len(self.values) != p_length(self.design):
-            raise ValueError(
-                f"P has length {len(self.values)}, design needs {p_length(self.design)}"
-            )
+        _store_exact(self, "P", p_length(self.design))
 
     @property
     def block_size(self) -> int:
         return prod(self.design.outcome_sizes)
 
     def index_of(self, treatment, outcome) -> int:
-        tr = tuple(treatment)
-        block = self.design.treatments.index(tr)
-        sizes = self.design.outcome_sizes
-        pos = 0
-        for a, m in zip(outcome, sizes):
-            if not 1 <= a <= m:
-                raise ValueError(f"outcome {tuple(outcome)} out of range")
-            pos = pos * m + (a - 1)
-        return block * self.block_size + pos
+        block = self.design.treatments.index(tuple(treatment))
+        return block * self.block_size + mixed_radix_index(outcome, self.design.outcome_sizes)
 
     def entry_at(self, flat: int) -> tuple[Treatment, OutcomeTuple]:
         if not 0 <= flat < len(self.values):
             raise ValueError("index out of range")
         block, pos = divmod(flat, self.block_size)
-        sizes = self.design.outcome_sizes
-        digits = []
-        for m in reversed(sizes):
-            pos, d = divmod(pos, m)
-            digits.append(d + 1)
-        return self.design.treatments[block], tuple(reversed(digits))
+        return self.design.treatments[block], mixed_radix_digits(pos, self.design.outcome_sizes)
 
 
 @dataclass(frozen=True)
@@ -143,34 +145,13 @@ class QVector:
     values: tuple[Fraction, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "values", _fractions(self.values))
-        if len(self.values) != q_length(self.design):
-            raise ValueError(
-                f"Q has length {len(self.values)}, design needs {q_length(self.design)}"
-            )
-
-    def slot_bases(self) -> tuple[int, ...]:
-        return slot_bases(self.design)
+        _store_exact(self, "Q", q_length(self.design))
 
     def index_of(self, assignment: Sequence[int]) -> int:
-        bases = self.slot_bases()
-        if len(assignment) != len(bases):
-            raise ValueError("assignment has wrong number of slots")
-        idx = 0
-        for h, base in zip(assignment, bases):
-            if not 1 <= h <= base:
-                raise ValueError(f"assignment {tuple(assignment)} out of range")
-            idx = idx * base + (h - 1)
-        return idx
+        return mixed_radix_index(assignment, slot_bases(self.design))
 
     def assignment_at(self, flat: int) -> Assignment:
-        if not 0 <= flat < len(self.values):
-            raise ValueError("index out of range")
-        digits = []
-        for base in reversed(self.slot_bases()):
-            flat, d = divmod(flat, base)
-            digits.append(d + 1)
-        return tuple(reversed(digits))
+        return mixed_radix_digits(flat, slot_bases(self.design))
 
     def support(self) -> list[tuple[Fraction, Assignment]]:
         return [
@@ -285,19 +266,36 @@ class LftVerdict:
         return doc
 
 
-def collins_gisin_rows(design: ExperimentDesign) -> list[int] | None:
-    """Flat P indices of the Collins-Gisin rows of the design's M: row (t, o)
-    is kept iff o_i < m_i or t_i = 1 for every input i.  None (keep every
-    row) when the design is not full factorial."""
-    if not design.is_factorial:
-        return None
+def collins_gisin_rows(design: ExperimentDesign) -> list[int]:
+    """Flat P indices of the rows of M that phase one uses.
+
+    For each input i, the reference of a group of `design.treatment_groups`
+    on the other inputs is its first member, the one with the lowest t_i.
+    Row (t, o) is kept iff, for every i, o_i < m_i or t is its i-group's
+    reference.  On a full-factorial design the references are the t_i = 1
+    treatments, and the kept rows the prod(1 + k_i(m_i - 1)) Collins-Gisin
+    rows (Collins & Gisin 2004), as many as M's rank.
+
+    They span M.  Row (t, o) summed over o_i depends only on t_-i, so for r
+    the reference of t's i-group
+        row (t, o_-i, m_i) = sum_a row (r, o_-i, a) - sum_{a<m_i} row (t, o_-i, a),
+    and P obeys this when tables t and r agree on the marginal over the other
+    outputs.  A dropped row (t, o) has an i with o_i = m_i and t != r, so
+    r_i < t_i, and every row on the right comes earlier in the order of (how
+    many i have o_i = m_i, then sum(t)): induct on it.
+    """
+    inputs = range(1, design.n + 1)
+    references = [
+        {group[0] for group in design.treatment_groups([l for l in inputs if l != i]).values()}
+        for i in inputs
+    ]
     sizes = design.outcome_sizes
     outcomes = list(design.all_outcomes())
     return [
         t_idx * len(outcomes) + pos
         for t_idx, tr in enumerate(design.treatments)
         for pos, outcome in enumerate(outcomes)
-        if all(o < m or j == 1 for o, m, j in zip(outcome, sizes, tr))
+        if all(o < m or tr in refs for o, m, refs in zip(outcome, sizes, references))
     ]
 
 
@@ -305,17 +303,17 @@ def run_lft(dataset: Dataset, column_guard: int = COLUMN_GUARD) -> LftVerdict:
     """Run the feasibility test on a valid dataset.
 
     Phase one runs on the rows `collins_gisin_rows` picks, and the result is
-    verified against the full M.  A witness from those rows that fails the
-    check means P breaks the relations that give the dropped rows (marginal
-    selectivity), and the system is solved again on every row.  Any other
-    verification failure would be an internal error and raises RuntimeError.
+    verified against the full M.  An infeasible verdict there holds for all
+    of M.  A witness from those rows that fails the check means P breaks the
+    relations that give the dropped rows (marginal selectivity), and the
+    system is solved again on every row.  Any other verification failure
+    would be an internal error and raises RuntimeError.
     """
     p = list(build_p_vector(dataset).values)
     m = build_jdc_matrix(dataset.design, column_guard).matrix
-    rows = collins_gisin_rows(dataset.design)
-    result = solve_equality_feasibility(m, p, rows)
+    result = solve_equality_feasibility(m, p, collins_gisin_rows(dataset.design))
     verified = verify_certificate(m, p, result)
-    if not verified and result.feasible and rows is not None:
+    if not verified and result.feasible:
         result = solve_equality_feasibility(m, p)
         verified = verify_certificate(m, p, result)
     if not verified:
@@ -369,16 +367,13 @@ def restrict_design(dataset: Dataset, subset) -> Dataset:
     the offending comparisons.
     """
     design = dataset.design
-    lam_list = tuple(sorted(set(int(l) for l in subset)))
+    lam_list = tuple(sorted(set(parse_index(l) for l in subset)))
     if not lam_list:
         raise ValueError("subset must be nonempty")
     if lam_list[0] < 1 or lam_list[-1] > design.n:
         raise ValueError(f"subset {lam_list} out of range")
 
-    groups: dict[Treatment, list[Treatment]] = defaultdict(list)
-    for tr in design.treatments:
-        groups[tuple(tr[l - 1] for l in lam_list)].append(tr)
-
+    groups = design.treatment_groups(lam_list)
     violations = []
     margs: dict[Treatment, dict[OutcomeTuple, Fraction]] = {}
     for proj, (ref_tr, *others) in groups.items():

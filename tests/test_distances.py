@@ -44,6 +44,14 @@ class TestOrderRelation:
         with pytest.raises(ValueError, match="two classes"):
             OrderRelation((frozenset({(1, 1)}), frozenset({(1, 1)})))
 
+    def test_fractional_labels_rejected(self):
+        for cls in ({(1, 1.5)}, {(True, 1)}):
+            with pytest.raises(ValueError, match="not an integer"):
+                OrderRelation((frozenset(cls),))
+        with pytest.raises(ValueError, match="not an integer"):
+            InputPointSequence(((1, 1), (2, 1.5), (1, 2)))
+        assert InputPointSequence(((1, 1), (2.0, "1"), (1, 2))).points == ((1, 1), (2, 1), (1, 2))
+
     def test_unknown_preset(self):
         with pytest.raises(ValueError, match="unknown preset"):
             preset_order(make_design((2, 2), (2, 2)), "d3")

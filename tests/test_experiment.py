@@ -49,6 +49,27 @@ class TestDesign:
         with pytest.raises(ValueError, match="invalid value"):
             make_design((2, 2), (2, 2), treatments=[(1, 3)])
 
+    def test_fractional_treatment_rejected(self):
+        # int() would truncate (1.9, 1) to (1, 1)
+        for bad in ((1.9, 1), (True, 2), (F(3, 2), 1)):
+            with pytest.raises(ValueError, match="not an integer"):
+                make_design((2, 2), (2, 2), treatments=[bad, (2, 2)])
+        assert make_design((2, 2), (2, 2), treatments=[(1.0, "2")]).treatments == ((1, 2),)
+
+    def test_treatment_groups(self):
+        design = make_design((3, 2), (2, 2), treatments=[(3, 1), (2, 2), (1, 2), (2, 1), (3, 2)])
+        # keyed by the values on the subset, in first-seen sorted order; each
+        # group sorted, so its first member has the lowest value on the other input
+        assert design.treatment_groups((2,)) == {
+            (1,): [(2, 1), (3, 1)],
+            (2,): [(1, 2), (2, 2), (3, 2)],
+        }
+        assert list(design.treatment_groups((1,))) == [(1,), (2,), (3,)]
+        assert design.treatment_groups((1,))[(2,)] == [(2, 1), (2, 2)]
+        assert design.treatment_groups((1, 2)) == {tr: [tr] for tr in design.treatments}
+        one = make_design((3,), (2,), treatments=[(3,), (2,)])
+        assert one.treatment_groups(()) == {(): [(2,), (3,)]}
+
     def test_empty_treatments_rejected(self):
         with pytest.raises(ValueError, match="nonempty"):
             make_design((2, 2), (2, 2), treatments=[])
@@ -65,6 +86,16 @@ class TestDesign:
 class TestValidate:
     def test_uniform_chsh_valid(self):
         assert validate_dataset(uniform_chsh()).valid
+
+    def test_fractional_table_keys_rejected(self):
+        # int() would make (1.5, 1) a second (1, 1) table that replaces the first
+        ds = uniform_chsh()
+        with pytest.raises(ValueError, match="not an integer"):
+            Dataset(ds.design, {**ds.tables, (1.5, 1): {(1, 1): F(1)}})
+        with pytest.raises(ValueError, match="not an integer"):
+            Dataset(ds.design, {(True, 2): ds.tables[(1, 2)]})
+        with pytest.raises(ValueError, match="not an integer"):
+            Dataset(ds.design, {(1, 1): {(1, 2.5): F(1)}})
 
     def test_mass_deficit_reported(self):
         design = make_design((1,), (2,))
@@ -132,6 +163,9 @@ class TestMarginal:
     def test_empty_subset_rejected(self):
         with pytest.raises(ValueError, match="nonempty"):
             marginal(gen_prbox(), (1, 1), set())
+        # int() would truncate 1.5 to input 1
+        with pytest.raises(ValueError, match="not an integer"):
+            marginal(gen_prbox(), (1, 1), [1.5])
 
     def test_marginal_composition(self):
         rng = random.Random(11)

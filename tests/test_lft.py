@@ -23,7 +23,7 @@ from selinf.lft import (
 )
 from selinf.rational_lp import FeasibilityResult, solve_equality_feasibility, verify_certificate
 
-from helpers import random_small_design
+from helpers import matrix_rank, random_small_design
 
 F = Fraction
 
@@ -51,6 +51,15 @@ class TestIndexing:
         for flat in range(p_length(design)):
             tr, outcome = p.entry_at(flat)
             assert p.index_of(tr, outcome) == flat
+
+    def test_wrong_length_outcome_rejected(self):
+        # zip would truncate (2,) and (1, 2, 2) to a prefix of (1, 2)
+        p = PVector(gen_prbox().design, (F(0),) * 16)
+        for outcome in ((2,), (1, 2, 2)):
+            with pytest.raises(ValueError, match="expected 2"):
+                p.index_of((1, 1), outcome)
+        with pytest.raises(ValueError, match="out of range"):
+            p.index_of((1, 1), (1, 3))
 
     def test_q_roundtrip(self):
         design = make_design((2, 2), (2, 3))
@@ -304,15 +313,27 @@ class TestRowBasis:
                 verdicts.add(result.feasible)
         assert verdicts == {True, False}
 
-    def test_non_factorial_keeps_every_row(self, monkeypatch):
-        design = make_design((3, 3), (2, 2), treatments=[(1, 1), (1, 2), (2, 1), (2, 2), (3, 3)])
-        rng = random.Random(5)
-        for _ in range(4):
+    @pytest.mark.parametrize(
+        "ks, ms", [((3, 3), (2, 2)), ((2, 2, 2), (2, 2, 2)), ((3, 3), (3, 2)), ((4,), (3,))]
+    )
+    def test_treatment_subsets(self, ks, ms, monkeypatch):
+        # on any treatment set the picked rows have M's exact rank, and phase
+        # one on them alone decides as a solve on every row does
+        full = make_design(ks, ms).treatments
+        rng = random.Random(sum(ks) * 10 + sum(ms))
+        verdicts = set()
+        for _ in range(5):
+            design = make_design(ks, ms, treatments=rng.sample(full, rng.randint(1, len(full) - 1)))
+            dense = build_jdc_matrix(design).matrix.to_dense()
+            rows = collins_gisin_rows(design)
+            assert matrix_rank([dense[r] for r in rows]) == matrix_rank(dense)
             classical = gen_classical(design, seed=rng.randrange(10**9))[0]
-            mixture = _mix(F(3, 4), _lifted_prbox(design), classical.tables)
-            for tables in (classical.tables, mixture):
-                rows, _ = self._check(Dataset(design, tables), monkeypatch)
-                assert rows is None
+            cases = [classical.tables]
+            if design.n > 1:
+                cases.append(_mix(F(3, 4), _lifted_prbox(design), classical.tables))
+            for tables in cases:
+                verdicts.add(self._check(Dataset(design, tables), monkeypatch)[1].feasible)
+        assert verdicts == ({True} if len(ks) == 1 else {True, False})
 
     def _check_signalling(self, ds, monkeypatch):
         """`run_lft` on data that break marginal selectivity against a solve on
@@ -357,14 +378,12 @@ class TestRowBasis:
         assert wrong.feasible and not verify_certificate(m, p, wrong)
         assert self._check_signalling(ds, monkeypatch)
 
-    @pytest.mark.parametrize(
-        "ks, ms", [((2, 2), (2, 2)), ((2, 2), (3, 3)), ((3, 3), (2, 2)), ((2, 2, 2), (2, 2, 2))]
-    )
-    def test_signalling_matches_full_row_solve(self, ks, ms, monkeypatch):
-        # move mass between two outcomes that differ in output 1 only, in one
-        # table, so that table's output-1 marginal differs from its neighbours'
-        design = make_design(ks, ms)
-        rng = random.Random(len(ks) * 100 + ks[0] * 10 + ms[0] + 7)
+    def _signalling_fallbacks(self, design, seed, monkeypatch):
+        """`_check_signalling` on classical data and lifted-PR-box mixtures
+        with mass moved between two outcomes that differ in output 1 only, in
+        one table, so that table's output-1 marginal differs from its
+        neighbours'.  Returns the set of whether each run fell back."""
+        rng = random.Random(seed)
         fell_back = set()
         for _ in range(3):
             classical = gen_classical(design, seed=rng.randrange(10**9))[0]
@@ -374,12 +393,26 @@ class TestRowBasis:
                 tables = {tr: dict(table) for tr, table in tables.items()}
                 table = tables[rng.choice(design.treatments)]
                 src = max(table, key=lambda o: (table[o], o))
-                dst = (src[0] % ms[0] + 1,) + src[1:]
+                dst = (src[0] % design.outcome_sizes[0] + 1,) + src[1:]
                 delta = table[src] / rng.randint(2, 1000)
                 table[src] -= delta
                 table[dst] = table.get(dst, 0) + delta
                 fell_back.add(self._check_signalling(Dataset(design, tables), monkeypatch))
-        assert fell_back == {True, False}
+        return fell_back
+
+    @pytest.mark.parametrize(
+        "ks, ms", [((2, 2), (2, 2)), ((2, 2), (3, 3)), ((3, 3), (2, 2)), ((2, 2, 2), (2, 2, 2))]
+    )
+    def test_signalling_matches_full_row_solve(self, ks, ms, monkeypatch):
+        seed = len(ks) * 100 + ks[0] * 10 + ms[0] + 7
+        assert self._signalling_fallbacks(make_design(ks, ms), seed, monkeypatch) == {True, False}
+
+    def test_signalling_on_a_non_factorial_design(self, monkeypatch):
+        # every treatment shares its value of input 1 with another, so the
+        # moved mass always breaks marginal selectivity
+        treatments = [(1, 1), (1, 2), (2, 1), (2, 2), (2, 3), (3, 1), (3, 2)]
+        design = make_design((3, 3), (2, 2), treatments)
+        assert self._signalling_fallbacks(design, 237, monkeypatch) == {True, False}
 
 
 class TestSi2Model:
@@ -421,6 +454,8 @@ class TestRestrictDesign:
 
     def test_chsh_restricted_to_first_input(self):
         pr = gen_prbox()
+        with pytest.raises(ValueError, match="not an integer"):
+            restrict_design(pr, [1.5])  # int() would truncate it to input 1
         sub = restrict_design(pr, {1})
         assert sub.design.n == 1
         assert sub.design.treatments == ((1,), (2,))
