@@ -8,13 +8,20 @@ within a block).  Q ranges over all deterministic assignments: one outcome
 for every value of every input, mixed-radix indexed with input 1's first
 value most significant.  M(r, c) = 1 exactly when column c's assignment
 produces row r's outcomes under row r's treatment, so each column has one 1
-per treatment.  An assignment is one block of slots per input, so row (t, o)
-is the Kronecker product of the rows (t_i, o_i) of per-input matrices M_i,
-and `build_jdc_matrix` builds it so.
+per treatment.
+
+`run_lft` never builds M.  `LftSystem` derives from the design what the
+solver reads: fix an assignment's front, its slots for inputs 1..n-1, and
+the last input's slots are independent, so pricing, presolve and the Farkas
+bound come from per-front tables.  Verification simulates a witness's atoms,
+or enumerates the assignments against a Farkas vector.  `build_jdc_matrix`
+still builds M, row (t, o) as the Kronecker product of the rows (t_i, o_i)
+of per-input matrices M_i, for library callers and as the reference the
+tests hold `LftSystem` to.
 
 Many rows of M are redundant.  Phase one uses only the rows that
 `collins_gisin_rows` picks from the design, which span M on any treatment
-set; presolve and certificate verification read all of M.  P obeys the
+set; presolve and certificate verification cover every row.  P obeys the
 relations that give the dropped rows exactly under marginal selectivity.
 
 A feasible witness converts into an explicit classical model (`Si2Model`)
@@ -27,7 +34,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, product, repeat
-from math import prod
+from math import lcm, prod
 from typing import Sequence
 
 from .errors import MarginalSelectivityError, SizeGuardError
@@ -45,7 +52,15 @@ from .experiment import (
     validate_dataset,
 )
 from .io import format_exact
-from .rational_lp import ONE, SparseMatrix, solve_equality_feasibility, verify_certificate
+from .rational_lp import (
+    ONE,
+    Presolve,
+    SparseMatrix,
+    scaled_integers,
+    simplex,
+    solve_equality_feasibility,
+    verify_certificate,
+)
 
 Assignment = tuple[int, ...]
 # default bound on the assignment count, the columns of M
@@ -180,6 +195,17 @@ def build_p_vector(dataset: Dataset) -> PVector:
     return PVector(design, tuple(values))
 
 
+def _guarded_q_length(design: ExperimentDesign, column_guard: int) -> int:
+    """The assignment count, the columns of M; refuses more than `column_guard`."""
+    ncols = q_length(design)
+    if ncols > column_guard:
+        raise SizeGuardError(
+            f"assignment space has {ncols} columns, over the guard {column_guard}; "
+            f"pass a larger column_guard (CLI: --column-guard) to proceed"
+        )
+    return ncols
+
+
 @dataclass(frozen=True)
 class JdcMatrix:
     """The 0/1 compatibility matrix between observed rows and assignments."""
@@ -202,12 +228,7 @@ def build_jdc_matrix(design: ExperimentDesign, column_guard: int = COLUMN_GUARD)
     table maps (slot w, outcome a) to its block's values with a in slot w,
     times the block's stride (the later blocks' sizes multiplied); row (t, o)
     sums one entry per input at (t_i, o_i), ascending as input 1 is slowest."""
-    ncols = q_length(design)
-    if ncols > column_guard:
-        raise SizeGuardError(
-            f"assignment space has {ncols} columns, over the guard {column_guard}; "
-            f"pass a larger column_guard (CLI: --column-guard) to proceed"
-        )
+    ncols = _guarded_q_length(design, column_guard)
     tables = []
     stride = ncols
     for k, m in zip(design.input_sizes, design.outcome_sizes):
@@ -225,6 +246,207 @@ def build_jdc_matrix(design: ExperimentDesign, column_guard: int = COLUMN_GUARD)
                 cols = [c + d for c in cols for d in table[w, a]]
             rows.append(tuple(zip(cols, repeat(ONE))))
     return JdcMatrix(design, SparseMatrix(p_length(design), ncols, tuple(rows)))
+
+
+class LftSystem:
+    """The LFT's M as its design describes it, never built.
+
+    A column is an assignment h: its front, the slots of inputs 1..n-1, then
+    the last input's slots a_1..a_k, so its index is the front's index times
+    m_n**k plus a's mixed-radix index.  Row (t, o) meets h (entry +1) iff h
+    yields o under t: the front's outcomes under t, then a_{t_n}.  Once the
+    front is fixed the last slots are independent: the rows h meets are the
+    union over w of cell (w, a_w), the rows (t, front under t, a_w) with
+    t_n = w.  Pricing, presolve and the Farkas bound read these cells,
+    |fronts| x T x m_n rows, not M's T x |columns| entries.  Verification
+    reads neither: it simulates a witness's atoms and enumerates the
+    assignments against a Farkas vector.
+    """
+
+    def __init__(self, design: ExperimentDesign, column_guard: int = COLUMN_GUARD):
+        self.design = design
+        self.ncols = _guarded_q_length(design, column_guard)
+        self.nrows = p_length(design)
+        self._k, self._m = design.input_sizes[-1], design.outcome_sizes[-1]
+        block = prod(design.outcome_sizes)
+        offsets = q_slot_offsets(design)
+        strides = [prod(design.outcome_sizes[i + 1:]) for i in range(design.n - 1)]
+        self._cells = []  # per front, per last slot w, per outcome a
+        for f in product(*map(range, slot_bases(design)[: offsets[-1]])):
+            cells = [[[] for _ in range(self._m)] for _ in range(self._k)]
+            for t, tr in enumerate(design.treatments):
+                row = t * block + sum([f[off + w - 1] * s for off, w, s in zip(offsets, tr, strides)])
+                for rows in cells[tr[-1] - 1]:
+                    rows.append(row)
+                    row += 1
+            self._cells.append(cells)
+
+    def presolve(self, P: list[Fraction]) -> Presolve:
+        """`SparseMatrix.presolve` on M, decided from the zero cells.
+
+        Every entry of M is +1, so a row with P = 0 fires if it still has a
+        live column, and its cell (t, o) forbids every h with h(t) = o.  Let
+        kill(h) be the first zero row h meets (nrows if none) and maxkill(r)
+        the largest kill(h) over the h that meet row r.  A row with P > 0 has
+        no live column when the first sweep reaches it iff maxkill(r) < r, and
+        in the second sweep iff maxkill(r) < nrows.  A zero row fires iff
+        maxkill(r) = r: some h of it meets no earlier zero row.  maxkill
+        separates per front: the max over a of a min over the last slots is
+        the min over the slots of each slot's max.
+        """
+        if any(p < 0 for p in P):
+            raise ValueError("P has a negative entry")
+        zero = frozenset(i for i, p in enumerate(P) if not p)
+        if not zero:
+            return Presolve(-1, zero, (), zero)
+        end = self.nrows
+        kill = [end if p else i for i, p in enumerate(P)]
+        maxkill = [-1] * end
+        for cells in self._cells:
+            first = [[min([kill[r] for r in rows], default=end) for rows in cw] for cw in cells]
+            most = [max(fw) for fw in first]
+            for w, cw in enumerate(cells):
+                rest = min(most[:w] + most[w + 1:], default=end)
+                for rows, v in zip(cw, first[w]):
+                    v = min(v, rest)
+                    for r in rows:
+                        maxkill[r] = max(maxkill[r], v)
+        positive = [i for i, p in enumerate(P) if p]
+        row = next((i for i in positive if maxkill[i] < i), -1)
+        limit = row  # the first sweep stopped here
+        if row < 0:
+            row = next((i for i in positive if maxkill[i] < end), -1)
+            limit = end
+        fired = tuple(i for i in sorted(zero) if i < limit and maxkill[i] == i)
+        return Presolve(row, zero, fired, zero)
+
+    def phase_one(self, P, kept_rows, pre):
+        """`simplex` priced by exact min-sum over each front's last slots.
+
+        Column (f, a) costs sum_w g_w(a_w), g_w(a) summing the duals of the
+        kept rows of cell (w, a); a cell with a zero row is forbidden.
+        Dantzig's lowest-index least column is the first front of least
+        sum_w min g_w, with each slot's smallest argmin.  Bland's first
+        negative column is in the first front whose least sum is negative,
+        with each slot's smallest a that the later slots' minima complete to
+        a negative sum.
+        """
+        scale = lcm(*(P[i].denominator for i in kept_rows))
+        b = [P[i].numerator * (scale // P[i].denominator) for i in kept_rows]
+        position = dict(zip(kept_rows, range(len(kept_rows))))
+        tables = []  # (front, per slot (allowed outcomes, their kept positions))
+        for f, cells in enumerate(self._cells):
+            slots = []
+            for cw in cells:
+                allowed = [a for a, rows in enumerate(cw) if pre.dropped.isdisjoint(rows)]
+                slots.append((allowed, [[position[r] for r in cw[a] if r in position] for a in allowed]))
+            if all(allowed for allowed, _ in slots):
+                tables.append((f, slots))
+        width, m = self._m**self._k, self._m
+
+        def price(dual, bland):
+            get = dual.__getitem__
+            chosen = None
+            for f, slots in tables:
+                total = sum([min([sum(map(get, ks)) for ks in kss]) for _, kss in slots])
+                if bland and total < 0:
+                    chosen = total, f, slots
+                    break
+                if not bland and (chosen is None or total < chosen[0]):
+                    chosen = total, f, slots
+            if chosen is None or bland and chosen[0] >= 0:
+                return -1, None
+            total, f, slots = chosen
+            prefix = last = 0
+            for allowed, kss in slots:
+                g = [sum(map(get, ks)) for ks in kss]
+                low = min(g)
+                total -= low  # now the later slots' minima
+                i = next(i for i, v in enumerate(g) if (prefix + v + total < 0 if bland else v == low))
+                prefix += g[i]
+                last = last * m + allowed[i]
+            return f * width + last, prefix
+
+        lookup = dict(tables)
+
+        def column(j):
+            f, last = divmod(j, width)
+            col = []
+            for allowed, kss in reversed(lookup[f]):
+                last, a = divmod(last, m)
+                col += [(i, 1) for i in kss[allowed.index(a)]]
+            return col
+
+        feasible, vec, pivots = simplex(b, self.ncols, price, column)
+        if not feasible:
+            return False, dict(zip(kept_rows, vec)), pivots
+        witness = [ZERO] * self.ncols
+        for j, v in vec.items():
+            witness[j] = v / scale
+        return True, tuple(witness), pivots
+
+    def farkas(self, kept_y, pre):
+        y = [kept_y.get(i, ZERO) for i in range(self.nrows)]
+        if pre.fired:
+            # a presolve-decided y is 1 on one row whose columns the fired
+            # rows all meet, so no column needs more than K = 1
+            bound = ONE if pre.infeasible_row >= 0 else self._farkas_bound(kept_y, pre)
+            for z in pre.fired:
+                y[z] = -bound
+        return tuple(y)
+
+    def _farkas_bound(self, kept_y, pre) -> Fraction:
+        """`SparseMatrix.farkas`'s K: at least 1, and y'M_h over the number of
+        fired rows h meets for every dropped column h with y'M_h > 0.  The
+        one place that enumerates the dropped columns."""
+        scale, y = scaled_integers(kept_y)
+        fired = set(pre.fired)
+        top, under = scale, 1  # K = top / (under * scale)
+        for cells in self._cells:
+            sums = [
+                [(sum([y.get(r, 0) for r in rows]), len(fired.intersection(rows)),
+                  not pre.dropped.isdisjoint(rows)) for rows in cw]
+                for cw in cells
+            ]
+            for h in product(*sums):
+                num = sum([c[0] for c in h])
+                if num > 0 and any(c[2] for c in h):
+                    den = sum([c[1] for c in h])
+                    if num * under > top * den:
+                        top, under = num, den
+        return Fraction(top, under * scale)
+
+    def reproduces(self, q, P):
+        """The witness's atoms, simulated, give P."""
+        design = self.design
+        bases = slot_bases(design)
+        atoms = tuple((v, mixed_radix_digits(j, bases)) for j, v in sorted(q.items()))
+        tables = Si2Model(design, atoms).simulate().tables
+        made = (tables[tr].get(o, ZERO) for tr in design.treatments for o in design.all_outcomes())
+        return all(v == p for v, p in zip(made, P))
+
+    def bounded(self, y):
+        """sum_t y[t, h(t)] <= 0 for every assignment h, enumerated over the
+        slots that the treatments with a nonzero y block read, in integers."""
+        design = self.design
+        block = prod(design.outcome_sizes)
+        c = [0] * self.nrows
+        for i, v in scaled_integers(y)[1].items():
+            c[i] = v
+        offsets = q_slot_offsets(design)
+        strides = [prod(design.outcome_sizes[i + 1:]) for i in range(design.n)]
+        reads = [
+            (t * block, [(off + w - 1, s) for off, w, s in zip(offsets, design.treatments[t], strides)])
+            for t in sorted({i // block for i in y})
+        ]
+        slots = sorted({slot for _, rd in reads for slot, _ in rd})
+        where = {slot: pos for pos, slot in enumerate(slots)}
+        reads = [(base, [(where[slot], s) for slot, s in rd]) for base, rd in reads]
+        bases = slot_bases(design)
+        for h in product(*(range(bases[slot]) for slot in slots)):
+            if sum([c[base + sum([h[pos] * s for pos, s in rd])] for base, rd in reads]) > 0:
+                return False
+        return True
 
 
 @dataclass(frozen=True)
@@ -302,15 +524,16 @@ def collins_gisin_rows(design: ExperimentDesign) -> list[int]:
 def run_lft(dataset: Dataset, column_guard: int = COLUMN_GUARD) -> LftVerdict:
     """Run the feasibility test on a valid dataset.
 
-    Phase one runs on the rows `collins_gisin_rows` picks, and the result is
-    verified against the full M.  An infeasible verdict there holds for all
-    of M.  A witness from those rows that fails the check means P breaks the
-    relations that give the dropped rows (marginal selectivity), and the
-    system is solved again on every row.  Any other verification failure
-    would be an internal error and raises RuntimeError.
+    The system is `LftSystem`, so M is never built.  Phase one runs on the
+    rows `collins_gisin_rows` picks, and the result is verified against every
+    row.  An infeasible verdict there holds for all of M.  A witness from
+    those rows that fails the check means P breaks the relations that give
+    the dropped rows (marginal selectivity), and the system is solved again
+    on every row.  Any other verification failure would be an internal error
+    and raises RuntimeError.
     """
     p = list(build_p_vector(dataset).values)
-    m = build_jdc_matrix(dataset.design, column_guard).matrix
+    m = LftSystem(dataset.design, column_guard)
     result = solve_equality_feasibility(m, p, collins_gisin_rows(dataset.design))
     verified = verify_certificate(m, p, result)
     if not verified and result.feasible:
@@ -336,14 +559,17 @@ class Si2Model:
         return assignment[off + w - 1]
 
     def simulate(self) -> Dataset:
-        """Forward-simulate every treatment; reproduces MQ exactly."""
+        """Forward-simulate every treatment; reproduces MQ exactly, summed in
+        integers over the weights' common denominator."""
         offsets = q_slot_offsets(self.design)
+        scale = lcm(*(w.denominator for w, _ in self.atoms))
+        atoms = [(w.numerator * (scale // w.denominator), a) for w, a in self.atoms]
         tables: dict[Treatment, dict[OutcomeTuple, Fraction]] = {}
         for tr in self.design.treatments:
-            row: dict[OutcomeTuple, Fraction] = defaultdict(lambda: ZERO)
-            for weight, assignment in self.atoms:
+            row: dict[OutcomeTuple, int] = defaultdict(int)
+            for weight, assignment in atoms:
                 row[assignment_outcome(assignment, tr, offsets)] += weight
-            tables[tr] = dict(row)
+            tables[tr] = {o: Fraction(v, scale) for o, v in row.items()}
         return Dataset(self.design, tables)
 
 

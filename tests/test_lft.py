@@ -8,6 +8,7 @@ from selinf.errors import MarginalSelectivityError, SizeGuardError
 from selinf.experiment import Dataset, check_marginal_selectivity, make_design, transform_outputs
 from selinf.generators import gen_classical, gen_ghz, gen_prbox
 from selinf.lft import (
+    LftSystem,
     PVector,
     QVector,
     assignment_outcome,
@@ -21,9 +22,14 @@ from selinf.lft import (
     restrict_design,
     run_lft,
 )
-from selinf.rational_lp import FeasibilityResult, solve_equality_feasibility, verify_certificate
+from selinf.rational_lp import (
+    FeasibilityResult,
+    SparseMatrix,
+    solve_equality_feasibility,
+    verify_certificate,
+)
 
-from helpers import matrix_rank, random_small_design
+from helpers import matrix_rank, random_small_design, random_tables_dataset
 
 F = Fraction
 
@@ -560,3 +566,232 @@ class TestInvariance:
                         a: rng.randint(1, m) for a in range(1, m + 1)
                     }
             assert run_lft(transform_outputs(ds, maps)).feasible
+
+
+class _Captured(Exception):
+    """Stops a solve once phase one has been handed its pricer."""
+
+
+def _capture_pricer(monkeypatch, where, system, p, rows):
+    """The (b, n, price, column) that `system`'s phase one hands to
+    `simplex` (looked up in module `where`), or None if presolve decides."""
+    seen = []
+
+    def spy(b, n, price, column):
+        seen.append((b, n, price, column))
+        raise _Captured
+
+    monkeypatch.setattr(f"{where}.simplex", spy)
+    try:
+        solve_equality_feasibility(system, p, rows)
+    except _Captured:
+        pass
+    monkeypatch.undo()
+    return seen[0] if seen else None
+
+
+def _mixed_p(design, rng):
+    """P of a random sparse mixture of assignments, so zero cells (forbidden
+    for the pricer) fall at random places but presolve cannot decide, or of
+    independent random tables, full support or not."""
+    if rng.random() < 0.6:
+        ds = gen_classical(design, seed=rng.randrange(10**9), max_support=rng.randint(1, 4))[0]
+    else:
+        ds = random_tables_dataset(design, rng, denom=rng.choice([1, 3, 12]))
+    return list(build_p_vector(ds).values)
+
+
+# factorial, non-factorial, one input (one empty front), an input with k = 1
+# and a last output with m = 1
+_SYSTEM_DESIGNS = [
+    ((2, 2), (2, 2), None),
+    ((3, 2), (2, 3), None),
+    ((2, 2, 2), (2, 2, 2), None),
+    ((3, 3), (2, 2), [(1, 1), (1, 3), (2, 2), (3, 1), (3, 2), (3, 3)]),
+    ((2, 2, 2), (2, 3, 2), [(1, 1, 1), (1, 2, 2), (2, 1, 2), (2, 2, 1), (2, 2, 2)]),
+    ((2, 3), (3, 2), [(1, 2), (2, 1), (2, 3)]),
+    ((3,), (3,), None),
+    ((1, 3), (3, 2), None),
+    ((2, 1), (2, 3), None),
+    ((2, 2), (3, 1), None),
+]
+
+
+class TestLftSystem:
+    """The structured system against the sparse path over `build_jdc_matrix`."""
+
+    @pytest.mark.parametrize("ks, ms, treatments", _SYSTEM_DESIGNS)
+    def test_pricing_matches_sparse(self, ks, ms, treatments, monkeypatch):
+        design = make_design(ks, ms, treatments)
+        sparse, lft = build_jdc_matrix(design).matrix, LftSystem(design)
+        rng = random.Random(sum(ks) * 100 + sum(ms) * 10 + len(ks))
+        masked = priced = 0
+        for _ in range(12):
+            p = _mixed_p(design, rng)
+            rows = collins_gisin_rows(design) if rng.random() < 0.5 else None
+            want = _capture_pricer(monkeypatch, "selinf.rational_lp", sparse, p, rows)
+            got = _capture_pricer(monkeypatch, "selinf.lft", lft, p, rows)
+            assert (want is None) == (got is None)
+            if want is None:
+                continue
+            pre = sparse.presolve(p)
+            kept_cols = [j for j in range(sparse.ncols) if j not in pre.dropped]
+            masked += len(kept_cols) < sparse.ncols
+            assert want[0] == got[0] and got[1] == sparse.ncols
+            for _ in range(20):
+                dual = [rng.randint(-4, 4) * rng.choice([1, 7, 10**20]) for _ in want[0]]
+                for bland in (False, True):
+                    j, cost = want[2](dual, bland)
+                    assert got[2](dual, bland) == ((kept_cols[j], cost) if j >= 0 else (-1, None))
+                    priced += j >= 0
+                    if j >= 0:
+                        assert sorted(got[3](kept_cols[j])) == sorted(want[3](j))
+        assert priced and (masked or design.n == 1 or min(ms) == 1)
+
+    @pytest.mark.parametrize("ks, ms, treatments", _SYSTEM_DESIGNS)
+    def test_presolve_matches_sparse(self, ks, ms, treatments):
+        design = make_design(ks, ms, treatments)
+        sparse, lft = build_jdc_matrix(design).matrix, LftSystem(design)
+        rng = random.Random(sum(ks) * 100 + sum(ms))
+        decided = 0
+        for _ in range(25):
+            p = _mixed_p(design, rng)
+            if rng.random() < 0.3:
+                # zero a positive cell and put its mass on another of its table
+                block = len(p) // len(design.treatments)
+                i = rng.choice([i for i, v in enumerate(p) if v])
+                j = i - i % block + rng.randrange(block)
+                if j != i:
+                    p[j], p[i] = p[j] + p[i], F(0)
+            want, got = sparse.presolve(p), lft.presolve(p)
+            assert got.infeasible_row == want.infeasible_row and got.fired == want.fired
+            decided += want.infeasible_row >= 0
+            if want.infeasible_row < 0:
+                assert set(got.settled) == set(want.settled)
+                # the live columns: those meeting no zero row
+                dropped = {j for i in got.dropped for j, _ in sparse.rows[i]}
+                assert dropped == want.dropped
+            assert solve_equality_feasibility(lft, p) == solve_equality_feasibility(sparse, p)
+        assert decided or design.n == 1 or min(ms) == 1
+        with pytest.raises(ValueError, match="negative"):
+            lft.presolve([F(-1)] + p[1:])
+
+
+def _three_atoms(design, rng):
+    return gen_classical(design, seed=rng.randrange(10**9), max_support=3)[0]
+
+
+def _shift_mass(ds, rng):
+    """Signalling data: mass moved between two outcomes of one table that
+    differ in output 1 only."""
+    design = ds.design
+    tables = {tr: dict(t) for tr, t in ds.tables.items()}
+    table = tables[rng.choice(design.treatments)]
+    src = max(table, key=lambda o: (table[o], o))
+    dst = (src[0] % design.outcome_sizes[0] + 1,) + src[1:]
+    delta = table[src] / rng.randint(2, 1000)
+    table[src] -= delta
+    table[dst] = table.get(dst, 0) + delta
+    return Dataset(design, tables)
+
+
+class TestRunLftWithoutM:
+    @staticmethod
+    def _reference(ds):
+        """What `run_lft` did over the sparse M: phase one on the row basis,
+        and on every row when that witness fails the full M."""
+        p = list(build_p_vector(ds).values)
+        m = build_jdc_matrix(ds.design).matrix
+        result = solve_equality_feasibility(m, p, collins_gisin_rows(ds.design))
+        fell_back = result.feasible and not verify_certificate(m, p, result)
+        if fell_back:
+            result = solve_equality_feasibility(m, p)
+        assert verify_certificate(m, p, result)
+        return result, fell_back
+
+    def test_matches_sparse_path_field_for_field(self, monkeypatch):
+        rng = random.Random(1961)
+        cases = []
+        for ks, ms in (((2, 2), (2, 2)), ((2, 2), (3, 3)), ((3, 3), (2, 2)), ((2, 2, 2), (2, 2, 2))):
+            design = make_design(ks, ms)
+            for _ in range(2):
+                classical = gen_classical(design, seed=rng.randrange(10**9))[0]
+                mixture = Dataset(design, _mix(F(rng.randint(1, 3), 4), _lifted_prbox(design), classical.tables))
+                three = _three_atoms(design, rng)
+                cases += [classical, mixture, three, _shift_mass(classical, rng), _shift_mass(mixture, rng)]
+        expected = [self._reference(ds) for ds in cases]
+        assert {fell_back for _, fell_back in expected} == {True, False}
+        assert {result.feasible for result, _ in expected} == {True, False}
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("run_lft built M")
+
+        monkeypatch.setattr("selinf.lft.build_jdc_matrix", refuse)
+        monkeypatch.setattr("selinf.lft.SparseMatrix", refuse)
+        monkeypatch.setattr(SparseMatrix, "__post_init__", refuse)
+        for ds, (want, _) in zip(cases, expected):
+            verdict = run_lft(ds)
+            assert verdict.feasible == want.feasible and verdict.pivots == want.pivots
+            assert verdict.farkas == want.farkas
+            assert (verdict.witness.values if verdict.feasible else None) == want.witness
+
+    def test_column_guard(self):
+        ds = gen_classical(make_design((2, 2), (3, 3)), seed=4)[0]  # 81 assignments
+        with pytest.raises(SizeGuardError, match="--column-guard"):
+            run_lft(ds, column_guard=80)
+        assert run_lft(ds, column_guard=81).feasible
+
+
+class TestVerificationWithoutM:
+    """`verify_certificate` on `LftSystem` (simulated atoms, enumerated
+    assignments) against the full M."""
+
+    @staticmethod
+    def _results(count):
+        rng = random.Random(200)
+        designs = [make_design((2, 2), (2, 2)), make_design((2, 3), (3, 2)),
+                   make_design((2, 2, 2), (2, 2, 2)), make_design((3,), (2,)),
+                   make_design((3, 3), (2, 2), [(1, 1), (1, 2), (2, 2), (2, 3), (3, 1), (3, 3)])]
+        while count:
+            design = rng.choice(designs)
+            classical = gen_classical(design, seed=rng.randrange(10**9), max_support=rng.randint(1, 6))[0]
+            ds = classical
+            if design.n > 1 and rng.random() < 0.5:
+                ds = Dataset(design, _mix(F(rng.randint(1, 3), 4), _lifted_prbox(design), classical.tables))
+            if design.n > 1 and rng.random() < 0.3:
+                ds = _shift_mass(ds, rng)
+            yield ds, run_lft(ds)
+            count -= 1
+
+    def test_agrees_with_full_m_and_rejects_corruptions(self):
+        rng = random.Random(7)
+        rejected = {"moved": 0, "negative": 0, "flipped": 0}
+        for ds, verdict in self._results(200):
+            p = list(build_p_vector(ds).values)
+            sparse, lft = build_jdc_matrix(ds.design).matrix, LftSystem(ds.design)
+            variants = []
+            if verdict.feasible:
+                q = list(verdict.witness.values)
+                variants.append(("good", FeasibilityResult(True, tuple(q), None, 0)))
+                support = [j for j, v in enumerate(q) if v]
+                if len(support) > 1:
+                    a, b = rng.sample(support, 2)
+                    moved = list(q)
+                    moved[a], moved[b] = moved[a] - q[a] / 2, moved[b] + q[a] / 2
+                    variants.append(("moved", FeasibilityResult(True, tuple(moved), None, 0)))
+                negative = list(q)
+                negative[rng.randrange(len(q))] = F(-1, 7)
+                variants.append(("negative", FeasibilityResult(True, tuple(negative), None, 0)))
+            else:
+                y = list(verdict.farkas)
+                variants.append(("good", FeasibilityResult(False, None, tuple(y), 0)))
+                for i in [i for i, v in enumerate(y) if v]:
+                    flipped = list(y)
+                    flipped[i] = -flipped[i]
+                    variants.append(("flipped", FeasibilityResult(False, None, tuple(flipped), 0)))
+            for kind, result in variants:
+                ok = verify_certificate(lft, p, result)
+                assert ok == verify_certificate(sparse, p, result)
+                assert ok == (kind == "good") or kind == "flipped"
+                rejected[kind] = rejected.get(kind, 0) + (not ok)
+        assert rejected["good"] == 0 and all(rejected[k] > 10 for k in ("moved", "negative", "flipped"))
