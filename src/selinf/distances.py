@@ -8,12 +8,27 @@ to be at most the sum of the link distances.  Only irreducible chains need
 checking; on full-factorial designs these are exactly the alternating
 tetrads, and on the 2x2 binary design the two canonical orders reproduce the
 four Bell-CHSH-Fine double inequalities.
+
+On a full-factorial design any two points on distinct inputs co-occur, so a
+pair of positions that is neither consecutive nor the endpoints must hold
+two values of one input.  In a chain of length 5 or more, (1, 3), (1, 4)
+and (2, 4) are such pairs, which puts positions 1 to 4 on one input, yet
+positions 1 and 2 must co-occur.  In a 4-chain, (1, 3) and (2, 4) are such
+pairs, which makes it an alternating tetrad; three pairwise co-occurring
+points lie in one treatment, so there is no irreducible 3-chain.
+
+`chain_test` sums each (treatment, output pair) distance once, in integers
+over the tables' common denominator, so every slack is an integer sum; the
+`Fraction` records are built only when read.
 """
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
+from itertools import permutations
+from math import lcm
 from typing import Mapping, Sequence
 
 from .errors import MarginalSelectivityError, SizeGuardError
@@ -171,6 +186,13 @@ def _pair_realizers(design: ExperimentDesign) -> dict[tuple[Point, Point], list[
     return pairs
 
 
+def _too_many(sequence_guard: int) -> SizeGuardError:
+    return SizeGuardError(
+        f"more than {sequence_guard} irreducible sequences; raise "
+        f"sequence_guard (CLI: --sequence-guard) to enumerate them all"
+    )
+
+
 def enumerate_irreducible_sequences(
     design: ExperimentDesign, max_len: int = 6, sequence_guard: int = 10**5
 ) -> list[InputPointSequence]:
@@ -181,51 +203,50 @@ def enumerate_irreducible_sequences(
     pair and the consecutive pairs.  A sequence and its reversal are distinct
     chains (the distance is asymmetric), so both are returned.  Output is
     deterministic: ordered by length, then lexicographically.
+
+    On a full-factorial design these are `enumerate_tetradic_sequences`,
+    counted against `sequence_guard` before any is built; any other
+    treatment set is searched depth first.
     """
     if max_len < 3:
         raise ValueError("max_len must be >= 3")
+    if design.is_factorial:
+        if max_len < 4:
+            return []
+        per_input = [k * (k - 1) for k in design.input_sizes]
+        if sum(per_input) ** 2 - sum(c * c for c in per_input) > sequence_guard:
+            raise _too_many(sequence_guard)
+        return enumerate_tetradic_sequences(design)
     points = design.input_points()
     pairs = _pair_realizers(design)
     results: list[InputPointSequence] = []
 
     def extend(seq: list[Point], target: int) -> None:
-        j = len(seq) + 1  # position being filled, 1-based
-        last = j == target
+        last = len(seq) + 1 == target
         for cand in points:
-            if cand == seq[-1]:
-                continue  # adjacent duplicates are always reducible
-            if (seq[-1], cand) not in pairs:
+            # cand must co-occur with the point before it and differ from it
+            # (adjacent duplicates are always reducible), and co-occur with
+            # no earlier point but the other endpoint, which must co-occur
+            if cand == seq[-1] or (seq[-1], cand) not in pairs:
                 continue
-            ok = True
-            for a in range(1, j - 1):  # positions 1..j-2 pair with position j
-                must_cooccur = last and a == 1
-                does = (seq[a - 1], cand) in pairs
-                if must_cooccur:
-                    if not does or seq[0] == cand:
-                        ok = False
-                        break
-                elif does:
-                    ok = False
-                    break
-            if not ok:
+            if any((p, cand) in pairs for p in seq[last:-1]):
                 continue
-            if last:
-                if target == 3 and any(
-                    tr[cand[0] - 1] == cand[1] for tr in pairs[(seq[0], seq[1])]
-                ):
-                    continue  # a 3-chain inside one treatment is reducible
-                if len(results) >= sequence_guard:
-                    raise SizeGuardError(
-                        f"more than {sequence_guard} irreducible sequences; raise "
-                        f"sequence_guard (CLI: --sequence-guard) to enumerate them all"
-                    )
-                results.append(InputPointSequence((*seq, cand)))
-            else:
+            if not last:
                 seq.append(cand)
                 extend(seq, target)
                 seq.pop()
+            elif seq[0] != cand and (seq[0], cand) in pairs and not (
+                # a 3-chain inside one treatment is reducible
+                target == 3 and any(tr[cand[0] - 1] == cand[1] for tr in pairs[seq[0], seq[1]])
+            ):
+                if len(results) >= sequence_guard:
+                    raise _too_many(sequence_guard)
+                results.append(InputPointSequence((*seq, cand)))
 
-    for target in range(3, max_len + 1):
+    # an irreducible chain repeats no point: two equal points co-occur, so
+    # they would have to be designated, and an adjacent repeat makes a
+    # reducible triple; so no chain is longer than the point count
+    for target in range(3, min(max_len, len(points)) + 1):
         for start in points:
             extend([start], target)
     return results
@@ -241,23 +262,13 @@ def enumerate_tetradic_sequences(design: ExperimentDesign) -> list[InputPointSeq
             "use enumerate_irreducible_sequences for restricted treatment sets"
         )
     k = design.input_sizes
-    out: list[InputPointSequence] = []
-    for lam1 in range(1, design.n + 1):
-        for lam2 in range(1, design.n + 1):
-            if lam1 == lam2:
-                continue
-            for x_w in range(1, k[lam1 - 1] + 1):
-                for s_w in range(1, k[lam1 - 1] + 1):
-                    if s_w == x_w:
-                        continue
-                    for y_w in range(1, k[lam2 - 1] + 1):
-                        for t_w in range(1, k[lam2 - 1] + 1):
-                            if t_w == y_w:
-                                continue
-                            seq = ((lam1, x_w), (lam2, y_w), (lam1, s_w), (lam2, t_w))
-                            out.append(InputPointSequence(seq))
-    out.sort(key=lambda s: s.points)
-    return out
+    tetrads = sorted(
+        ((l1, x), (l2, y), (l1, s), (l2, t))
+        for l1, l2 in permutations(range(1, design.n + 1), 2)
+        for x, s in permutations(range(1, k[l1 - 1] + 1), 2)
+        for y, t in permutations(range(1, k[l2 - 1] + 1), 2)
+    )
+    return list(map(InputPointSequence, tetrads))
 
 
 @dataclass(frozen=True)
@@ -287,15 +298,42 @@ class ChainRecord:
 
 @dataclass(frozen=True)
 class ChainReport:
+    """One order's chain inequalities over a list of sequences.
+
+    `slacks` holds each sequence's slack times `scale`, the tables' common
+    denominator, and `realizations` maps each pair read to its realizing
+    treatments and their distances times `scale`.  The `ChainRecord`s are
+    built when read: the failing ones by `failures()`, all by `records`.
+    """
+
     order: OrderRelation
-    records: tuple[ChainRecord, ...]
+    sequences: tuple[InputPointSequence, ...]
+    slacks: tuple[int, ...]
+    scale: int
+    realizations: Mapping[tuple[Point, Point], tuple[list[Treatment], list[int]]]
 
     @property
     def passed(self) -> bool:
-        return all(r.passed for r in self.records)
+        return all(s >= 0 for s in self.slacks)
 
     def failures(self) -> tuple[ChainRecord, ...]:
-        return tuple(r for r in self.records if not r.passed)
+        return tuple(self._record(q) for q, s in zip(self.sequences, self.slacks) if s < 0)
+
+    @cached_property
+    def records(self) -> tuple[ChainRecord, ...]:
+        return tuple(map(self._record, self.sequences))
+
+    def _link(self, a: Point, b: Point, pick) -> LinkEvaluation:
+        trs, ds = self.realizations[a, b]
+        i = ds.index(pick(ds))  # the first realization of least (most) distance
+        evaluated = tuple((tr, Fraction(d, self.scale)) for tr, d in zip(trs, ds))
+        return LinkEvaluation((a, b), evaluated[i][1], trs[i], evaluated)
+
+    def _record(self, seq: InputPointSequence) -> ChainRecord:
+        endpoint = self._link(*seq.endpoints, max)
+        links = tuple(self._link(a, b, min) for a, b in seq.links())
+        rhs = sum((lk.distance for lk in links), ZERO)
+        return ChainRecord(seq, endpoint.distance, rhs, rhs - endpoint.distance, endpoint, links)
 
 
 def chain_test(
@@ -307,34 +345,56 @@ def chain_test(
     right-hand side takes, per link, the realization with the smallest
     distance, and the left-hand side the largest one: the inequality must
     hold for every realization, so this is the tightest necessary condition
-    (under marginal selectivity all realizations coincide).
+    (under marginal selectivity all realizations coincide).  Each (treatment,
+    output pair) distance is summed once, in integers over the tables' common
+    denominator, so every slack is an integer sum.
     """
+    sequences = tuple(sequences)
     pairs = _pair_realizers(dataset.design)
-    evaluated: dict[tuple[Point, Point, bool], LinkEvaluation] = {}
+    scale = lcm(*(p.denominator for table in dataset.tables.values() for p in table.values()))
+    rank, sizes = order._rank, dataset.design.outcome_sizes
+    realizations: dict[tuple[Point, Point], tuple[list[Treatment], list[int]]] = {}
+    low: dict[tuple[Point, Point], int] = {}
+    high: dict[tuple[Point, Point], int] = {}
 
-    def evaluate(a: Point, b: Point, pick_max: bool) -> LinkEvaluation:
-        ev = evaluated.get((a, b, pick_max))
-        if ev is None:
-            if (a, b) not in pairs:
-                raise ValueError(f"no treatment realizes the pair {a}, {b}")
-            ds = tuple(
-                # Pr[X strictly below X] is 0 for the same input point
-                (tr, ZERO if a == b else order_distance(dataset, tr, a[0], b[0], order))
-                for tr in pairs[(a, b)]
-            )
-            tr, d = (max if pick_max else min)(ds, key=lambda td: td[1])
-            ev = evaluated[(a, b, pick_max)] = LinkEvaluation((a, b), d, tr, ds)
-        return ev
+    def realize(a: Point, b: Point) -> None:
+        """Pr[output a[0] strictly below output b[0]] times scale, under each
+        treatment that holds both points: a (treatment, output pair) belongs
+        to one pair of points, so each is summed once.  It runs while a
+        KeyError for the pair is handled, so its errors drop that context."""
+        if (a, b) not in pairs:
+            raise ValueError(f"no treatment realizes the pair {a}, {b}") from None
+        trs = pairs[a, b]
+        (l1, _), (l2, _) = a, b
+        if a == b:
+            ds = [0] * len(trs)  # Pr[X strictly below X] is 0 for the same input point
+        else:
+            for lam in (l1, l2):
+                if not order.covers(lam, sizes[lam - 1]):
+                    raise ValueError(f"order does not cover all outcomes of output {lam}") from None
+            ds = [
+                sum([
+                    p.numerator * (scale // p.denominator)
+                    for o, p in dataset.table(tr).items()
+                    if rank[l1, o[l1 - 1]] < rank[l2, o[l2 - 1]]
+                ])
+                for tr in trs
+            ]
+        realizations[a, b] = trs, ds
+        low[a, b], high[a, b] = min(ds), max(ds)
 
-    records = []
+    slacks = []
     for seq in sequences:
-        endpoint = evaluate(*seq.endpoints, True)
-        links = tuple(evaluate(a, b, False) for a, b in seq.links())
-        rhs = sum((lk.distance for lk in links), ZERO)
-        records.append(
-            ChainRecord(seq, endpoint.distance, rhs, rhs - endpoint.distance, endpoint, links)
-        )
-    return ChainReport(order, tuple(records))
+        points = seq.points
+        ends, links = (points[0], points[-1]), [*zip(points, points[1:])]
+        try:
+            slacks.append(sum([low[pair] for pair in links]) - high[ends])
+        except KeyError:  # realize the new pairs in chain order, endpoints first
+            for pair in (ends, *links):
+                if pair not in realizations:
+                    realize(*pair)
+            slacks.append(sum([low[pair] for pair in links]) - high[ends])
+    return ChainReport(order, sequences, tuple(slacks), scale, realizations)
 
 
 @dataclass(frozen=True)

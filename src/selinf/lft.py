@@ -421,9 +421,9 @@ class LftSystem:
         design = self.design
         bases = slot_bases(design)
         atoms = tuple((v, mixed_radix_digits(j, bases)) for j, v in sorted(q.items()))
-        tables = Si2Model(design, atoms).simulate().tables
-        made = (tables[tr].get(o, ZERO) for tr in design.treatments for o in design.all_outcomes())
-        return all(v == p for v, p in zip(made, P))
+        scale, sums = Si2Model(design, atoms).sums()
+        made = (sums[tr].get(o, 0) for tr in design.treatments for o in design.all_outcomes())
+        return all(v * p.denominator == p.numerator * scale for v, p in zip(made, P))
 
     def bounded(self, y):
         """sum_t y[t, h(t)] <= 0 for every assignment h, enumerated over the
@@ -558,18 +558,23 @@ class Si2Model:
         off = q_slot_offsets(self.design)[lam - 1]
         return assignment[off + w - 1]
 
-    def simulate(self) -> Dataset:
-        """Forward-simulate every treatment; reproduces MQ exactly, summed in
-        integers over the weights' common denominator."""
+    def sums(self) -> tuple[int, dict[Treatment, dict[OutcomeTuple, int]]]:
+        """The weights' common denominator, and per treatment each outcome's
+        probability times it, summed in integers over the atoms."""
         offsets = q_slot_offsets(self.design)
         scale = lcm(*(w.denominator for w, _ in self.atoms))
         atoms = [(w.numerator * (scale // w.denominator), a) for w, a in self.atoms]
-        tables: dict[Treatment, dict[OutcomeTuple, Fraction]] = {}
+        sums: dict[Treatment, dict[OutcomeTuple, int]] = {}
         for tr in self.design.treatments:
-            row: dict[OutcomeTuple, int] = defaultdict(int)
+            row = sums[tr] = defaultdict(int)
             for weight, assignment in atoms:
                 row[assignment_outcome(assignment, tr, offsets)] += weight
-            tables[tr] = {o: Fraction(v, scale) for o, v in row.items()}
+        return scale, sums
+
+    def simulate(self) -> Dataset:
+        """Forward-simulate every treatment; reproduces MQ exactly."""
+        scale, sums = self.sums()
+        tables = {tr: {o: Fraction(v, scale) for o, v in row.items()} for tr, row in sums.items()}
         return Dataset(self.design, tables)
 
 

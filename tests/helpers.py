@@ -6,6 +6,7 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
+from selinf.distances import ChainRecord, LinkEvaluation, order_distance
 from selinf.experiment import Dataset, ExperimentDesign, make_design
 
 F = Fraction
@@ -191,3 +192,33 @@ def textbook_phase_one(A: list[list[Fraction]], b: list[Fraction], degenerate_ru
                 x[bv] = rows[i][total]
         return True, x, pivots
     return False, [1 - obj[n + k] for k in range(m)], pivots
+
+
+def reference_chain_test(dataset: Dataset, order, sequences) -> tuple[ChainRecord, ...]:
+    """The chain records in `Fraction`s, each link's distances summed by
+    `order_distance`, the min and the max realization evaluated apart."""
+    pairs = {}
+    for tr in dataset.design.treatments:
+        for a in enumerate(tr, start=1):
+            for b in enumerate(tr, start=1):
+                pairs.setdefault((a, b), []).append(tr)
+
+    def evaluate(a, b, pick_max):
+        if (a, b) not in pairs:
+            raise ValueError(f"no treatment realizes the pair {a}, {b}")
+        ds = tuple(
+            (tr, ZERO if a == b else order_distance(dataset, tr, a[0], b[0], order))
+            for tr in pairs[(a, b)]
+        )
+        tr, d = (max if pick_max else min)(ds, key=lambda td: td[1])
+        return LinkEvaluation((a, b), d, tr, ds)
+
+    records = []
+    for seq in sequences:
+        endpoint = evaluate(*seq.endpoints, True)
+        links = tuple(evaluate(a, b, False) for a, b in seq.links())
+        rhs = sum((lk.distance for lk in links), ZERO)
+        records.append(
+            ChainRecord(seq, endpoint.distance, rhs, rhs - endpoint.distance, endpoint, links)
+        )
+    return tuple(records)

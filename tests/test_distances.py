@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -21,7 +22,11 @@ from selinf.errors import MarginalSelectivityError, SizeGuardError
 from selinf.experiment import Dataset, make_design, transform_outputs
 from selinf.generators import gen_classical, gen_prbox
 
-from helpers import random_ms_chsh, random_tables_dataset
+from helpers import (
+    random_ms_chsh,
+    random_tables_dataset,
+    reference_chain_test,
+)
 
 F = Fraction
 
@@ -150,7 +155,10 @@ class TestEnumeration:
 
     def test_matches_brute_force_on_small_designs(self):
         rng = random.Random(2)
-        shapes = [((2, 2), True), ((2, 2), False), ((2, 3), True), ((2, 2, 2), True), ((3, 2), False)]
+        shapes = [
+            ((2, 2), True), ((2, 2), False), ((2, 3), True), ((2, 2, 2), True), ((3, 2), False),
+            ((3, 3), True), ((2, 3, 2), True), ((4, 2), True),
+        ]
         for k, factorial in shapes:
             m = tuple(2 for _ in k)
             design = make_design(k, m)
@@ -188,10 +196,36 @@ class TestEnumeration:
         with pytest.raises(ValueError, match="full factorial"):
             enumerate_tetradic_sequences(design)
 
+    def test_no_three_chains_on_factorial_designs(self):
+        assert enumerate_irreducible_sequences(make_design((3, 2, 2), (2, 2, 2)), max_len=3) == []
+
     def test_sequence_guard(self):
         design = make_design((2, 2, 2), (2, 2, 2))
         with pytest.raises(SizeGuardError, match="sequence_guard"):
             enumerate_irreducible_sequences(design, max_len=4, sequence_guard=5)
+
+    def test_sequence_guard_boundary(self):
+        # a count equal to the guard is accepted and one more is refused, on
+        # the tetrads' closed form and on the search alike
+        factorial = make_design((3, 2, 2), (2, 2, 2))
+        restricted = make_design((3, 2, 2), (2, 2, 2), treatments=factorial.treatments[1:])
+        for design in (factorial, restricted):
+            count = len(enumerate_irreducible_sequences(design, max_len=6))
+            assert count > 1
+            got = enumerate_irreducible_sequences(design, max_len=6, sequence_guard=count)
+            assert len(got) == count
+            with pytest.raises(SizeGuardError, match=f"more than {count - 1} "):
+                enumerate_irreducible_sequences(design, max_len=6, sequence_guard=count - 1)
+
+    def test_huge_max_len_stops_at_the_point_count(self):
+        # no irreducible chain repeats a point, so the search ends at the
+        # point count whatever max_len asks for
+        design = make_design((3, 3, 3), (2, 2, 2))
+        design = make_design((3, 3, 3), (2, 2, 2), treatments=design.treatments[::3] + design.treatments[1::3])
+        want = enumerate_irreducible_sequences(design, max_len=len(design.input_points()))
+        start = time.perf_counter()
+        assert enumerate_irreducible_sequences(design, max_len=10**9) == want
+        assert time.perf_counter() - start < 1
 
     def test_link_treatments_attached(self):
         # every link of an enumerated chain, endpoint link first, is reported
@@ -292,6 +326,45 @@ class TestChain:
             before = chain_test(ds, order, seqs)
             after = chain_test(relabeled, new_order, seqs)
             assert [r.slack for r in before.records] == [r.slack for r in after.records]
+
+    def test_matches_fraction_reference(self):
+        # integer slacks and lazily built records against the Fraction
+        # reference, on enumerated chains and on random realizable walks of
+        # length 3-6, which may repeat a point
+        rng = random.Random(29)
+        for trial in range(60):
+            k = tuple(rng.randint(1, 3) for _ in range(rng.randint(2, 3)))
+            design = make_design(k, tuple(rng.randint(2, 3) for _ in k))
+            if trial % 2:
+                full = design.treatments
+                design = make_design(k, design.outcome_sizes, rng.sample(full, len(full) * 2 // 3 or 1))
+            if trial % 3 == 0:
+                ds, _ = gen_classical(design, seed=rng.randrange(10**9))
+            else:
+                ds = random_tables_dataset(design, rng)
+            seqs = enumerate_irreducible_sequences(design, max_len=6)
+            near = {}
+            for tr in design.treatments:
+                for a in enumerate(tr, start=1):
+                    near.setdefault(a, set()).update(enumerate(tr, start=1))
+            for _ in range(60):
+                walk = [rng.choice(sorted(near))]
+                for _ in range(rng.randint(2, 5)):
+                    walk.append(rng.choice(sorted(near[walk[-1]])))
+                if walk[0] != walk[-1] and walk[-1] in near[walk[0]]:
+                    seqs.append(InputPointSequence(tuple(walk)))
+            orders = [preset_order(design, "d1"), preset_order(design, "d2"), random_order(design, rng)]
+            for order in orders:
+                report = chain_test(ds, order, seqs)
+                want = reference_chain_test(ds, order, seqs)
+                assert report.failures() == tuple(r for r in want if not r.passed)
+                assert report.passed == all(r.passed for r in want)
+                assert report.records == want
+                for rec in report.failures() + report.records:
+                    values = [rec.lhs, rec.rhs, rec.slack]
+                    for link in (rec.endpoint, *rec.links):
+                        values += [link.distance, *(d for _, d in link.evaluated)]
+                    assert all(type(v) is Fraction for v in values)
 
     def test_min_realization_rule_reported(self):
         # non-marginally-selective data: the same link pair has two realizing
