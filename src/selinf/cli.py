@@ -12,6 +12,7 @@ ruled out, 2 = usage or parse error (including guard breaches).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -89,10 +90,7 @@ def _parse_orders(args, design) -> list[OrderRelation]:
     return orders
 
 
-def _stage_marginal(dataset, args):
-    report = check_marginal_selectivity(
-        dataset, comparison_guard=args.marginal_guard
-    )
+def _stage_marginal(report):
     detail = {
         "comparisons": report.comparisons,
         "violations": [
@@ -109,9 +107,9 @@ def _stage_marginal(dataset, args):
     return status, text, detail
 
 
-def _stage_fine(dataset):
+def _stage_fine(dataset, marginal_report):
     try:
-        report = fine_inequalities(dataset)
+        report = fine_inequalities(dataset, marginal_report=marginal_report)
     except ValueError as exc:
         return "skip", str(exc), {}
     detail = {
@@ -190,8 +188,8 @@ def _stage_cosphericity(dataset, args):
     return ("pass" if result.passed else "fail"), text, detail
 
 
-def _stage_lft(dataset, args):
-    verdict = run_lft(dataset, column_guard=args.column_guard)
+def _stage_lft(dataset, args, validation_report):
+    verdict = run_lft(dataset, column_guard=args.column_guard, validation_report=validation_report)
     detail = verdict.to_json_dict()
     if verdict.feasible:
         atoms = len(verdict.witness.support())
@@ -206,11 +204,11 @@ def cmd_test(args) -> int:
         print(f"{args.file}: invalid dataset: {vreport.summary()}", file=sys.stderr)
         return 2
 
-    stages = []
-    stages.append(("marginal-selectivity", *_stage_marginal(dataset, args)))
-    ms_ok = stages[-1][1] == "pass"
-    if ms_ok:
-        stages.append(("fine-inequalities", *_stage_fine(dataset)))
+    # the later stages are handed these two reports instead of checking again
+    mreport = check_marginal_selectivity(dataset, comparison_guard=args.marginal_guard)
+    stages = [("marginal-selectivity", *_stage_marginal(mreport))]
+    if mreport.passed:
+        stages.append(("fine-inequalities", *_stage_fine(dataset, mreport)))
     else:
         stages.append(
             ("fine-inequalities", "skip", "marginal selectivity failed", {})
@@ -220,7 +218,7 @@ def cmd_test(args) -> int:
     if args.no_lft:
         stages.append(("lft", "skip", "disabled with --no-lft", {}))
     else:
-        stages.append(("lft", *_stage_lft(dataset, args)))
+        stages.append(("lft", *_stage_lft(dataset, args, vreport)))
 
     failed = [s for s in stages if s[1] == "fail"]
     verdict = "ruled-out" if failed else "consistent"
@@ -360,10 +358,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser `main` builds on its first call and reuses: it keeps no
+    per-request state, since `parse_args` returns a new namespace each time."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

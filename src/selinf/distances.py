@@ -35,6 +35,7 @@ from .errors import MarginalSelectivityError, SizeGuardError
 from .experiment import (
     Dataset,
     ExperimentDesign,
+    MarginalReport,
     Treatment,
     ZERO,
     check_marginal_selectivity,
@@ -426,22 +427,25 @@ class FineReport:
         )
 
 
-def fine_inequalities(dataset: Dataset) -> FineReport:
+def fine_inequalities(
+    dataset: Dataset, *, marginal_report: MarginalReport | None = None
+) -> FineReport:
     """The four double inequalities bounding, within [-1, 0], the sum of all
     p(1,1|i,j) minus twice one of them minus two marginals.
 
     Applies to the 2-input, 2-value, binary-outcome full-factorial design and
-    needs marginal selectivity (checked; the marginals are otherwise
-    ill-defined).  The family subtracting p(1,1|1,2) comes first; its two
-    bounds are jointly equivalent to the canonical-tetrad chain pair under
-    the two preset orders.
+    needs marginal selectivity (the marginals are otherwise ill-defined): the
+    caller's `check_marginal_selectivity` report of it if given, else a fresh
+    check.  The family subtracting p(1,1|1,2) comes first; its two bounds are
+    jointly equivalent to the canonical-tetrad chain pair under the two
+    preset orders.
     """
     design = dataset.design
     if not design.is_2x2 or design.outcome_sizes != (2, 2):
         raise ValueError(
             "Fine battery needs the 2-input, 2-value, binary-outcome full factorial design"
         )
-    ms = check_marginal_selectivity(dataset)
+    ms = marginal_report if marginal_report is not None else check_marginal_selectivity(dataset)
     if not ms.passed:
         raise MarginalSelectivityError(
             "Fine battery needs marginal selectivity", ms

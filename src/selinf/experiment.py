@@ -14,7 +14,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, product
-from math import comb, prod
+from math import comb, lcm, prod
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import SizeGuardError
@@ -303,10 +303,6 @@ def validate_dataset(dataset: Dataset) -> ValidationReport:
     return ValidationReport(tuple(breaches))
 
 
-def _subset_key(outcome: OutcomeTuple, lam_list: Sequence[int]) -> OutcomeTuple:
-    return tuple(outcome[lam - 1] for lam in lam_list)
-
-
 def marginal(dataset: Dataset, treatment, subset: Iterable[int]) -> dict[OutcomeTuple, Fraction]:
     """Exact marginal of one treatment's table over a nonempty subset of inputs.
 
@@ -323,14 +319,15 @@ def marginal(dataset: Dataset, treatment, subset: Iterable[int]) -> dict[Outcome
         raise ValueError(f"subset {lam_list} out of range")
     out: dict[OutcomeTuple, Fraction] = defaultdict(lambda: ZERO)
     for outcome, p in dataset.table(tr).items():
-        out[_subset_key(outcome, lam_list)] += p
+        out[tuple([outcome[lam - 1] for lam in lam_list])] += p
     return {k: v for k, v in out.items() if v != 0}
 
 
 def marginal_discrepancy(
     ma: Mapping[OutcomeTuple, Fraction], mb: Mapping[OutcomeTuple, Fraction]
 ) -> Fraction:
-    """Largest |difference| between two marginals; a missing key is zero."""
+    """Largest |difference| between two marginals, in Fractions or in integers
+    over one scale; a missing key is zero."""
     return max(
         (abs(ma.get(key, ZERO) - mb.get(key, ZERO)) for key in set(ma) | set(mb)),
         default=ZERO,
@@ -356,6 +353,39 @@ class MarginalReport:
         return not self.violations
 
 
+def scaled_tables(dataset: Dataset, treatments: Iterable[Treatment]) -> tuple[int, dict]:
+    """The lcm of the denominators in the tables of `treatments`, read in that
+    order, and each of those tables as (outcome, probability times it) pairs."""
+    tables = {tr: dataset.table(tr).items() for tr in treatments}
+    scale = lcm(*(p.denominator for table in tables.values() for _, p in table))
+    return scale, {
+        tr: [(o, p.numerator * (scale // p.denominator)) for o, p in table]
+        for tr, table in tables.items()
+    }
+
+
+def compare_marginals(
+    scale: int, tables: Mapping, lam_list: tuple[int, ...], group, pairs
+) -> tuple[dict[Treatment, dict[OutcomeTuple, int]], list[MarginalViolation]]:
+    """The marginal over the sorted inputs `lam_list` of each treatment of
+    `group`, summed once in integers from `scaled_tables`, zeros dropped; and
+    a violation for each of `pairs` whose marginals differ, the only place a
+    Fraction is built."""
+    margs = {}
+    for tr in group:
+        out: dict[OutcomeTuple, int] = defaultdict(int)
+        for outcome, v in tables[tr]:
+            out[tuple([outcome[lam - 1] for lam in lam_list])] += v
+        margs[tr] = {key: v for key, v in out.items() if v}
+    return margs, [
+        MarginalViolation(
+            lam_list, ta, tb, Fraction(marginal_discrepancy(margs[ta], margs[tb]), scale)
+        )
+        for ta, tb in pairs
+        if margs[ta] != margs[tb]
+    ]
+
+
 def check_marginal_selectivity(
     dataset: Dataset, comparison_guard: int = 10**6
 ) -> MarginalReport:
@@ -363,7 +393,8 @@ def check_marginal_selectivity(
     treatments agreeing on it, the exact subset marginals.
 
     If the number of (subset, pair) comparisons exceeds `comparison_guard`,
-    raises SizeGuardError.
+    raises SizeGuardError before any table is read.  The marginals are
+    compared in integers, by `compare_marginals`.
     """
     design = dataset.design
     n = design.n
@@ -383,14 +414,12 @@ def check_marginal_selectivity(
             f"(CLI: --marginal-guard) to run anyway"
         )
 
+    read = dict.fromkeys(tr for _, groups in groups_per_subset for g in groups for tr in g)
+    scale, tables = scaled_tables(dataset, read)
     violations: list[MarginalViolation] = []
     for lam_list, groups in groups_per_subset:
-        for group in groups:
-            margs = {tr: marginal(dataset, tr, lam_list) for tr in group}
-            for ta, tb in combinations(group, 2):
-                worst = marginal_discrepancy(margs[ta], margs[tb])
-                if worst != 0:
-                    violations.append(MarginalViolation(lam_list, ta, tb, worst))
+        for g in groups:
+            violations += compare_marginals(scale, tables, lam_list, g, combinations(g, 2))[1]
     return MarginalReport(tuple(violations), total, max(1, n - 1))
 
 

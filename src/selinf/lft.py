@@ -42,13 +42,13 @@ from .experiment import (
     Dataset,
     ExperimentDesign,
     MarginalReport,
-    MarginalViolation,
     OutcomeTuple,
     Treatment,
+    ValidationReport,
     ZERO,
-    marginal,
-    marginal_discrepancy,
+    compare_marginals,
     parse_index,
+    scaled_tables,
     validate_dataset,
 )
 from .io import format_exact
@@ -181,9 +181,13 @@ def assignment_outcome(
     return tuple(assignment[off + j - 1] for off, j in zip(offsets, treatment))
 
 
-def build_p_vector(dataset: Dataset) -> PVector:
-    """Stack the dataset's exact probabilities into canonical flat order."""
-    report = validate_dataset(dataset)
+def build_p_vector(
+    dataset: Dataset, *, validation_report: ValidationReport | None = None
+) -> PVector:
+    """Stack the dataset's exact probabilities into canonical flat order.
+    Refuses invalid data, by the caller's `validate_dataset` report of it if
+    given, else by validating it here."""
+    report = validation_report if validation_report is not None else validate_dataset(dataset)
     if not report.valid:
         raise ValueError(f"invalid dataset: {report.summary()}")
     design = dataset.design
@@ -521,9 +525,15 @@ def collins_gisin_rows(design: ExperimentDesign) -> list[int]:
     ]
 
 
-def run_lft(dataset: Dataset, column_guard: int = COLUMN_GUARD) -> LftVerdict:
+def run_lft(
+    dataset: Dataset,
+    column_guard: int = COLUMN_GUARD,
+    *,
+    validation_report: ValidationReport | None = None,
+) -> LftVerdict:
     """Run the feasibility test on a valid dataset.
 
+    `validation_report` goes to `build_p_vector`, which refuses invalid data.
     The system is `LftSystem`, so M is never built.  Phase one runs on the
     rows `collins_gisin_rows` picks, and the result is verified against every
     row.  An infeasible verdict there holds for all of M.  A witness from
@@ -532,7 +542,7 @@ def run_lft(dataset: Dataset, column_guard: int = COLUMN_GUARD) -> LftVerdict:
     on every row.  Any other verification failure would be an internal error
     and raises RuntimeError.
     """
-    p = list(build_p_vector(dataset).values)
+    p = list(build_p_vector(dataset, validation_report=validation_report).values)
     m = LftSystem(dataset.design, column_guard)
     result = solve_equality_feasibility(m, p, collins_gisin_rows(dataset.design))
     verified = verify_certificate(m, p, result)
@@ -605,14 +615,14 @@ def restrict_design(dataset: Dataset, subset) -> Dataset:
         raise ValueError(f"subset {lam_list} out of range")
 
     groups = design.treatment_groups(lam_list)
-    violations = []
-    margs: dict[Treatment, dict[OutcomeTuple, Fraction]] = {}
-    for proj, (ref_tr, *others) in groups.items():
-        ref = margs[proj] = marginal(dataset, ref_tr, lam_list)
-        for tr in others:
-            worst = marginal_discrepancy(ref, marginal(dataset, tr, lam_list))
-            if worst != 0:
-                violations.append(MarginalViolation(lam_list, ref_tr, tr, worst))
+    scale, tables = scaled_tables(dataset, (tr for group in groups.values() for tr in group))
+    margs, violations = {}, []
+    for proj, (ref, *others) in groups.items():
+        found, broken = compare_marginals(
+            scale, tables, lam_list, (ref, *others), [(ref, tr) for tr in others]
+        )
+        margs[proj] = {o: Fraction(v, scale) for o, v in found[ref].items()}
+        violations += broken
     if violations:
         comparisons = sum(len(members) - 1 for members in groups.values())
         report = MarginalReport(tuple(violations), comparisons, len(lam_list))
@@ -625,4 +635,4 @@ def restrict_design(dataset: Dataset, subset) -> Dataset:
         tuple(design.outputs[l - 1] for l in lam_list),
         tuple(groups.keys()),
     )
-    return Dataset(new_design, {proj: margs[proj] for proj in groups})
+    return Dataset(new_design, margs)

@@ -5,9 +5,19 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 
 from selinf.distances import ChainRecord, LinkEvaluation, order_distance
-from selinf.experiment import Dataset, ExperimentDesign, make_design
+from selinf.errors import SizeGuardError
+from selinf.experiment import (
+    Dataset,
+    ExperimentDesign,
+    MarginalReport,
+    MarginalViolation,
+    make_design,
+    marginal,
+    marginal_discrepancy,
+)
 
 F = Fraction
 ZERO = F(0)
@@ -222,3 +232,33 @@ def reference_chain_test(dataset: Dataset, order, sequences) -> tuple[ChainRecor
             ChainRecord(seq, endpoint.distance, rhs, rhs - endpoint.distance, endpoint, links)
         )
     return tuple(records)
+
+
+def reference_check_marginal_selectivity(
+    dataset: Dataset, comparison_guard: int = 10**6
+) -> MarginalReport:
+    """The marginal-selectivity report in `Fraction`s: every treatment's
+    marginal built by `marginal`, every pair compared by `marginal_discrepancy`."""
+    design = dataset.design
+    n = design.n
+
+    groups_per_subset = []
+    total = 0
+    for size in range(1, n):
+        for lam_list in combinations(range(1, n + 1), size):
+            multi = [g for g in design.treatment_groups(lam_list).values() if len(g) > 1]
+            total += sum(comb(len(g), 2) for g in multi)
+            if multi:
+                groups_per_subset.append((lam_list, multi))
+    if total > comparison_guard:
+        raise SizeGuardError(f"needs {total} comparisons (guard {comparison_guard})")
+
+    violations = []
+    for lam_list, groups in groups_per_subset:
+        for group in groups:
+            margs = {tr: marginal(dataset, tr, lam_list) for tr in group}
+            for ta, tb in combinations(group, 2):
+                worst = marginal_discrepancy(margs[ta], margs[tb])
+                if worst != 0:
+                    violations.append(MarginalViolation(lam_list, ta, tb, worst))
+    return MarginalReport(tuple(violations), total, max(1, n - 1))

@@ -1,7 +1,11 @@
 import json
 import random
+from collections import Counter
 from fractions import Fraction
 
+import pytest
+
+from selinf import cli, distances, experiment, lft
 from selinf.cli import main
 from selinf.experiment import Dataset, make_design
 from selinf.generators import gen_classical, gen_ghz, gen_prbox
@@ -277,3 +281,65 @@ class TestGenerate:
             assert main(["validate", str(path)]) == 0
             assert main(["test", str(path)]) == want
         capsys.readouterr()
+
+
+class TestOneProcess:
+    """Many requests through one `main`, as the benchmark and library callers send them."""
+
+    @staticmethod
+    def _run(argvs, capsys):
+        results = []
+        for argv in argvs:
+            code = main(argv)
+            results.append((code, *capsys.readouterr()))
+        return results
+
+    def test_requests_stay_independent(self, tmp_path, capsys, monkeypatch):
+        path = write(tmp_path, "pr.json", gen_prbox())
+        argvs = [
+            ["test", path, "--no-lft"],
+            ["test", path, "--orders", "d2"],
+            ["test", path, "--tol", "nan"],
+            ["validate", path],
+            ["generate", "prbox"],
+            ["test", "--help"],
+            ["test", path],
+        ]
+        fresh = cli.build_parser
+        built = []
+
+        def spy():
+            built.append(1)
+            return fresh()
+
+        monkeypatch.setattr(cli, "build_parser", spy)
+        cli._parser.cache_clear()
+        reused = self._run(argvs, capsys)
+        assert len(built) == 1
+        assert [code for code, _, _ in reused] == [1, 1, 2, 0, 0, 0, 1]
+        # the same calls, each on a parser of its own
+        monkeypatch.setattr(cli, "_parser", fresh)
+        assert self._run(argvs, capsys) == reused
+        assert len(built) == 1
+
+    @pytest.mark.parametrize("ks, ms", [((2, 2), (2, 2)), ((2, 2, 2), (2, 2, 2))])
+    def test_each_check_runs_once_per_request(self, tmp_path, capsys, monkeypatch, ks, ms):
+        ds, _ = gen_classical(make_design(ks, ms), seed=11)
+        path = write(tmp_path, "classical.json", ds)
+        calls = Counter()
+        for name in ("check_marginal_selectivity", "validate_dataset"):
+            original = getattr(experiment, name)
+
+            def spy(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            for module in (cli, distances, lft):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, spy)
+        for request in range(1, 3):
+            assert main(["test", path, "--json"]) == 0
+            stages = {s["name"]: s["status"] for s in json.loads(capsys.readouterr().out)["stages"]}
+            assert stages["lft"] == "pass"
+            assert stages["fine-inequalities"] == ("pass" if ks == (2, 2) else "skip")
+            assert calls == {"check_marginal_selectivity": request, "validate_dataset": request}

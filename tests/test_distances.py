@@ -19,7 +19,7 @@ from selinf.distances import (
     random_order,
 )
 from selinf.errors import MarginalSelectivityError, SizeGuardError
-from selinf.experiment import Dataset, make_design, transform_outputs
+from selinf.experiment import Dataset, check_marginal_selectivity, make_design, transform_outputs
 from selinf.generators import gen_classical, gen_prbox
 
 from helpers import (
@@ -426,8 +426,14 @@ class TestFine:
             p1 = F(1, 2) if (i, j) != (1, 2) else F(1, 3)
             tables[(i, j)] = {(1, 1): p1 * F(1, 2), (1, 2): p1 * F(1, 2),
                               (2, 1): (1 - p1) * F(1, 2), (2, 2): (1 - p1) * F(1, 2)}
+        ds = Dataset(design, tables)
         with pytest.raises(MarginalSelectivityError):
-            fine_inequalities(Dataset(design, tables))
+            fine_inequalities(ds)
+        # a failing report handed over by the caller is refused the same way
+        report = check_marginal_selectivity(ds)
+        with pytest.raises(MarginalSelectivityError) as exc:
+            fine_inequalities(ds, marginal_report=report)
+        assert exc.value.report is report
 
 
 class TestAxioms:

@@ -19,7 +19,11 @@ from selinf.experiment import (
 )
 from selinf.generators import gen_classical, gen_prbox
 
-from helpers import random_small_design, random_tables_dataset
+from helpers import (
+    random_small_design,
+    random_tables_dataset,
+    reference_check_marginal_selectivity,
+)
 
 F = Fraction
 
@@ -218,6 +222,47 @@ class TestMarginalSelectivity:
         with pytest.raises(SizeGuardError, match="comparison_guard"):
             check_marginal_selectivity(pr, comparison_guard=3)
         assert check_marginal_selectivity(pr, comparison_guard=4).passed
+        # the guard is checked before any table is read
+        tableless = Dataset(pr.design, {})
+        with pytest.raises(SizeGuardError, match="comparison_guard"):
+            check_marginal_selectivity(tableless, comparison_guard=3)
+        with pytest.raises(ValueError, match="no table"):
+            check_marginal_selectivity(tableless, comparison_guard=4)
+
+    @staticmethod
+    def _counts_dataset(ds: Dataset, rng: random.Random) -> Dataset:
+        """Relative frequencies of a few draws per treatment from ds's tables:
+        each table's denominator is its own sample size."""
+        tables = {}
+        for tr, table in ds.tables.items():
+            draws = rng.choices(list(table), weights=[float(p) for p in table.values()], k=rng.randint(1, 40))
+            tables[tr] = {o: F(draws.count(o), len(draws)) for o in set(draws)}
+        return Dataset(ds.design, tables)
+
+    def test_matches_fraction_reference(self):
+        rng = random.Random(59)
+        cases = [gen_prbox()]
+        for i in range(60):
+            design = random_small_design(rng, max_n=4, factorial=i % 2 == 0)
+            if design.n == 1:
+                continue
+            classical, _ = gen_classical(design, seed=rng.randrange(10**9), max_support=6)
+            cases += [
+                classical,
+                self._counts_dataset(classical, rng),
+                # one table per treatment, each over its own denominator
+                random_tables_dataset(design, rng, denom=rng.choice((3, 12, 97))),
+            ]
+        passed = set()
+        for ds in cases:
+            want = reference_check_marginal_selectivity(ds)
+            assert check_marginal_selectivity(ds) == want
+            passed.add(want.passed)
+            total = want.comparisons
+            assert check_marginal_selectivity(ds, comparison_guard=total) == want
+            with pytest.raises(SizeGuardError):
+                check_marginal_selectivity(ds, comparison_guard=total - 1)
+        assert passed == {True, False}
 
 
 class TestTransformOutputs:

@@ -5,7 +5,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from selinf.errors import MarginalSelectivityError, SizeGuardError
-from selinf.experiment import Dataset, check_marginal_selectivity, make_design, transform_outputs
+from selinf.experiment import (
+    Dataset,
+    check_marginal_selectivity,
+    make_design,
+    transform_outputs,
+    validate_dataset,
+)
 from selinf.generators import gen_classical, gen_ghz, gen_prbox
 from selinf.lft import (
     LftSystem,
@@ -198,6 +204,9 @@ class TestRunLft:
         ds = Dataset(design, {(1,): {(1,): F(2)}})
         with pytest.raises(ValueError, match="invalid dataset"):
             run_lft(ds)
+        # so is the caller's report of it
+        with pytest.raises(ValueError, match="invalid dataset"):
+            run_lft(ds, validation_report=validate_dataset(ds))
 
     def test_necessity_fuzz(self):
         rng = random.Random(17)
