@@ -10,14 +10,14 @@ value most significant.  M(r, c) = 1 exactly when column c's assignment
 produces row r's outcomes under row r's treatment, so each column has one 1
 per treatment.
 
-`run_lft` never builds M.  `LftSystem` derives from the design what the
-solver reads: fix an assignment's front, its slots for inputs 1..n-1, and
-the last input's slots are independent, so pricing, presolve and the Farkas
-bound come from per-front tables.  Verification simulates a witness's atoms,
-or enumerates the assignments against a Farkas vector.  `build_jdc_matrix`
-still builds M, row (t, o) as the Kronecker product of the rows (t_i, o_i)
-of per-input matrices M_i, for library callers and as the reference the
-tests hold `LftSystem` to.
+`run_lft` never builds M.  `LftSystem` is the one system the solver reads,
+derived from the design: fix an assignment's front, its slots for inputs
+1..n-1, and the last input's slots are independent, so pricing, presolve and
+the Farkas bound come from per-front tables.  Verification simulates a
+witness's atoms, or enumerates the assignments against a Farkas vector.
+`build_jdc_matrix` builds M as stored entries, row (t, o) as the Kronecker
+product of the rows (t_i, o_i) of per-input matrices M_i, for library
+callers and for checks by plain arithmetic; no solver reads it.
 
 Many rows of M are redundant.  Phase one uses only the rows that
 `collins_gisin_rows` picks from the design, which span M on any treatment
@@ -286,23 +286,31 @@ class LftSystem:
             self._cells.append(cells)
 
     def presolve(self, P: list[Fraction]) -> Presolve:
-        """`SparseMatrix.presolve` on M, decided from the zero cells.
+        """Decide the zero rows before phase one, by this rule: sweep the rows
+        in order twice, skipping settled ones.  A row that meets no live
+        column (one not forced to zero) is settled if its P-component is 0,
+        and otherwise proves infeasibility and ends presolve.  A row with
+        P-component 0 that meets a live column fires: its columns are forced
+        to zero and it is settled.  Unless presolve ends first, the first
+        sweep settles every zero row, so the forced columns are those that
+        meet a zero row, and the second sweep finds the positive rows that
+        this emptied.
 
-        Every entry of M is +1, so a row with P = 0 fires if it still has a
-        live column, and its cell (t, o) forbids every h with h(t) = o.  Let
-        kill(h) be the first zero row h meets (nrows if none) and maxkill(r)
-        the largest kill(h) over the h that meet row r.  A row with P > 0 has
-        no live column when the first sweep reaches it iff maxkill(r) < r, and
-        in the second sweep iff maxkill(r) < nrows.  A zero row fires iff
-        maxkill(r) = r: some h of it meets no earlier zero row.  maxkill
-        separates per front: the max over a of a min over the last slots is
-        the min over the slots of each slot's max.
+        It is decided from the zero cells: row (t, o) with P = 0 forbids
+        every h with h(t) = o.  Let kill(h) be the first zero row h meets
+        (nrows if none) and maxkill(r) the largest kill(h) over the h that
+        meet row r.  A row with P > 0 has no live column when the first sweep
+        reaches it iff maxkill(r) < r, and in the second sweep iff
+        maxkill(r) < nrows.  A zero row fires iff maxkill(r) = r: some h of
+        it meets no earlier zero row.  maxkill separates per front: the max
+        over a of a min over the last slots is the min over the slots of
+        each slot's max.
         """
         if any(p < 0 for p in P):
             raise ValueError("P has a negative entry")
         zero = frozenset(i for i, p in enumerate(P) if not p)
         if not zero:
-            return Presolve(-1, zero, (), zero)
+            return Presolve(-1, zero, ())
         end = self.nrows
         kill = [end if p else i for i, p in enumerate(P)]
         maxkill = [-1] * end
@@ -322,7 +330,7 @@ class LftSystem:
             row = next((i for i in positive if maxkill[i] < end), -1)
             limit = end
         fired = tuple(i for i in sorted(zero) if i < limit and maxkill[i] == i)
-        return Presolve(row, zero, fired, zero)
+        return Presolve(row, zero, fired)
 
     def phase_one(self, P, kept_rows, pre):
         """`simplex` priced by exact min-sum over each front's last slots.
@@ -342,7 +350,7 @@ class LftSystem:
         for f, cells in enumerate(self._cells):
             slots = []
             for cw in cells:
-                allowed = [a for a, rows in enumerate(cw) if pre.dropped.isdisjoint(rows)]
+                allowed = [a for a, rows in enumerate(cw) if pre.zero_rows.isdisjoint(rows)]
                 slots.append((allowed, [[position[r] for r in cw[a] if r in position] for a in allowed]))
             if all(allowed for allowed, _ in slots):
                 tables.append((f, slots))
@@ -390,6 +398,7 @@ class LftSystem:
         return True, tuple(witness), pivots
 
     def farkas(self, kept_y, pre):
+        """y on the kept rows, and -K (`_farkas_bound`) on each fired row."""
         y = [kept_y.get(i, ZERO) for i in range(self.nrows)]
         if pre.fired:
             # a presolve-decided y is 1 on one row whose columns the fired
@@ -400,16 +409,19 @@ class LftSystem:
         return tuple(y)
 
     def _farkas_bound(self, kept_y, pre) -> Fraction:
-        """`SparseMatrix.farkas`'s K: at least 1, and y'M_h over the number of
-        fired rows h meets for every dropped column h with y'M_h > 0.  The
-        one place that enumerates the dropped columns."""
+        """The least K >= 1 with y'M_h <= K * (fired rows h meets) for every
+        forced column h: phase one bounds y'M on the live columns only.  It
+        is the largest of 1 and y'M_h over the fired rows h meets, over the
+        forced h with y'M_h > 0; h meets at least one, since the first zero
+        row h meets found h live and fired.  The one place that enumerates
+        the forced columns."""
         scale, y = scaled_integers(kept_y)
         fired = set(pre.fired)
         top, under = scale, 1  # K = top / (under * scale)
         for cells in self._cells:
             sums = [
                 [(sum([y.get(r, 0) for r in rows]), len(fired.intersection(rows)),
-                  not pre.dropped.isdisjoint(rows)) for rows in cw]
+                  not pre.zero_rows.isdisjoint(rows)) for rows in cw]
                 for cw in cells
             ]
             for h in product(*sums):

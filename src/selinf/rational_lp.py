@@ -8,25 +8,26 @@ every input and is deterministic: identical inputs give identical witnesses
 and pivot counts.  Its state is the basis inverse and the artificial reduced
 costs times d, the last pivot, all integers (Edmonds' integer-preserving
 pivoting); it forms no full tableau.  `simplex` is that one ratio-test and
-update core; the system it solves supplies pricing and the entering column.
-The system becomes integer by scaling every row by one positive number and
-every variable by another; the witness is scaled back, and a Farkas vector of
-the scaled rows is one of the original rows, since one positive row scale
-changes no sign of y'M or y'P.  Phase one may run on a subset of the rows that
+update core, on any integer system; the system it solves supplies pricing
+and the entering column.  Phase one may run on a subset of the rows that
 implies the others (a row basis, see `solve_equality_feasibility`).
 Infeasibility comes with a Farkas vector y (y'M <= 0, y'P > 0) read off the
 optimal phase-one duals, so every verdict is self-verifying via
 `verify_certificate`.
 
-M is any `LinearSystem`: `SparseMatrix` stores its entries, and the LFT's
-`lft.LftSystem` derives them from the experiment's design.
+M is the LFT's 0/1 matrix as `lft.LftSystem` derives it from the
+experiment's design, and P >= 0.  `SparseMatrix` stores a matrix's entries,
+as `lft.build_jdc_matrix` builds M; the solver does not read it.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Callable, Collection, Iterable, NamedTuple, Protocol, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence
+
+if TYPE_CHECKING:
+    from .lft import LftSystem
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -49,44 +50,18 @@ class FeasibilityResult:
 
 
 class Presolve(NamedTuple):
-    """What a system's presolve decided before phase one.
+    """What presolve decided before phase one.
 
-    `infeasible_row` is the row that proves infeasibility alone (no live
-    column, P-component nonzero), or -1.  `settled` rows leave phase one;
-    `fired` rows forced their live columns to zero.  `dropped` records the
-    columns forced to zero in the system's own form.
+    `infeasible_row` is a row with P-component nonzero that meets no live
+    column, which proves infeasibility alone, or -1.  `zero_rows` are the
+    rows with P-component 0: they leave phase one, and every column that
+    meets one is forced to zero.  `fired` are the zero rows that still met a
+    live column when presolve reached them.
     """
 
     infeasible_row: int
-    settled: Collection[int]
+    zero_rows: frozenset[int]
     fired: tuple[int, ...]
-    dropped: object
-
-
-class LinearSystem(Protocol):
-    """What `solve_equality_feasibility` and `verify_certificate` read of M."""
-
-    nrows: int
-    ncols: int
-
-    def presolve(self, P: list[Fraction]) -> Presolve:
-        """Settle rows and force columns to zero before phase one."""
-
-    def phase_one(
-        self, P: list[Fraction], kept_rows: list[int], pre: Presolve
-    ) -> tuple[bool, tuple[Fraction, ...] | dict[int, Fraction], int]:
-        """`simplex` on the kept rows and live columns: (True, the witness
-        over all columns, pivots) or (False, phase-one y by kept row, pivots)."""
-
-    def farkas(self, kept_y: dict[int, Fraction], pre: Presolve) -> tuple[Fraction, ...]:
-        """A Farkas vector of every row from y on the kept rows, the fired
-        rows weighted so that y'M <= 0 holds on the dropped columns too."""
-
-    def reproduces(self, q: dict[int, Fraction], P: list[Fraction]) -> bool:
-        """MQ = P, Q given by its nonzero entries."""
-
-    def bounded(self, y: dict[int, Fraction]) -> bool:
-        """y'M <= 0, y given by its nonzero entries."""
 
 
 def scaled_integers(vector: dict[int, Fraction]) -> tuple[int, dict[int, int]]:
@@ -149,107 +124,6 @@ class SparseMatrix:
             for j, v in row:
                 dense[i][j] = v
         return dense
-
-    def presolve(self, P: list[Fraction]) -> Presolve:
-        """Settle rows in two sweeps over the rows in order, skipping settled
-        ones.  A row with no live (undropped) column is settled if its
-        P-component is 0 and proves infeasibility otherwise.  A row with
-        P-component 0 whose entries all share one sign fires: its live columns
-        are dropped (forced to zero) and it is settled.  Two sweeps reach the
-        fixpoint: whether a row can fire depends only on its P-component and
-        its entries' signs, so every firing happens in the first sweep;
-        dropping columns can only empty rows, which the second sweep settles,
-        and settling drops nothing more."""
-        rows = self.rows
-        settled = [False] * self.nrows
-        fired: list[int] = []
-        dropped: set[int] = set()
-        infeasible_row = -1
-        for i in 2 * list(range(self.nrows)):
-            if settled[i]:
-                continue
-            row = rows[i]
-            live = [c for c, _ in row if c not in dropped]
-            if not live:
-                if P[i] != 0:
-                    infeasible_row = i
-                    break
-                settled[i] = True
-            elif P[i] == 0:
-                # a Fraction's denominator is positive, so its numerator carries the sign
-                positive = row[0][1].numerator > 0
-                if all((v.numerator > 0) == positive for _, v in row):
-                    settled[i] = True
-                    fired.append(i)
-                    dropped.update(live)
-        return Presolve(
-            infeasible_row, {i for i, s in enumerate(settled) if s}, tuple(fired), dropped
-        )
-
-    def phase_one(self, P, kept_rows, pre):
-        # integer system: scale_a scales every row alike, scale_b every variable
-        dropped = pre.dropped
-        kept_cols = [j for j in range(self.ncols) if j not in dropped]
-        flip = [1 if P[i] >= 0 else -1 for i in kept_rows]
-        live = [[(j, v) for j, v in self.rows[i] if j not in dropped] for i in kept_rows]
-        scale_a = lcm(*{v.denominator for row in live for _, v in row})
-        rhs = [s * P[i] * scale_a for i, s in zip(kept_rows, flip)]
-        scale_b = lcm(*(r.denominator for r in rhs))
-        position = dict(zip(kept_cols, range(self.ncols)))
-        cols = [[] for _ in kept_cols]
-        for k, (row, s) in enumerate(zip(live, flip)):
-            for j, v in row:
-                cols[position[j]].append((k, s * v.numerator * (scale_a // v.denominator)))
-
-        feasible, vec, pivots = _phase_one(cols, [int(r * scale_b) for r in rhs])
-        if feasible:
-            witness = [ZERO] * self.ncols
-            for k, j in enumerate(kept_cols):
-                witness[j] = vec[k] / scale_b
-            return True, tuple(witness), pivots
-        return False, {i: s * vec[k] for k, (i, s) in enumerate(zip(kept_rows, flip))}, pivots
-
-    def farkas(self, kept_y, pre):
-        # columns dropped by fired rows need a uniform large multiplier -K
-        # on those rows so that y'M <= 0 holds on them too
-        rows, dropped = self.rows, pre.dropped
-        num: dict[int, Fraction] = {}
-        for i, yi in kept_y.items():
-            for j, v in rows[i]:
-                if j in dropped:
-                    num[j] = num.get(j, ZERO) + yi * v
-        den = {j: ZERO for j, s in num.items() if s > 0}
-        for z in pre.fired:
-            for j, v in rows[z]:
-                if j in den:
-                    den[j] += abs(v)
-        K = max([ONE] + [num[j] / den[j] for j in den])
-        y = [kept_y.get(i, ZERO) for i in range(self.nrows)]
-        for z in pre.fired:
-            y[z] = -K if rows[z][0][1] > 0 else K
-        return tuple(y)
-
-    def reproduces(self, q, P):
-        # in integers: Q times its denominators' lcm, each entry of M it meets
-        # as its numerator times (the met entries' denominators' lcm // its denominator)
-        scale_c, c = scaled_integers(q)
-        met = [[(j, v) for j, v in row if j in c] for row in self.rows]
-        scale_m = lcm(*{v.denominator for row in met for _, v in row})
-        return all(
-            sum([c[j] * v.numerator * (scale_m // v.denominator) for j, v in row])
-            == p * scale_c * scale_m
-            for row, p in zip(met, P)
-        )
-
-    def bounded(self, y):
-        _, c = scaled_integers(y)
-        met = [(ci, self.rows[i]) for i, ci in c.items()]
-        scale_m = lcm(*{v.denominator for _, row in met for _, v in row})
-        out = [0] * self.ncols
-        for ci, row in met:
-            for j, v in row:
-                out[j] += ci * v.numerator * (scale_m // v.denominator)
-        return all(v <= 0 for v in out)
 
 
 def simplex(
@@ -338,57 +212,33 @@ def simplex(
     return False, [ONE - Fraction(art[k], d) for k in range(m)], pivots
 
 
-def _phase_one(cols: list[list[tuple[int, int]]], b: list[int]) -> tuple[bool, list[Fraction], int]:
-    """`simplex` on the columns `cols[j]`, (row, entry) lists, priced from
-    them.  Returns (feasible, witness over every column or phase-one dual y',
-    pivot count)."""
-
-    def price(dual, bland):
-        obj = [sum([dual[i] * v for i, v in col]) for col in cols]
-        if bland:
-            enter = next((j for j, v in enumerate(obj) if v < 0), -1)
-        else:
-            enter = obj.index(min(obj)) if obj else -1
-        return enter, obj[enter] if enter >= 0 else None
-
-    feasible, vec, pivots = simplex(b, len(cols), price, cols.__getitem__)
-    if feasible:
-        x = [ZERO] * len(cols)
-        for j, v in vec.items():
-            x[j] = v
-        vec = x
-    return feasible, vec, pivots
-
-
 def solve_equality_feasibility(
-    M: LinearSystem, P: Sequence, row_basis: Iterable[int] | None = None
+    M: LftSystem, P: Sequence, row_basis: Iterable[int] | None = None
 ) -> FeasibilityResult:
     """Decide MQ = P, Q >= 0 exactly.
 
     `row_basis`, if given, names the rows of M that phase one uses.  Presolve
-    (`M.presolve`) still reads every row; phase one runs only on the
-    unsettled rows of the basis, and the Farkas vector is zero on the rows it
-    skipped.  An infeasible result is always a certificate for the whole
-    system, since a Farkas vector of some rows, zero on the rest, is one of
-    all rows.  A feasible result solves the whole system when the basis rows
-    span every row and P obeys the same linear relations (a settled row is
-    zero on the live columns with P-component 0, so the relations still hold
-    among the unsettled rows); otherwise its witness may fail the skipped
-    rows, which `verify_certificate` against the full M rejects.  The
-    phase-one simplex runs on the reduced system, and certificates are
-    mapped back to the full one.
+    (`M.presolve`) still reads every row; phase one runs only on the rows of
+    the basis with P-component nonzero, and the Farkas vector is zero on the
+    rows it skipped.  An infeasible result is always a certificate for the
+    whole system, since a Farkas vector of some rows, zero on the rest, is one
+    of all rows.  A feasible result solves the whole system when the basis
+    rows span every row and P obeys the same linear relations (a zero row has
+    P-component 0 and meets no live column, so the relations still hold
+    among the other rows); otherwise its witness may fail the skipped rows,
+    which `verify_certificate` against the full M rejects.  The phase-one
+    simplex runs on the reduced system, and certificates are mapped back to
+    the full one.
     """
     P = [Fraction(p) for p in P]
     if len(P) != M.nrows:
         raise ValueError(f"P has length {len(P)}, matrix has {M.nrows} rows")
 
     pre = M.presolve(P)
-    row = pre.infeasible_row
-    if row >= 0:
-        sign = ONE if P[row] > 0 else -ONE
-        return FeasibilityResult(False, None, M.farkas({row: sign}, pre), 0)
+    if pre.infeasible_row >= 0:
+        return FeasibilityResult(False, None, M.farkas({pre.infeasible_row: ONE}, pre), 0)
 
-    kept_rows = [i for i in range(M.nrows) if i not in pre.settled]
+    kept_rows = [i for i in range(M.nrows) if i not in pre.zero_rows]
     if row_basis is not None:
         basis = set(row_basis)
         kept_rows = [i for i in kept_rows if i in basis]
@@ -400,7 +250,7 @@ def solve_equality_feasibility(
     return FeasibilityResult(False, None, M.farkas(vec, pre), pivots)
 
 
-def verify_certificate(M: LinearSystem, P: Sequence, result: FeasibilityResult) -> bool:
+def verify_certificate(M: LftSystem, P: Sequence, result: FeasibilityResult) -> bool:
     """Re-check the certificate by direct exact arithmetic, independent of the
     solver: MQ = P with Q >= 0, or y'M <= 0 with y'P > 0."""
     P = [Fraction(p) for p in P]

@@ -1,5 +1,6 @@
-"""Shared test utilities: an independent LP feasibility oracle and random
-dataset samplers.  The oracle never calls the solver under test."""
+"""Shared test utilities: independent LP feasibility oracles and references,
+and random dataset samplers.  The oracles and references never call the
+solver under test."""
 from __future__ import annotations
 
 import random
@@ -7,6 +8,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb
 
+from selinf import rational_lp
 from selinf.distances import ChainRecord, LinkEvaluation, order_distance
 from selinf.errors import SizeGuardError
 from selinf.experiment import (
@@ -18,6 +20,7 @@ from selinf.experiment import (
     marginal,
     marginal_discrepancy,
 )
+from selinf.rational_lp import FeasibilityResult
 
 F = Fraction
 ZERO = F(0)
@@ -159,6 +162,32 @@ def random_small_design(rng: random.Random, max_n=3, max_k=2, max_m=3, factorial
     return make_design(k, m, treatments=subset)
 
 
+def lifted_prbox(design: ExperimentDesign) -> dict:
+    """The PR box on values 1, 2 and outcomes 1, 2 of inputs 1 and 2; higher
+    values act as value 2 and every other output reads outcome 1."""
+    rest = (1,) * (design.n - 2)
+    return {
+        tr: {
+            (a, b) + rest: F(1, 2)
+            for a in (1, 2)
+            for b in (1, 2)
+            if (a != b) == (tr[0] >= 2 and tr[1] >= 2)
+        }
+        for tr in design.treatments
+    }
+
+
+def mix_tables(weight, a: dict, b: dict) -> dict:
+    """Per treatment, weight * table a + (1 - weight) * table b."""
+    return {
+        tr: {
+            o: weight * a[tr].get(o, 0) + (1 - weight) * b[tr].get(o, 0)
+            for o in set(a[tr]) | set(b[tr])
+        }
+        for tr in a
+    }
+
+
 def textbook_phase_one(A: list[list[Fraction]], b: list[Fraction], degenerate_run: int):
     """Dense Fraction phase-one tableau on AQ = b, Q >= 0 (b >= 0), with the
     pricing and ratio rules the exact solver documents: Dantzig's most
@@ -202,6 +231,103 @@ def textbook_phase_one(A: list[list[Fraction]], b: list[Fraction], degenerate_ru
                 x[bv] = rows[i][total]
         return True, x, pivots
     return False, [1 - obj[n + k] for k in range(m)], pivots
+
+
+def dense_pricer(cols):
+    """The pricing rule `rational_lp.simplex` documents, over every column of
+    `cols`, (row, integer entry) lists: the lowest-index column of least
+    reduced cost, or under Bland's rule the first negative one."""
+
+    def price(dual, bland):
+        obj = [sum([dual[i] * v for i, v in col]) for col in cols]
+        if bland:
+            enter = next((j for j, v in enumerate(obj) if v < 0), -1)
+        else:
+            enter = obj.index(min(obj)) if obj else -1
+        return enter, obj[enter] if enter >= 0 else None
+
+    return price
+
+
+def dense_certifies(dense: list[list[Fraction]], P, result: FeasibilityResult) -> bool:
+    """`verify_certificate` by plain arithmetic on a dense M: MQ = P with
+    Q > 0 on its support, or y'M <= 0 < y'P."""
+    m, n = len(dense), len(dense[0])
+    cert = result.witness if result.feasible else result.farkas
+    if len(P) != m or cert is None or len(cert) != (n if result.feasible else m):
+        return False
+    if result.feasible:
+        return all(v >= 0 for v in cert) and all(
+            sum((a * q for a, q in zip(row, cert) if a and q), ZERO) == p for row, p in zip(dense, P)
+        )
+    yM = [ZERO] * n
+    for y, row in zip(cert, dense):
+        if y:
+            for j, a in enumerate(row):
+                if a:
+                    yM[j] += y * a
+    return sum((y * p for y, p in zip(cert, P)), ZERO) > 0 and all(v <= 0 for v in yM)
+
+
+def reference_presolve(dense: list[list[Fraction]], P):
+    """The two-sweep presolve rule on a dense 0/1 M: over the rows in order,
+    twice, skipping settled ones, a row meeting no live column is settled if
+    its P-component is 0 and proves infeasibility otherwise; a zero row
+    meeting a live column fires, forcing its columns to zero.  Returns (the
+    infeasible row or -1, settled rows, fired rows, forced columns)."""
+    settled, fired, forced = set(), [], set()
+    for i in 2 * list(range(len(dense))):
+        if i in settled:
+            continue
+        live = [j for j, a in enumerate(dense[i]) if a and j not in forced]
+        if not live:
+            if P[i]:
+                return i, settled, tuple(fired), forced
+            settled.add(i)
+        elif not P[i]:
+            settled.add(i)
+            fired.append(i)
+            forced.update(live)
+    return -1, settled, tuple(fired), forced
+
+
+def reference_solve(dense: list[list[Fraction]], P, row_basis=None) -> FeasibilityResult:
+    """`solve_equality_feasibility` on a dense 0/1 M and P >= 0, in Fractions:
+    `reference_presolve`, then `textbook_phase_one` on the unsettled rows of
+    the row basis and the live columns, and a Farkas vector that weights each
+    fired row by -K, K the least number >= 1 that keeps y'M <= 0 on the
+    forced columns."""
+    P = [F(p) for p in P]
+    n = len(dense[0])
+    row, settled, fired, forced = reference_presolve(dense, P)
+    pivots = 0
+    if row >= 0:
+        y = {row: F(1)}
+    else:
+        kept = [i for i in range(len(dense)) if i not in settled]
+        if row_basis is not None:
+            basis = set(row_basis)
+            kept = [i for i in kept if i in basis]
+        if not kept:
+            return FeasibilityResult(True, (ZERO,) * n, None, 0)
+        live = [j for j in range(n) if j not in forced]
+        A = [[dense[i][j] for j in live] for i in kept]
+        feasible, vec, pivots = textbook_phase_one(A, [P[i] for i in kept], rational_lp.DEGENERATE_RUN)
+        if feasible:
+            witness = [ZERO] * n
+            for j, v in zip(live, vec):
+                witness[j] = v
+            return FeasibilityResult(True, tuple(witness), None, pivots)
+        y = dict(zip(kept, vec))
+    K = F(1)
+    for j in forced:
+        num = sum((v * dense[i][j] for i, v in y.items()), ZERO)
+        if num > 0:
+            K = max(K, num / sum(dense[z][j] for z in fired))
+    farkas = [y.get(i, ZERO) for i in range(len(dense))]
+    for z in fired:
+        farkas[z] = -K
+    return FeasibilityResult(False, None, tuple(farkas), pivots)
 
 
 def reference_chain_test(dataset: Dataset, order, sequences) -> tuple[ChainRecord, ...]:

@@ -1,5 +1,7 @@
+import hashlib
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -28,6 +30,7 @@ from selinf.lft import (
     restrict_design,
     run_lft,
 )
+from selinf.io import format_exact
 from selinf.rational_lp import (
     FeasibilityResult,
     SparseMatrix,
@@ -35,7 +38,17 @@ from selinf.rational_lp import (
     verify_certificate,
 )
 
-from helpers import matrix_rank, random_small_design, random_tables_dataset
+from helpers import (
+    dense_certifies,
+    dense_pricer,
+    lifted_prbox,
+    matrix_rank,
+    mix_tables,
+    random_small_design,
+    random_tables_dataset,
+    reference_presolve,
+    reference_solve,
+)
 
 F = Fraction
 
@@ -185,11 +198,9 @@ class TestRunLft:
         verdict = run_lft(pr)
         assert not verdict.feasible
         p = build_p_vector(pr)
-        jdc = build_jdc_matrix(pr.design)
-        from selinf.rational_lp import FeasibilityResult
-
+        dense = build_jdc_matrix(pr.design).matrix.to_dense()
         res = FeasibilityResult(False, None, verdict.farkas, verdict.pivots)
-        assert verify_certificate(jdc.matrix, list(p.values), res)
+        assert dense_certifies(dense, list(p.values), res)
 
     def test_deterministic_dataset_feasible_point_mass(self):
         design = make_design((2, 2), (2, 2))
@@ -253,31 +264,6 @@ class TestRunLft:
         assert "witness" in doc and "witness_support" in doc
 
 
-def _lifted_prbox(design):
-    """The PR box on values 1, 2 and outcomes 1, 2 of inputs 1 and 2; higher
-    values act as value 2 and every other output reads outcome 1."""
-    rest = (1,) * (design.n - 2)
-    return {
-        tr: {
-            (a, b) + rest: F(1, 2)
-            for a in (1, 2)
-            for b in (1, 2)
-            if (a != b) == (tr[0] >= 2 and tr[1] >= 2)
-        }
-        for tr in design.treatments
-    }
-
-
-def _mix(weight, a, b):
-    return {
-        tr: {
-            o: weight * a[tr].get(o, 0) + (1 - weight) * b[tr].get(o, 0)
-            for o in set(a[tr]) | set(b[tr])
-        }
-        for tr in a
-    }
-
-
 class TestRowBasis:
     """Phase one on the Collins-Gisin rows against a solve on every row."""
 
@@ -297,11 +283,11 @@ class TestRowBasis:
 
     def _check(self, ds, monkeypatch):
         p = list(build_p_vector(ds).values)
-        m = build_jdc_matrix(ds.design).matrix
+        m, dense = LftSystem(ds.design), build_jdc_matrix(ds.design).matrix.to_dense()
         rows = collins_gisin_rows(ds.design)
-        reduced = solve_equality_feasibility(m, p, rows)
-        assert reduced.feasible == solve_equality_feasibility(m, p).feasible
-        assert verify_certificate(m, p, reduced)
+        reduced, full = solve_equality_feasibility(m, p, rows), solve_equality_feasibility(m, p)
+        assert reduced.feasible == full.feasible
+        assert dense_certifies(dense, p, reduced) and dense_certifies(dense, p, full)
         verdict, calls = self._run_lft(ds, monkeypatch)
         assert verdict.feasible == reduced.feasible and calls == [rows]
         return rows, reduced
@@ -322,7 +308,7 @@ class TestRowBasis:
         for _ in range(4):
             classical = gen_classical(design, seed=rng.randrange(10**9))[0]
             weight = F(rng.randint(1, 3), 4)
-            for tables in (classical.tables, _mix(weight, _lifted_prbox(design), classical.tables)):
+            for tables in (classical.tables, mix_tables(weight, lifted_prbox(design), classical.tables)):
                 rows, result = self._check(Dataset(design, tables), monkeypatch)
                 assert len(rows) == kept
                 verdicts.add(result.feasible)
@@ -345,7 +331,7 @@ class TestRowBasis:
             classical = gen_classical(design, seed=rng.randrange(10**9))[0]
             cases = [classical.tables]
             if design.n > 1:
-                cases.append(_mix(F(3, 4), _lifted_prbox(design), classical.tables))
+                cases.append(mix_tables(F(3, 4), lifted_prbox(design), classical.tables))
             for tables in cases:
                 verdicts.add(self._check(Dataset(design, tables), monkeypatch)[1].feasible)
         assert verdicts == ({True} if len(ks) == 1 else {True, False})
@@ -356,22 +342,22 @@ class TestRowBasis:
         is when `run_lft` must fall back to every row."""
         assert not check_marginal_selectivity(ds).passed
         p = list(build_p_vector(ds).values)
-        m = build_jdc_matrix(ds.design).matrix
+        m, dense = LftSystem(ds.design), build_jdc_matrix(ds.design).matrix.to_dense()
         basis = collins_gisin_rows(ds.design)
         on_basis = solve_equality_feasibility(m, p, basis)
         full = solve_equality_feasibility(m, p)
-        assert not full.feasible and verify_certificate(m, p, full)
+        assert not full.feasible and dense_certifies(dense, p, full)
         verdict, calls = self._run_lft(ds, monkeypatch)
         assert not verdict.feasible
         cert = FeasibilityResult(False, None, verdict.farkas, verdict.pivots)
-        assert verify_certificate(m, p, cert)
+        assert dense_certifies(dense, p, cert)
         if on_basis.feasible:
             # the basis witness misses the dropped rows' equations
-            assert not verify_certificate(m, p, on_basis)
+            assert not dense_certifies(dense, p, on_basis)
             assert calls == [basis, None] and verdict.farkas == full.farkas
         else:
             # a Farkas vector of some rows is one of all rows
-            assert verify_certificate(m, p, on_basis)
+            assert dense_certifies(dense, p, on_basis)
             assert calls == [basis] and verdict.farkas == on_basis.farkas
         return on_basis.feasible
 
@@ -388,9 +374,9 @@ class TestRowBasis:
         # on the basis rows alone the dropped rows' equations would be lost:
         # that solve is feasible, and only the full-M check catches it
         p = list(build_p_vector(ds).values)
-        m = build_jdc_matrix(design).matrix
-        wrong = solve_equality_feasibility(m, p, collins_gisin_rows(design))
-        assert wrong.feasible and not verify_certificate(m, p, wrong)
+        wrong = solve_equality_feasibility(LftSystem(design), p, collins_gisin_rows(design))
+        dense = build_jdc_matrix(design).matrix.to_dense()
+        assert wrong.feasible and not dense_certifies(dense, p, wrong)
         assert self._check_signalling(ds, monkeypatch)
 
     def _signalling_fallbacks(self, design, seed, monkeypatch):
@@ -403,7 +389,7 @@ class TestRowBasis:
         for _ in range(3):
             classical = gen_classical(design, seed=rng.randrange(10**9))[0]
             weight = F(rng.randint(1, 3), 4)
-            mixture = _mix(weight, _lifted_prbox(design), classical.tables)
+            mixture = mix_tables(weight, lifted_prbox(design), classical.tables)
             for tables in (classical.tables, mixture):
                 tables = {tr: dict(table) for tr, table in tables.items()}
                 table = tables[rng.choice(design.treatments)]
@@ -581,16 +567,16 @@ class _Captured(Exception):
     """Stops a solve once phase one has been handed its pricer."""
 
 
-def _capture_pricer(monkeypatch, where, system, p, rows):
+def _capture_pricer(monkeypatch, system, p, rows):
     """The (b, n, price, column) that `system`'s phase one hands to
-    `simplex` (looked up in module `where`), or None if presolve decides."""
+    `simplex`, or None if presolve decides."""
     seen = []
 
     def spy(b, n, price, column):
         seen.append((b, n, price, column))
         raise _Captured
 
-    monkeypatch.setattr(f"{where}.simplex", spy)
+    monkeypatch.setattr("selinf.lft.simplex", spy)
     try:
         solve_equality_feasibility(system, p, rows)
     except _Captured:
@@ -627,40 +613,44 @@ _SYSTEM_DESIGNS = [
 
 
 class TestLftSystem:
-    """The structured system against the sparse path over `build_jdc_matrix`."""
+    """The structured system against dense references over `build_jdc_matrix`'s
+    M: the presolve rule, a dense pricer and a Fraction tableau."""
 
     @pytest.mark.parametrize("ks, ms, treatments", _SYSTEM_DESIGNS)
     def test_pricing_matches_sparse(self, ks, ms, treatments, monkeypatch):
         design = make_design(ks, ms, treatments)
-        sparse, lft = build_jdc_matrix(design).matrix, LftSystem(design)
+        dense, lft = build_jdc_matrix(design).matrix.to_dense(), LftSystem(design)
         rng = random.Random(sum(ks) * 100 + sum(ms) * 10 + len(ks))
         masked = priced = 0
         for _ in range(12):
             p = _mixed_p(design, rng)
             rows = collins_gisin_rows(design) if rng.random() < 0.5 else None
-            want = _capture_pricer(monkeypatch, "selinf.rational_lp", sparse, p, rows)
-            got = _capture_pricer(monkeypatch, "selinf.lft", lft, p, rows)
-            assert (want is None) == (got is None)
-            if want is None:
+            row, settled, _, forced = reference_presolve(dense, p)
+            kept = [i for i in range(len(p)) if i not in settled and (rows is None or i in rows)]
+            got = _capture_pricer(monkeypatch, lft, p, rows)
+            assert (got is None) == (row >= 0 or not kept)
+            if got is None:
                 continue
-            pre = sparse.presolve(p)
-            kept_cols = [j for j in range(sparse.ncols) if j not in pre.dropped]
-            masked += len(kept_cols) < sparse.ncols
-            assert want[0] == got[0] and got[1] == sparse.ncols
+            live = [j for j in range(lft.ncols) if j not in forced]
+            masked += len(live) < lft.ncols
+            cols = [[(k, 1) for k, i in enumerate(kept) if dense[i][j]] for j in live]
+            scale = lcm(*(p[i].denominator for i in kept))
+            assert got[0] == [int(p[i] * scale) for i in kept] and got[1] == lft.ncols
+            price = dense_pricer(cols)
             for _ in range(20):
-                dual = [rng.randint(-4, 4) * rng.choice([1, 7, 10**20]) for _ in want[0]]
+                dual = [rng.randint(-4, 4) * rng.choice([1, 7, 10**20]) for _ in kept]
                 for bland in (False, True):
-                    j, cost = want[2](dual, bland)
-                    assert got[2](dual, bland) == ((kept_cols[j], cost) if j >= 0 else (-1, None))
+                    j, cost = price(dual, bland)
+                    assert got[2](dual, bland) == ((live[j], cost) if j >= 0 else (-1, None))
                     priced += j >= 0
                     if j >= 0:
-                        assert sorted(got[3](kept_cols[j])) == sorted(want[3](j))
+                        assert sorted(got[3](live[j])) == cols[j]
         assert priced and (masked or design.n == 1 or min(ms) == 1)
 
     @pytest.mark.parametrize("ks, ms, treatments", _SYSTEM_DESIGNS)
     def test_presolve_matches_sparse(self, ks, ms, treatments):
         design = make_design(ks, ms, treatments)
-        sparse, lft = build_jdc_matrix(design).matrix, LftSystem(design)
+        dense, lft = build_jdc_matrix(design).matrix.to_dense(), LftSystem(design)
         rng = random.Random(sum(ks) * 100 + sum(ms))
         decided = 0
         for _ in range(25):
@@ -672,15 +662,15 @@ class TestLftSystem:
                 j = i - i % block + rng.randrange(block)
                 if j != i:
                     p[j], p[i] = p[j] + p[i], F(0)
-            want, got = sparse.presolve(p), lft.presolve(p)
-            assert got.infeasible_row == want.infeasible_row and got.fired == want.fired
-            decided += want.infeasible_row >= 0
-            if want.infeasible_row < 0:
-                assert set(got.settled) == set(want.settled)
-                # the live columns: those meeting no zero row
-                dropped = {j for i in got.dropped for j, _ in sparse.rows[i]}
-                assert dropped == want.dropped
-            assert solve_equality_feasibility(lft, p) == solve_equality_feasibility(sparse, p)
+            row, settled, fired, forced = reference_presolve(dense, p)
+            got = lft.presolve(p)
+            assert got.infeasible_row == row and got.fired == fired
+            decided += row >= 0
+            if row < 0:
+                assert got.zero_rows == settled
+                # the forced columns: those meeting a zero row
+                assert {j for i in got.zero_rows for j, a in enumerate(dense[i]) if a} == forced
+            assert solve_equality_feasibility(lft, p) == reference_solve(dense, p)
         assert decided or design.n == 1 or min(ms) == 1
         with pytest.raises(ValueError, match="negative"):
             lft.presolve([F(-1)] + p[1:])
@@ -705,32 +695,19 @@ def _shift_mass(ds, rng):
 
 
 class TestRunLftWithoutM:
-    @staticmethod
-    def _reference(ds):
-        """What `run_lft` did over the sparse M: phase one on the row basis,
-        and on every row when that witness fails the full M."""
-        p = list(build_p_vector(ds).values)
-        m = build_jdc_matrix(ds.design).matrix
-        result = solve_equality_feasibility(m, p, collins_gisin_rows(ds.design))
-        fell_back = result.feasible and not verify_certificate(m, p, result)
-        if fell_back:
-            result = solve_equality_feasibility(m, p)
-        assert verify_certificate(m, p, result)
-        return result, fell_back
-
     def test_matches_sparse_path_field_for_field(self, monkeypatch):
+        # verdict, pivots, Farkas vector, witness and whether `run_lft` fell
+        # back to every row, recorded from phase one over the stored sparse M
+        # (on the row basis, then on every row when that witness failed it)
         rng = random.Random(1961)
         cases = []
         for ks, ms in (((2, 2), (2, 2)), ((2, 2), (3, 3)), ((3, 3), (2, 2)), ((2, 2, 2), (2, 2, 2))):
             design = make_design(ks, ms)
             for _ in range(2):
                 classical = gen_classical(design, seed=rng.randrange(10**9))[0]
-                mixture = Dataset(design, _mix(F(rng.randint(1, 3), 4), _lifted_prbox(design), classical.tables))
+                mixture = Dataset(design, mix_tables(F(rng.randint(1, 3), 4), lifted_prbox(design), classical.tables))
                 three = _three_atoms(design, rng)
                 cases += [classical, mixture, three, _shift_mass(classical, rng), _shift_mass(mixture, rng)]
-        expected = [self._reference(ds) for ds in cases]
-        assert {fell_back for _, fell_back in expected} == {True, False}
-        assert {result.feasible for result, _ in expected} == {True, False}
 
         def refuse(*args, **kwargs):
             raise AssertionError("run_lft built M")
@@ -738,11 +715,29 @@ class TestRunLftWithoutM:
         monkeypatch.setattr("selinf.lft.build_jdc_matrix", refuse)
         monkeypatch.setattr("selinf.lft.SparseMatrix", refuse)
         monkeypatch.setattr(SparseMatrix, "__post_init__", refuse)
-        for ds, (want, _) in zip(cases, expected):
+        calls = []
+
+        def spy(m, p, row_basis=None):
+            calls.append(row_basis)
+            return solve_equality_feasibility(m, p, row_basis)
+
+        monkeypatch.setattr("selinf.lft.solve_equality_feasibility", spy)
+        lines, fell_back = [], set()
+        for ds in cases:
+            calls.clear()
             verdict = run_lft(ds)
-            assert verdict.feasible == want.feasible and verdict.pivots == want.pivots
-            assert verdict.farkas == want.farkas
-            assert (verdict.witness.values if verdict.feasible else None) == want.witness
+            basis = collins_gisin_rows(ds.design)
+            assert calls in ([basis], [basis, None])
+            fell_back.add(len(calls) == 2)
+            witness = verdict.witness.values if verdict.feasible else ()
+            lines.append(";".join([
+                str(int(verdict.feasible)), str(verdict.pivots), str(len(calls) - 1),
+                ",".join(map(format_exact, verdict.farkas or ())), ",".join(map(format_exact, witness)),
+            ]))
+        assert fell_back == {True, False} and {line[0] for line in lines} == {"0", "1"}
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
+            "ebde7306815106108a5ea8283f8c59bb31d96cdeb8ac92242752bd517fd60478"
+        )
 
     def test_column_guard(self):
         ds = gen_classical(make_design((2, 2), (3, 3)), seed=4)[0]  # 81 assignments
@@ -753,7 +748,7 @@ class TestRunLftWithoutM:
 
 class TestVerificationWithoutM:
     """`verify_certificate` on `LftSystem` (simulated atoms, enumerated
-    assignments) against the full M."""
+    assignments) against plain arithmetic on the full M."""
 
     @staticmethod
     def _results(count):
@@ -766,7 +761,7 @@ class TestVerificationWithoutM:
             classical = gen_classical(design, seed=rng.randrange(10**9), max_support=rng.randint(1, 6))[0]
             ds = classical
             if design.n > 1 and rng.random() < 0.5:
-                ds = Dataset(design, _mix(F(rng.randint(1, 3), 4), _lifted_prbox(design), classical.tables))
+                ds = Dataset(design, mix_tables(F(rng.randint(1, 3), 4), lifted_prbox(design), classical.tables))
             if design.n > 1 and rng.random() < 0.3:
                 ds = _shift_mass(ds, rng)
             yield ds, run_lft(ds)
@@ -777,7 +772,7 @@ class TestVerificationWithoutM:
         rejected = {"moved": 0, "negative": 0, "flipped": 0}
         for ds, verdict in self._results(200):
             p = list(build_p_vector(ds).values)
-            sparse, lft = build_jdc_matrix(ds.design).matrix, LftSystem(ds.design)
+            dense, lft = build_jdc_matrix(ds.design).matrix.to_dense(), LftSystem(ds.design)
             variants = []
             if verdict.feasible:
                 q = list(verdict.witness.values)
@@ -800,7 +795,7 @@ class TestVerificationWithoutM:
                     variants.append(("flipped", FeasibilityResult(False, None, tuple(flipped), 0)))
             for kind, result in variants:
                 ok = verify_certificate(lft, p, result)
-                assert ok == verify_certificate(sparse, p, result)
+                assert ok == dense_certifies(dense, p, result)
                 assert ok == (kind == "good") or kind == "flipped"
                 rejected[kind] = rejected.get(kind, 0) + (not ok)
         assert rejected["good"] == 0 and all(rejected[k] > 10 for k in ("moved", "negative", "flipped"))

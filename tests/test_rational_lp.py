@@ -1,25 +1,64 @@
 import hashlib
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from selinf import rational_lp
-from selinf.experiment import make_design
+from selinf.experiment import Dataset, make_design
 from selinf.generators import AngleSpec, gen_classical, gen_ghz, gen_prbox, gen_singlet
 from selinf.io import format_exact
-from selinf.lft import run_lft
+from selinf.lft import LftSystem, build_jdc_matrix, build_p_vector, run_lft
 from selinf.rational_lp import (
     FeasibilityResult,
     SparseMatrix,
+    simplex,
     solve_equality_feasibility,
     verify_certificate,
 )
 
-from helpers import lp_feasible_bruteforce, textbook_phase_one
+from helpers import (
+    dense_certifies,
+    dense_pricer,
+    lifted_prbox,
+    lp_feasible_bruteforce,
+    mix_tables,
+    reference_solve,
+    textbook_phase_one,
+)
 
 F = Fraction
+
+
+def _integer_system(dense, p):
+    """MQ = P with every row flipped to P_i >= 0 and scaled to integers:
+    (columns as (row, entry) lists, integer b, the row flips, the variable
+    scale)."""
+    flip = [1 if v >= 0 else -1 for v in p]
+    scale_a = lcm(*(v.denominator for row in dense for v in row))
+    rhs = [s * F(v) * scale_a for s, v in zip(flip, p)]
+    scale_b = lcm(*(r.denominator for r in rhs))
+    cols = [
+        [(i, int(flip[i] * row[j] * scale_a)) for i, row in enumerate(dense) if row[j]]
+        for j in range(len(dense[0]))
+    ]
+    return cols, [int(r * scale_b) for r in rhs], flip, scale_b
+
+
+def _solve(dense, p):
+    """`simplex` on a signed rational system, priced by `dense_pricer`: the
+    witness scaled back, the phase-one dual flipped back to a Farkas vector
+    of the original rows (one positive row scale changes no sign)."""
+    cols, b, flip, scale_b = _integer_system(dense, p)
+    feasible, vec, pivots = simplex(b, len(cols), dense_pricer(cols), cols.__getitem__)
+    if feasible:
+        witness = [F(0)] * len(cols)
+        for j, v in vec.items():
+            witness[j] = v / scale_b
+        return FeasibilityResult(True, tuple(witness), None, pivots)
+    return FeasibilityResult(False, None, tuple(s * y for s, y in zip(flip, vec)), pivots)
 
 
 class TestSparseMatrix:
@@ -50,119 +89,131 @@ class TestSparseMatrix:
 
 
 class TestSolveBasics:
+    """`simplex` on small signed systems through `_solve`, and the driver and
+    verification on `LftSystem`."""
+
     def test_identity_feasible(self):
-        m = SparseMatrix.from_dense([[F(1)]])
-        res = solve_equality_feasibility(m, [F(1)])
+        res = _solve([[F(1)]], [F(1)])
         assert res.feasible and res.witness == (F(1),)
-        assert verify_certificate(m, [F(1)], res)
+        assert dense_certifies([[F(1)]], [F(1)], res)
 
     def test_negative_rhs_infeasible(self):
-        m = SparseMatrix.from_dense([[F(1)]])
-        res = solve_equality_feasibility(m, [F(-1)])
+        res = _solve([[F(1)]], [F(-1)])
         assert not res.feasible
         y = res.farkas
         assert y[0] <= 0  # y'M = y, as M = [1]
         assert sum(yi * pi for yi, pi in zip(y, [F(-1)])) > 0
-        assert verify_certificate(m, [F(-1)], res)
+        assert dense_certifies([[F(1)]], [F(-1)], res)
 
     def test_zero_row_nonzero_rhs(self):
-        m = SparseMatrix(2, 1, (((0, F(1)),), ()))
-        res = solve_equality_feasibility(m, [F(1), F(2)])
+        dense = [[F(1)], [F(0)]]
+        res = _solve(dense, [F(1), F(2)])
         assert not res.feasible
-        assert verify_certificate(m, [F(1), F(2)], res)
+        assert dense_certifies(dense, [F(1), F(2)], res)
 
     def test_zero_row_zero_rhs_dropped(self):
-        m = SparseMatrix(2, 1, (((0, F(1)),), ()))
-        res = solve_equality_feasibility(m, [F(1), F(0)])
+        res = _solve([[F(1)], [F(0)]], [F(1), F(0)])
         assert res.feasible and res.witness == (F(1),)
 
     def test_dimension_mismatch(self):
-        m = SparseMatrix.from_dense([[F(1)]])
+        lft = LftSystem(make_design((1,), (2,)))
         with pytest.raises(ValueError, match="rows"):
-            solve_equality_feasibility(m, [F(1), F(2)])
+            solve_equality_feasibility(lft, [F(1)] * 3)
+        with pytest.raises(ValueError, match="negative"):
+            solve_equality_feasibility(lft, [F(1), F(-1)])
 
     def test_empty_system(self):
-        m = SparseMatrix(0, 3, ())
-        res = solve_equality_feasibility(m, [])
-        assert res.feasible and res.witness == (F(0),) * 3
+        # an empty row basis leaves phase one nothing: Q = 0, which fails
+        # the rows it skipped
+        lft = LftSystem(make_design((2,), (2,)))
+        res = solve_equality_feasibility(lft, [F(1, 2)] * 4, row_basis=[])
+        assert res == FeasibilityResult(True, (F(0),) * 4, None, 0)
+        assert not verify_certificate(lft, [F(1, 2)] * 4, res)
 
     def test_corrupted_witness_rejected(self):
-        m = SparseMatrix.from_dense([[F(1), F(1)]])
-        res = solve_equality_feasibility(m, [F(1)])
-        assert res.feasible
-        bad = FeasibilityResult(True, (res.witness[0] - 1, res.witness[1]), None, res.pivots)
-        assert not verify_certificate(m, [F(1)], bad)
-        neg = FeasibilityResult(True, (F(2), F(-1)), None, 0)
-        assert not verify_certificate(m, [F(1)], neg)
+        ds = gen_classical(make_design((2, 2), (2, 2)), seed=3)[0]
+        lft, p = LftSystem(ds.design), list(build_p_vector(ds).values)
+        res = solve_equality_feasibility(lft, p)
+        assert res.feasible and verify_certificate(lft, p, res)
+        a, b = [j for j, v in enumerate(res.witness) if v][:2]
+        moved = list(res.witness)
+        moved[a], moved[b] = moved[a] / 2, moved[b] + moved[a] / 2
+        assert not verify_certificate(lft, p, FeasibilityResult(True, tuple(moved), None, res.pivots))
+        negative = list(res.witness)
+        negative[res.witness.index(0)] = F(-1, 7)
+        assert not verify_certificate(lft, p, FeasibilityResult(True, tuple(negative), None, 0))
 
     def test_verify_over_common_denominators(self):
-        # MQ and y'M are summed in integers; M, Q, y and P have denominators
-        m = SparseMatrix.from_dense([[F(1), F(2, 3)], [F(0), F(3, 4)]])
+        # one input, two values, two outcomes: column (a1, a2) meets rows
+        # (1, a1) and (2, a2).  MQ and y'M are summed in integers over Q's,
+        # y's and P's denominators
+        lft = LftSystem(make_design((2,), (2,)))
 
         def holds(p, *cert, feasible):
             result = FeasibilityResult(feasible, cert if feasible else None,
                                        None if feasible else cert, 0)
-            return verify_certificate(m, p, result)
+            assert dense_certifies(build_jdc_matrix(lft.design).matrix.to_dense(), p, result) == (
+                verify_certificate(lft, p, result)
+            )
+            return verify_certificate(lft, p, result)
 
-        p = [F(4, 3), F(3, 4)]
-        assert holds(p, F(2, 3), F(1), feasible=True)
-        assert not holds(p, F(2, 3), F(1, 2), feasible=True)
+        p = [F(1, 2), F(1, 2), F(7, 12), F(5, 12)]
+        assert holds(p, F(1, 3), F(1, 6), F(1, 4), F(1, 4), feasible=True)
+        assert not holds(p, F(1, 3) - F(1, 1000), F(1, 6) + F(1, 1000), F(1, 4), F(1, 4), feasible=True)
         # MQ = P with a negative entry in Q
-        assert not holds([F(1), F(3, 2)], F(-1, 3), F(2), feasible=True)
-        # y'M = (-1/2, -29/60) and y'P = 2/5 > 0
-        assert holds([F(-1), F(1, 2)], F(-1, 2), F(-1, 5), feasible=False)
-        assert not holds(p, F(-1, 2), F(-1, 5), feasible=False)  # y'P < 0
-        # y'M = (-3/4, 0) exactly; nudging y makes its second entry 3/4000
-        assert holds([F(-1), F(1, 2)], F(-3, 4), F(2, 3), feasible=False)
-        assert not holds([F(-1), F(1, 2)], F(-3, 4), F(2, 3) + F(1, 1000), feasible=False)
+        assert not holds([F(1, 2), F(1, 2), F(1, 2), F(1, 2)], F(2, 3), F(-1, 6), F(-1, 6), F(2, 3), feasible=True)
+        # y'M = 0 and y'P = 1/12 > 0
+        signalling = [F(1, 2), F(1, 2), F(1, 3), F(1, 2)]
+        assert holds(signalling, F(1, 2), F(1, 2), F(-1, 2), F(-1, 2), feasible=False)
+        assert not holds(p, F(1, 2), F(1, 2), F(-1, 2), F(-1, 2), feasible=False)  # y'P = 0
+        # nudging y makes y'M 1/1000 on the columns with a2 = 1
+        assert not holds(signalling, F(1, 2), F(1, 2), F(-1, 2) + F(1, 1000), F(-1, 2), feasible=False)
 
     def test_determinism(self):
         rng = random.Random(0)
         dense = [[F(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(8)] for _ in range(5)]
         p = [F(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(5)]
-        m = SparseMatrix.from_dense(dense)
-        a = solve_equality_feasibility(m, p)
-        b = solve_equality_feasibility(m, p)
-        assert a == b
+        assert _solve(dense, p) == _solve(dense, p)
+        ds = gen_classical(make_design((2, 2), (3, 3)), seed=8)[0]
+        p = list(build_p_vector(ds).values)
+        assert solve_equality_feasibility(LftSystem(ds.design), p) == (
+            solve_equality_feasibility(LftSystem(ds.design), p)
+        )
 
     def test_farkas_spans_presolve_eliminated_columns(self):
-        # row 0 pins x0 = x1 = 0, rows 1-2 then clash on x2; the Farkas
-        # vector must still dominate the eliminated columns
-        dense = [
-            [F(1), F(1), F(0)],
-            [F(1), F(0), F(1)],
-            [F(0), F(0), F(1)],
-        ]
-        p = [F(0), F(1), F(2)]
-        m = SparseMatrix.from_dense(dense)
-        res = solve_equality_feasibility(m, p)
-        assert not res.feasible
-        assert verify_certificate(m, p, res)
+        # fired rows 1, 5, 7 and 9 force columns to zero, then phase one ends
+        # infeasible: the Farkas vector must still dominate the forced
+        # columns, which takes K = 3 on the fired rows
+        lft = LftSystem(make_design((2, 2), (2, 2)))
+        p = list(map(F, [1, 0, 2, 1, 2, 0, 1, 0, 2, 0, 1, 2, 2, 0, 2, 0]))
+        assert lft.presolve(p).fired == (1, 5, 7, 9)
+        res = solve_equality_feasibility(lft, p)
+        assert not res.feasible and res.pivots == 2
+        assert [res.farkas[z] for z in (1, 5, 7, 9)] == [F(-3)] * 4
+        assert verify_certificate(lft, p, res)
+        dense = build_jdc_matrix(lft.design).matrix.to_dense()
+        assert dense_certifies(dense, p, res) and res == reference_solve(dense, p)
 
     def test_farkas_when_elimination_empties_an_inconsistent_row(self):
-        # row 0 forces x0 = 0, making row 1 (x0 = 1) unsatisfiable
-        dense = [[F(1)], [F(1)]]
-        p = [F(0), F(1)]
-        m = SparseMatrix.from_dense(dense)
-        res = solve_equality_feasibility(m, p)
-        assert not res.feasible
-        assert verify_certificate(m, p, res)
-        # a later row fires and empties an earlier one with P != 0, which
-        # only the second presolve sweep sees
-        for dense, p, farkas in (
-            ([[1], [1]], [1, 0], [1, -1]),
-            ([[2, 0], [1, 1], [0, -3]], [1, 0, 0], [1, -2, 0]),
+        # rows 0 and 1 force every column to zero, so row 2 (P = 1) has none
+        # left in the first sweep; then a later row fires and empties an
+        # earlier one with P != 0, which only the second presolve sweep sees
+        lft = LftSystem(make_design((2,), (2,)))
+        dense = build_jdc_matrix(lft.design).matrix.to_dense()
+        for p, farkas in (
+            ([0, 0, 1, 0], [-1, -1, 1, 0]),
+            ([1, 0, 0, 0], [1, -1, -1, -1]),
         ):
-            m = SparseMatrix.from_dense(dense)
-            res = solve_equality_feasibility(m, p)
+            p = list(map(F, p))
+            res = solve_equality_feasibility(lft, p)
             assert not res.feasible and res.pivots == 0
             assert res.farkas == tuple(map(F, farkas))
-            assert verify_certificate(m, p, res)
+            assert verify_certificate(lft, p, res) and dense_certifies(dense, p, res)
+            assert res == reference_solve(dense, p)
 
     def test_degenerate_systems_terminate(self):
         # heavily degenerate bases (many zero right-hand sides over mixed-sign
-        # rows, so the presolve cannot fire) still terminate under the
-        # least-index rule
+        # rows) still terminate under the least-index rule
         dense = [
             [F(1), F(-1), F(0), F(0)],
             [F(0), F(1), F(-1), F(0)],
@@ -171,10 +222,9 @@ class TestSolveBasics:
             [F(1), F(1), F(1), F(1)],
         ]
         p = [F(0), F(0), F(0), F(0), F(2)]
-        m = SparseMatrix.from_dense(dense)
-        res = solve_equality_feasibility(m, p)
+        res = _solve(dense, p)
         assert res.feasible
-        assert verify_certificate(m, p, res)
+        assert dense_certifies(dense, p, res)
         assert res.witness == (F(1, 2),) * 4
 
 
@@ -232,7 +282,7 @@ class TestPinnedPivotPath:
         dense, p = _random_system(random.Random(seed), 6, 8)
         assert any(v.denominator > 1 for row in dense for v in row)
         assert any(v.denominator > 1 for v in p)
-        res = solve_equality_feasibility(SparseMatrix.from_dense(dense), p)
+        res = _solve(dense, p)
         assert res.feasible == feasible and res.pivots == 4
         assert _digest(res.witness if feasible else res.farkas) == digest
 
@@ -254,51 +304,55 @@ class TestPinnedPresolve:
         assert _digest(verdict.farkas) == digest
 
     def test_fires_then_phase_one(self):
-        dense, p = _random_system(random.Random(26), 6, 8)
-        res = solve_equality_feasibility(SparseMatrix.from_dense(dense), p)
-        assert not res.feasible and res.pivots == 2
-        assert F(-83, 12) in res.farkas  # -K on a fired row
-        assert _digest(res.farkas) == (
-            "785ee076f3c7535301a63864169931182ccd993ade94aaf5ee76b7a37d27ed18"
+        # the lifted PR box mixed 1/2 with three-atom classical data: presolve
+        # fires 15 rows, then phase one ends infeasible, and the fired rows
+        # carry -K with K = 3 so that y'M <= 0 holds on the forced columns
+        design = make_design((2, 2), (3, 3))
+        classical = gen_classical(design, seed=2, max_support=3)[0]
+        ds = Dataset(design, mix_tables(F(1, 2), lifted_prbox(design), classical.tables))
+        fired = LftSystem(design).presolve(list(build_p_vector(ds).values)).fired
+        assert len(fired) == 15
+        verdict = run_lft(ds)
+        assert not verdict.feasible and verdict.pivots == 6
+        assert {verdict.farkas[z] for z in fired} == {F(-3)}
+        assert _digest(verdict.farkas) == (
+            "ad4f55b08f58b5b30ee4ab7696b6eaecbb70daecfed27518739fbb80a1e459e4"
         )
 
 
 class TestAgainstTextbookTableau:
-    """Phase one, on the systems presolve hands it, against a dense Fraction
-    tableau with the same pricing and ratio rules."""
+    """`simplex` on random signed rational systems, flipped and scaled to
+    integers, against a dense Fraction tableau with the same pricing and
+    ratio rules."""
 
     @pytest.mark.parametrize("degenerate_run", [rational_lp.DEGENERATE_RUN, 0])
     def test_same_pivots_and_certificates(self, monkeypatch, degenerate_run):
         monkeypatch.setattr(rational_lp, "DEGENERATE_RUN", degenerate_run)
-        calls = []
-        phase_one = rational_lp._phase_one
-
-        def spy(cols, b):
-            calls.append((cols, b, phase_one(cols, b)))
-            return calls[-1][2]
-
-        monkeypatch.setattr(rational_lp, "_phase_one", spy)
         rng = random.Random(2012)
-        narrowed = 0
-        while len(calls) < 2000:
+        verdicts = [0, 0]
+        zero_rows = 0
+        for _ in range(2000):
             dense, p = _random_system(rng, 6, 8)
             if rng.random() < 0.3:
-                # a nonnegative row with P-component 0 makes presolve fire
+                # a nonnegative row with P-component 0: a degenerate start
                 i = rng.randrange(len(dense))
                 dense[i] = [abs(v) for v in dense[i]]
                 p[i] = F(0)
-            before = len(calls)
-            solve_equality_feasibility(SparseMatrix.from_dense(dense), p)
-            if len(calls) == before:
-                continue
-            cols, b, got = calls[-1]
-            narrowed += len(cols) < len(dense[0])
+                zero_rows += 1
+            cols, b, _, _ = _integer_system(dense, p)
+            got = simplex(b, len(cols), dense_pricer(cols), cols.__getitem__)
             A = [[F(0)] * len(cols) for _ in b]
             for j, col in enumerate(cols):
                 for i, v in col:
                     A[i][j] = F(v)
-            assert got == textbook_phase_one(A, list(map(F, b)), degenerate_run)
-        assert narrowed > 100
+            want = textbook_phase_one(A, list(map(F, b)), degenerate_run)
+            if got[0]:
+                assert [got[1].get(j, 0) for j in range(len(cols))] == want[1]
+                assert got[::2] == want[::2]
+            else:
+                assert got == want
+            verdicts[got[0]] += 1
+        assert zero_rows > 500 and min(verdicts) > 500
 
 
 class TestSoundnessAndCompleteness:
@@ -306,9 +360,8 @@ class TestSoundnessAndCompleteness:
         rng = random.Random(1234)
         for _ in range(300):
             dense, p = _random_system(rng, 6, 8)
-            m = SparseMatrix.from_dense(dense)
-            res = solve_equality_feasibility(m, p)
-            assert verify_certificate(m, p, res)
+            res = _solve(dense, p)
+            assert dense_certifies(dense, p, res)
 
     def test_fuzz_with_bland_after_every_degenerate_pivot(self, monkeypatch):
         # Dantzig then prices only right after a nondegenerate pivot, so the
@@ -320,18 +373,16 @@ class TestSoundnessAndCompleteness:
         rng = random.Random(99)
         for trial in range(60):
             dense, p = _random_system(rng, 4, 5)
-            m = SparseMatrix.from_dense(dense)
-            res = solve_equality_feasibility(m, p)
-            assert verify_certificate(m, p, res)
+            res = _solve(dense, p)
+            assert dense_certifies(dense, p, res)
             assert res.feasible == lp_feasible_bruteforce(dense, p), (dense, p)
 
     def test_verdicts_match_oracle_at_12(self):
         rng = random.Random(7)
         for _ in range(6):
             dense, p = _random_system(rng, 12, 12)
-            m = SparseMatrix.from_dense(dense)
-            res = solve_equality_feasibility(m, p)
-            assert verify_certificate(m, p, res)
+            res = _solve(dense, p)
+            assert dense_certifies(dense, p, res)
             assert res.feasible == lp_feasible_bruteforce(dense, p)
 
 
@@ -351,7 +402,6 @@ def test_property_certificates_verify(nrows, ncols, data):
         [data.draw(frac) for _ in range(ncols)] for _ in range(nrows)
     ]
     p = [data.draw(frac) for _ in range(nrows)]
-    m = SparseMatrix.from_dense(dense)
-    res = solve_equality_feasibility(m, p)
-    assert verify_certificate(m, p, res)
+    res = _solve(dense, p)
+    assert dense_certifies(dense, p, res)
     assert res.feasible == lp_feasible_bruteforce(dense, p)
