@@ -138,7 +138,7 @@ def _stage_chain(dataset, args):
         design, max_len=args.max_len, sequence_guard=args.sequence_guard
     )
     if not sequences:
-        return "pass", "no irreducible sequences to test", {"sequences": 0}
+        return "pass", "no irreducible sequences to test", {"sequences": 0}, None
     detail = {"sequences": len(sequences), "max_len": args.max_len, "orders": []}
     failures = []
     for order in orders:
@@ -160,14 +160,15 @@ def _stage_chain(dataset, args):
             }
         )
         if bad:
-            failures.append((order.name, bad[0]))
+            failures.append((order, bad[0]))
     if not failures:
-        return "pass", f"{len(sequences)} sequence(s) x {len(orders)} order(s) hold", detail
-    name, rec = failures[0]
+        text = f"{len(sequences)} sequence(s) x {len(orders)} order(s) hold"
+        return "pass", text, detail, None
+    order, rec = failures[0]
     text = (
-        f"order {name}: chain {rec.sequence.points} has slack {format_exact(rec.slack)}"
+        f"order {order.name}: chain {rec.sequence.points} has slack {format_exact(rec.slack)}"
     )
-    return "fail", text, detail
+    return "fail", text, detail, failures[0]
 
 
 def _stage_cosphericity(dataset, args):
@@ -188,12 +189,19 @@ def _stage_cosphericity(dataset, args):
     return ("pass" if result.passed else "fail"), text, detail
 
 
-def _stage_lft(dataset, args, validation_report):
-    verdict = run_lft(dataset, column_guard=args.column_guard, validation_report=validation_report)
+def _stage_lft(dataset, args, validation_report, chain_failure):
+    verdict = run_lft(
+        dataset,
+        column_guard=args.column_guard,
+        validation_report=validation_report,
+        chain_failure=chain_failure,
+    )
     detail = verdict.to_json_dict()
     if verdict.feasible:
         atoms = len(verdict.witness.support())
         return "pass", f"feasible; classical model with {atoms} atom(s)", detail
+    if verdict.chain_failure is not None:
+        return "fail", "infeasible; Farkas certificate from the failing chain attached", detail
     return "fail", "infeasible; Farkas certificate attached", detail
 
 
@@ -204,7 +212,8 @@ def cmd_test(args) -> int:
         print(f"{args.file}: invalid dataset: {vreport.summary()}", file=sys.stderr)
         return 2
 
-    # the later stages are handed these two reports instead of checking again
+    # the later stages are handed these reports, and the LFT the first
+    # failing chain, instead of checking again
     mreport = check_marginal_selectivity(dataset, comparison_guard=args.marginal_guard)
     stages = [("marginal-selectivity", *_stage_marginal(mreport))]
     if mreport.passed:
@@ -213,12 +222,13 @@ def cmd_test(args) -> int:
         stages.append(
             ("fine-inequalities", "skip", "marginal selectivity failed", {})
         )
-    stages.append(("chain-tests", *_stage_chain(dataset, args)))
+    *chain, chain_failure = _stage_chain(dataset, args)
+    stages.append(("chain-tests", *chain))
     stages.append(("cosphericity", *_stage_cosphericity(dataset, args)))
     if args.no_lft:
         stages.append(("lft", "skip", "disabled with --no-lft", {}))
     else:
-        stages.append(("lft", *_stage_lft(dataset, args, vreport)))
+        stages.append(("lft", *_stage_lft(dataset, args, vreport, chain_failure)))
 
     failed = [s for s in stages if s[1] == "fail"]
     verdict = "ruled-out" if failed else "consistent"

@@ -27,15 +27,22 @@ relations that give the dropped rows exactly under marginal selectivity.
 A feasible witness converts into an explicit classical model (`Si2Model`)
 whose forward simulation reproduces the dataset exactly; infeasibility comes
 with a verified Farkas vector.
+
+A failing chain inequality is such a vector already: an order distance is a
+pseudo-quasi-metric on every single assignment, so the chain's terms as
+rows of y give y'M <= 0 and y'P = -slack > 0 (`chain_farkas`).  Handed the
+chain stage's first failure, `run_lft` verifies that y and returns it,
+skipping presolve and phase one; if the check fails it solves as usual.
 """
 from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import accumulate, product, repeat
 from math import lcm, prod
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .errors import MarginalSelectivityError, SizeGuardError
 from .experiment import (
@@ -54,6 +61,7 @@ from .experiment import (
 from .io import format_exact
 from .rational_lp import (
     ONE,
+    FeasibilityResult,
     Presolve,
     SparseMatrix,
     scaled_integers,
@@ -61,6 +69,9 @@ from .rational_lp import (
     solve_equality_feasibility,
     verify_certificate,
 )
+
+if TYPE_CHECKING:
+    from .distances import ChainRecord, OrderRelation
 
 Assignment = tuple[int, ...]
 # default bound on the assignment count, the columns of M
@@ -272,10 +283,16 @@ class LftSystem:
         self.ncols = _guarded_q_length(design, column_guard)
         self.nrows = p_length(design)
         self._k, self._m = design.input_sizes[-1], design.outcome_sizes[-1]
+
+    @cached_property
+    def _cells(self) -> list[list[list[list[int]]]]:
+        """Per front, per last slot w, per outcome a, the rows of cell (w, a);
+        built on first use, as verification reads none."""
+        design = self.design
         block = prod(design.outcome_sizes)
         offsets = q_slot_offsets(design)
         strides = [prod(design.outcome_sizes[i + 1:]) for i in range(design.n - 1)]
-        self._cells = []  # per front, per last slot w, per outcome a
+        fronts = []
         for f in product(*map(range, slot_bases(design)[: offsets[-1]])):
             cells = [[[] for _ in range(self._m)] for _ in range(self._k)]
             for t, tr in enumerate(design.treatments):
@@ -283,7 +300,8 @@ class LftSystem:
                 for rows in cells[tr[-1] - 1]:
                     rows.append(row)
                     row += 1
-            self._cells.append(cells)
+            fronts.append(cells)
+        return fronts
 
     def presolve(self, P: list[Fraction]) -> Presolve:
         """Decide the zero rows before phase one, by this rule: sweep the rows
@@ -471,6 +489,8 @@ class LftVerdict:
 
     Feasible means a classical (selective-influences) explanation exists and
     `witness` holds one; infeasible refutes it and `farkas` proves it.
+    `chain_failure`, the (order, failing chain) that `farkas` was built
+    from, is set only when the chain route decided the verdict.
     """
 
     design: ExperimentDesign
@@ -478,6 +498,7 @@ class LftVerdict:
     witness: QVector | None
     farkas: tuple[Fraction, ...] | None
     pivots: int
+    chain_failure: tuple[OrderRelation, ChainRecord] | None = None
 
     def to_json_dict(self) -> dict:
         doc: dict = {
@@ -485,7 +506,8 @@ class LftVerdict:
             "pivots": self.pivots,
         }
         if self.feasible:
-            doc["witness"] = [format_exact(v) for v in self.witness.values]
+            zero = format_exact(ZERO)
+            doc["witness"] = [format_exact(v) if v else zero for v in self.witness.values]
             doc["witness_support"] = [
                 {"weight": format_exact(w), "assignment": list(a)}
                 for w, a in self.witness.support()
@@ -501,6 +523,13 @@ class LftVerdict:
                 "farkas index runs over (treatment, outcome tuple) rows: treatment "
                 "blocks in sorted order, outcome tuples lexicographic within a block"
             )
+            if self.chain_failure is not None:
+                order, record = self.chain_failure
+                doc["farkas_source"] = {
+                    "stage": "chain-tests",
+                    "order": order.name,
+                    "points": [list(point) for point in record.sequence.points],
+                }
         return doc
 
 
@@ -537,15 +566,47 @@ def collins_gisin_rows(design: ExperimentDesign) -> list[int]:
     ]
 
 
+def chain_farkas(
+    design: ExperimentDesign, order: OrderRelation, record: ChainRecord
+) -> tuple[Fraction, ...]:
+    """A Farkas vector for MQ = P built from a failing chain inequality.
+
+    y is +1 on the rows (t, o) of the endpoint's treatment where o ranks the
+    first point's output strictly below the last one's, and -1 on the same
+    rows of each link's treatment, summed.  An assignment h meets one row
+    per treatment, so y'M_h = 1[end] - sum 1[link] over h's own outcomes,
+    which is <= 0: the order distance of a single joint outcome is a
+    pseudo-quasi-metric.  y'P = lhs - rhs = -slack > 0.  Neither step reads
+    the data, so this holds for any order, marginally selective or not.
+    """
+    outcomes = list(design.all_outcomes())
+    y = [0] * p_length(design)
+    for sign, link in ((1, record.endpoint), *((-1, lk) for lk in record.links)):
+        (l1, _), (l2, _) = link.pair
+        row = design.treatments.index(link.treatment) * len(outcomes)
+        for o in outcomes:
+            if order.rank(l1, o[l1 - 1]) < order.rank(l2, o[l2 - 1]):
+                y[row] += sign
+            row += 1
+    return tuple(map(Fraction, y))
+
+
 def run_lft(
     dataset: Dataset,
     column_guard: int = COLUMN_GUARD,
     *,
     validation_report: ValidationReport | None = None,
+    chain_failure: tuple[OrderRelation, ChainRecord] | None = None,
 ) -> LftVerdict:
     """Run the feasibility test on a valid dataset.
 
     `validation_report` goes to `build_p_vector`, which refuses invalid data.
+    `chain_failure`, an (order, failing `ChainRecord`) from `chain_test` on
+    the same dataset, is a certificate already: `chain_farkas` turns it into
+    y, and if `verify_certificate` accepts y the verdict is infeasible with
+    0 pivots, without presolve or phase one.  If it does not, the test runs
+    as without it.
+
     The system is `LftSystem`, so M is never built.  Phase one runs on the
     rows `collins_gisin_rows` picks, and the result is verified against every
     row.  An infeasible verdict there holds for all of M.  A witness from
@@ -556,6 +617,10 @@ def run_lft(
     """
     p = list(build_p_vector(dataset, validation_report=validation_report).values)
     m = LftSystem(dataset.design, column_guard)
+    if chain_failure is not None:
+        y = chain_farkas(dataset.design, *chain_failure)
+        if verify_certificate(m, p, FeasibilityResult(False, None, y, 0)):
+            return LftVerdict(dataset.design, False, None, y, 0, chain_failure)
     result = solve_equality_feasibility(m, p, collins_gisin_rows(dataset.design))
     verified = verify_certificate(m, p, result)
     if not verified and result.feasible:

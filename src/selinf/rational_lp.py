@@ -157,8 +157,11 @@ def simplex(
     in Bland pivots only, which cannot cycle.  The leaving row is the least
     ratio, ties to the lowest basic variable.  Returns (feasible, the basic
     structural values by column or the phase-one dual y', pivot count).
+    A system with no rows is solved by Q = 0.
     """
     m = len(b)
+    if not m:
+        return True, {}, 0
     inv = [[0] * i + [1] + [0] * (m - 1 - i) + [b[i]] for i in range(m)]
     basis = list(range(n, n + m))
     art = [0] * m + [-sum(b)]

@@ -5,8 +5,10 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
-from math import comb
+from math import comb, lcm
+from operator import mul
 
 from selinf import rational_lp
 from selinf.distances import ChainRecord, LinkEvaluation, order_distance
@@ -24,43 +26,6 @@ from selinf.rational_lp import FeasibilityResult
 
 F = Fraction
 ZERO = F(0)
-
-
-def gauss_solve(rows: list[list[Fraction]], rhs: list[Fraction]):
-    """Solve the overdetermined system rows * x = rhs exactly.
-
-    Returns (consistent, unique, x): x is meaningful only when consistent and
-    unique (columns linearly independent).
-    """
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    aug = [list(rows[i]) + [rhs[i]] for i in range(m)]
-    pivot_cols = []
-    r = 0
-    for c in range(n):
-        pr = next((i for i in range(r, m) if aug[i][c] != 0), None)
-        if pr is None:
-            continue
-        aug[r], aug[pr] = aug[pr], aug[r]
-        pv = aug[r][c]
-        aug[r] = [v / pv for v in aug[r]]
-        for i in range(m):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [v - f * pv2 for v, pv2 in zip(aug[i], aug[r])]
-        pivot_cols.append(c)
-        r += 1
-        if r == m:
-            break
-    # rows below the pivot rows are fully eliminated, so consistency is just
-    # their right-hand sides being zero
-    consistent = all(aug[i][n] == 0 for i in range(r, m))
-    unique = len(pivot_cols) == n
-    x = [ZERO] * n
-    if consistent and unique:
-        for i, c in enumerate(pivot_cols):
-            x[c] = aug[i][n]
-    return consistent, unique, x
 
 
 def matrix_rank(rows: list[list[Fraction]]) -> int:
@@ -90,7 +55,10 @@ def lp_feasible_bruteforce(dense: list[list[Fraction]], P: list[Fraction]) -> bo
 
     If the system is feasible it has a basic feasible solution whose support
     extends to a linearly independent column set of size rank(M); enumerate
-    those sets and solve each square-ish system exactly.
+    those sets and solve each square system exactly.  Every such set spans
+    M's column space, so P must lie in it, and its solution is the one of
+    the rows of a row basis B: x_S = M[B, S]^-1 P[B].  The inverses depend on
+    M alone (`_vertex_inverses`), so each P costs one product per set.
     """
     m = len(dense)
     n = len(dense[0]) if m else 0
@@ -101,13 +69,57 @@ def lp_feasible_bruteforce(dense: list[list[Fraction]], P: list[Fraction]) -> bo
     r = matrix_rank(dense)
     if r == 0:
         return False  # M = 0 but P != 0
-    cols = list(range(n))
-    for subset in combinations(cols, r):
-        sub = [[dense[i][j] for j in subset] for i in range(m)]
-        consistent, unique, x = gauss_solve(sub, P)
-        if consistent and unique and all(v >= 0 for v in x):
-            return True
-    return False
+    if matrix_rank([row + [p] for row, p in zip(dense, P)]) > r:
+        return False  # P outside M's column space
+    basis, scales, inverses = _vertex_inverses(tuple(map(tuple, dense)))
+    b = [c * F(P[i]) for i, c in zip(basis, scales)]
+    den = lcm(*(v.denominator for v in b))
+    b = [v.numerator * (den // v.denominator) for v in b]
+    return any(all(sum(map(mul, row, b)) >= 0 for row in rows) for rows in inverses)
+
+
+@lru_cache(maxsize=4)
+def _vertex_inverses(dense: tuple[tuple[Fraction, ...], ...]):
+    """A row basis B of M, the positive integer c_i that clears row B_i's
+    denominators, and for every independent column set S of size rank(M)
+    the rows of d * A_S^-1 with d > 0, A_S the scaled M[B, S].
+
+    One depth-first search over the sets in lexicographic order: Edmonds'
+    integer Gauss-Jordan on [A | I] pivots each set's next column once, on
+    the state its prefix left, so every entry is d times the Fraction
+    tableau's and each division is exact.  A column with no unpivoted row
+    left depends on the prefix, and no set extends that prefix by it.
+    """
+    basis = []
+    for i in range(len(dense)):
+        if matrix_rank([list(dense[j]) for j in basis + [i]]) > len(basis):
+            basis.append(i)
+    r, n = len(basis), len(dense[0])
+    scales = [lcm(*(v.denominator for v in dense[i])) for i in basis]
+    start = [
+        [int(v * c) for v in dense[i]] + [int(k == j) for k in range(r)]
+        for j, (i, c) in enumerate(zip(basis, scales))
+    ]
+    inverses = []
+
+    def extend(rows, d, free, chosen, first):
+        if len(chosen) == r:
+            sign = 1 if d > 0 else -1
+            inverses.append(tuple(tuple(sign * v for v in rows[i][n:]) for i in chosen))
+            return
+        for c in range(first, n - (r - len(chosen)) + 1):
+            lead = next((i for i in free if rows[i][c]), None)
+            if lead is None:
+                continue
+            piv, prow = rows[lead][c], rows[lead]
+            after = [
+                row if i == lead else [(v * piv - row[c] * pv) // d for v, pv in zip(row, prow)]
+                for i, row in enumerate(rows)
+            ]
+            extend(after, piv, [i for i in free if i != lead], chosen + [lead], c + 1)
+
+    extend(start, 1, list(range(r)), [], 0)
+    return tuple(basis), tuple(scales), tuple(inverses)
 
 
 def rand_frac(rng: random.Random, lo=F(0), hi=F(1), denom: int = 24) -> Fraction:

@@ -68,6 +68,7 @@ def crit1_sweep():
     t0 = time.time()
     mismatches = []
     feasible_pairs = []
+    chain_routes = []
     n_feasible = 0
     for trial in range(1000):
         flavor = trial % 4
@@ -82,6 +83,9 @@ def crit1_sweep():
         verdict = run_lft(ds)
         if fine_ok != verdict.feasible:
             mismatches.append(ds)
+        chain = _first_chain_failure(ds)
+        if chain is not None:
+            chain_routes.append((ds, chain, verdict))
         if verdict.feasible:
             n_feasible += 1
             feasible_pairs.append((ds, verdict.witness))
@@ -90,8 +94,21 @@ def crit1_sweep():
         "feasible_pairs": feasible_pairs,
         "n": 1000,
         "n_feasible": n_feasible,
+        "chain_routes": chain_routes,
         "elapsed": time.time() - t0,
     }
+
+
+def _first_chain_failure(ds):
+    """The chain stage's first failure under d1 then d2, as `selinf test`
+    hands it to the LFT, or None."""
+    sequences = enumerate_irreducible_sequences(ds.design)
+    for name in ("d1", "d2"):
+        order = preset_order(ds.design, name)
+        failures = chain_test(ds, order, sequences).failures()
+        if failures:
+            return order, failures[0]
+    return None
 
 
 def _criterion4_shapes(rng: random.Random, count: int):
@@ -420,3 +437,30 @@ def test_criterion_10_cosphericity_necessity():
         f"{'fails' if degenerate_fails else 'PASSES'}, {time.time()-t0:.1f}s)"
     )
     assert ok
+
+
+def test_criterion_11_chain_certificates(crit1_sweep, crit3_results):
+    # a failing chain handed to the LFT is its Farkas vector: verified, with
+    # no pivot, on every dataset a chain rules out, and phase one agrees
+    t0 = time.time()
+    routes = list(crit1_sweep["chain_routes"])
+    optimal = gen_singlet(AngleSpec(((F(0), F(1, 2)), (F(1, 4), F(3, 4)))), 12)
+    routes.append((optimal, _first_chain_failure(optimal), crit3_results["verdict_optimal"]))
+    dense = build_jdc_matrix(CHSH).matrix.to_dense()
+    bad = 0
+    for ds, chain, phase_one in routes:
+        verdict = run_lft(ds, chain_failure=chain)
+        res = FeasibilityResult(False, None, verdict.farkas, verdict.pivots)
+        bad += not (
+            verdict.chain_failure == chain
+            and verdict.pivots == 0
+            and not verdict.feasible
+            and not phase_one.feasible
+            and dense_certifies(dense, list(build_p_vector(ds).values), res)
+        )
+    ok = bad == 0 and len(routes) > 100
+    report(
+        f"C11 chain certificates: {'PASS' if ok else 'FAIL'} ({len(routes) - bad}/{len(routes)} "
+        f"chain-ruled-out datasets certified by their chain, {time.time()-t0:.1f}s)"
+    )
+    assert ok, bad

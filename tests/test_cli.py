@@ -114,6 +114,31 @@ class TestTest:
         lft_stage = doc["stages"][-1]
         assert lft_stage["detail"]["verdict"] == "infeasible"
 
+    def test_chain_failure_certifies_the_lft(self, tmp_path, capsys):
+        # the PR box fails a chain, whose vector the LFT verifies and reports
+        # with no pivot; GHZ passes every chain and gets its vector from the
+        # solver; requests in one process hand nothing on to the next
+        pr = write(tmp_path, "pr.json", gen_prbox())
+        ghz = write(tmp_path, "ghz.json", gen_ghz())
+        for path, source in ((pr, True), (ghz, False), (pr, True), (ghz, False)):
+            assert main(["test", path, "--json"]) == 1
+            stages = {s["name"]: s for s in json.loads(capsys.readouterr().out)["stages"]}
+            lft_stage = stages["lft"]
+            assert lft_stage["detail"]["verdict"] == "infeasible"
+            assert (stages["chain-tests"]["status"] == "fail") == source
+            assert ("farkas_source" in lft_stage["detail"]) == source
+            assert ("failing chain" in lft_stage["summary"]) == source
+        assert main(["test", pr, "--json"]) == 1
+        detail = json.loads(capsys.readouterr().out)["stages"][-1]["detail"]
+        assert detail["pivots"] == 0
+        assert detail["farkas_source"] == {
+            "stage": "chain-tests", "order": "d1", "points": [[1, 2], [2, 1], [1, 1], [2, 2]],
+        }
+        assert main(["test", pr]) == 1
+        assert "lft: FAIL - infeasible; Farkas certificate from the failing chain attached" in (
+            capsys.readouterr().out
+        )
+
     def test_no_lft_skips_stage(self, tmp_path, capsys):
         ds, _ = gen_classical(make_design((2, 2), (2, 2)), seed=3)
         path = write(tmp_path, "cl.json", ds)

@@ -1,11 +1,14 @@
 import hashlib
 import random
+from dataclasses import replace
 from fractions import Fraction
+from functools import cache
 from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from selinf.distances import chain_test, enumerate_irreducible_sequences, preset_order, random_order
 from selinf.errors import MarginalSelectivityError, SizeGuardError
 from selinf.experiment import (
     Dataset,
@@ -17,11 +20,13 @@ from selinf.experiment import (
 from selinf.generators import gen_classical, gen_ghz, gen_prbox
 from selinf.lft import (
     LftSystem,
+    LftVerdict,
     PVector,
     QVector,
     assignment_outcome,
     build_jdc_matrix,
     build_p_vector,
+    chain_farkas,
     collins_gisin_rows,
     construct_si2,
     p_length,
@@ -799,3 +804,103 @@ class TestVerificationWithoutM:
                 assert ok == (kind == "good") or kind == "flipped"
                 rejected[kind] = rejected.get(kind, 0) + (not ok)
         assert rejected["good"] == 0 and all(rejected[k] > 10 for k in ("moved", "negative", "flipped"))
+
+
+@cache
+def _chain_cases():
+    """(dataset, its order relations, its irreducible sequences, phase one's
+    verdict, P, the dense M) over factorial and non-factorial designs:
+    PR-box mixtures, signalling tables and classical data."""
+    rng = random.Random(1982)
+    designs = [make_design((2, 2), (2, 2)), make_design((2, 2), (3, 3)), make_design((3, 3), (2, 2)),
+               make_design((2, 2, 2), (2, 2, 2)), make_design((2, 3), (3, 2)),
+               make_design((3, 3), (2, 2), [(1, 1), (1, 2), (2, 2), (2, 3), (3, 1), (3, 3)])]
+    cases = []
+    for design in designs:
+        dense = build_jdc_matrix(design).matrix.to_dense()
+        sequences = enumerate_irreducible_sequences(design)
+        for _ in range(6):
+            classical = gen_classical(design, seed=rng.randrange(10**9), max_support=rng.randint(1, 6))[0]
+            mixture = Dataset(design, mix_tables(F(rng.randint(1, 3), 4), lifted_prbox(design), classical.tables))
+            orders = [preset_order(design, "d1"), preset_order(design, "d2"), random_order(design, rng)]
+            for ds in (mixture, _shift_mass(mixture, rng), random_tables_dataset(design, rng), classical):
+                cases.append((ds, orders, sequences, run_lft(ds), list(build_p_vector(ds).values), dense))
+    return cases
+
+
+class TestChainRoute:
+    """`run_lft` handed a failing chain: the chain's y against plain
+    arithmetic on the full M and against phase one on the same data."""
+
+    @staticmethod
+    def _certifies(ds, p, dense, y):
+        result = FeasibilityResult(False, None, y, 0)
+        ok = verify_certificate(LftSystem(ds.design), p, result)
+        assert ok == dense_certifies(dense, p, result)
+        return ok
+
+    def test_every_chain_vector_verifies_and_matches_phase_one(self):
+        routed = checked = 0
+        for ds, orders, sequences, plain, p, dense in _chain_cases():
+            assert plain.chain_failure is None
+            for order in orders:
+                failures = chain_test(ds, order, sequences).failures()
+                for record in failures:
+                    assert self._certifies(ds, p, dense, chain_farkas(ds.design, order, record))
+                    checked += 1
+                if failures:
+                    assert not plain.feasible
+                    verdict = run_lft(ds, chain_failure=(order, failures[0]))
+                    y = chain_farkas(ds.design, order, failures[0])
+                    assert verdict == LftVerdict(ds.design, False, None, y, 0, (order, failures[0]))
+                    routed += 1
+        assert routed > 50 and checked > 200
+
+    def test_corrupted_records_fall_back_to_phase_one(self):
+        kinds = {"passing": 0, "flipped": 0, "moved": 0}
+        rejected = dict.fromkeys(kinds, 0)
+        for ds, orders, sequences, plain, p, dense in _chain_cases():
+            design = ds.design
+            for order in orders:
+                report = chain_test(ds, order, sequences)
+                variants = []
+                held = [q for q, slack in zip(sequences, report.slacks) if slack >= 0][:1]
+                if order is orders[0] and held:
+                    variants.append(("passing", chain_test(ds, order, held).records[0]))
+                for r in report.failures()[:1]:
+                    # the endpoint enters with -1 and a link with +1
+                    variants.append(("flipped", replace(r, endpoint=r.links[0], links=(r.endpoint, *r.links[1:]))))
+                    # a link read in a treatment that does not hold its pair
+                    (l1, w1), (l2, w2) = r.links[1].pair
+                    other = next(t for t in design.treatments if (t[l1 - 1], t[l2 - 1]) != (w1, w2))
+                    links = list(r.links)
+                    links[1] = replace(links[1], treatment=other)
+                    variants.append(("moved", replace(r, links=tuple(links))))
+                for kind, record in variants:
+                    verdict = run_lft(ds, chain_failure=(order, record))
+                    if self._certifies(ds, p, dense, chain_farkas(design, order, record)):
+                        # y'P = -slack <= 0 on a passing chain; a corrupted
+                        # vector that still certifies is a Farkas vector all
+                        # the same, and `run_lft` may keep it
+                        assert kind != "passing" and not plain.feasible and verdict.pivots == 0
+                    else:
+                        assert verdict == plain
+                        rejected[kind] += 1
+                    kinds[kind] += 1
+        assert min(kinds.values()) > 50 and all(rejected[k] > 0.8 * kinds[k] for k in kinds), (rejected, kinds)
+
+    def test_prbox_verdict_and_report(self):
+        pr = gen_prbox()
+        order = preset_order(pr.design, "d1")
+        record = chain_test(pr, order, enumerate_irreducible_sequences(pr.design)).failures()[0]
+        verdict = run_lft(pr, chain_failure=(order, record))
+        assert verdict.pivots == 0 and not verdict.feasible
+        doc = verdict.to_json_dict()
+        assert doc["farkas_source"] == {
+            "stage": "chain-tests", "order": "d1", "points": [list(p) for p in record.sequence.points],
+        }
+        assert doc["farkas"] == list(map(format_exact, chain_farkas(pr.design, order, record)))
+        # y'P is minus the chain's slack
+        p = build_p_vector(pr).values
+        assert sum(y * v for y, v in zip(verdict.farkas, p)) == -record.slack
+        assert "farkas_source" not in run_lft(pr).to_json_dict()

@@ -130,6 +130,11 @@ class TestSolveBasics:
         assert res == FeasibilityResult(True, (F(0),) * 4, None, 0)
         assert not verify_certificate(lft, [F(1, 2)] * 4, res)
 
+    def test_simplex_on_no_rows(self):
+        # Q = 0 solves a system with no rows, whatever its columns
+        cols = [[], [], []]
+        assert simplex([], 3, dense_pricer(cols), cols.__getitem__) == (True, {}, 0)
+
     def test_corrupted_witness_rejected(self):
         ds = gen_classical(make_design((2, 2), (2, 2)), seed=3)[0]
         lft, p = LftSystem(ds.design), list(build_p_vector(ds).values)
