@@ -26,13 +26,15 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import permutations
 from math import lcm
+from types import MappingProxyType
 from typing import Mapping, Sequence
 
 from .errors import MarginalSelectivityError, SizeGuardError
 from .experiment import (
+    DESIGN_CACHE,
     Dataset,
     ExperimentDesign,
     MarginalReport,
@@ -174,17 +176,19 @@ class InputPointSequence:
         return self.points[0], self.points[-1]
 
 
-def _pair_realizers(design: ExperimentDesign) -> dict[tuple[Point, Point], list[Treatment]]:
+@lru_cache(maxsize=DESIGN_CACHE)
+def _pair_realizers(design: ExperimentDesign) -> Mapping[tuple[Point, Point], tuple[Treatment, ...]]:
     """Each ordered pair of input points (a point is (input, value)) mapped to
     the treatments containing both, in sorted order.  A point paired with
-    itself is included; a pair that no treatment contains is absent."""
+    itself is included; a pair that no treatment contains is absent.  Read
+    only: it is cached per design, and reports hold its tuples."""
     pairs: dict[tuple[Point, Point], list[Treatment]] = {}
     for tr in design.treatments:
         points = list(enumerate(tr, start=1))
         for a in points:
             for b in points:
                 pairs.setdefault((a, b), []).append(tr)
-    return pairs
+    return MappingProxyType({pair: tuple(trs) for pair, trs in pairs.items()})
 
 
 def _too_many(sequence_guard: int) -> SizeGuardError:
@@ -207,17 +211,26 @@ def enumerate_irreducible_sequences(
 
     On a full-factorial design these are `enumerate_tetradic_sequences`,
     counted against `sequence_guard` before any is built; any other
-    treatment set is searched depth first.
+    treatment set is searched depth first.  The chains are found once per
+    (design, max_len, sequence_guard) per process and returned in a new
+    list; a breached guard raises on every call.
     """
+    return list(_irreducible_sequences(design, max_len, sequence_guard))
+
+
+@lru_cache(maxsize=DESIGN_CACHE)
+def _irreducible_sequences(
+    design: ExperimentDesign, max_len: int, sequence_guard: int
+) -> tuple[InputPointSequence, ...]:
     if max_len < 3:
         raise ValueError("max_len must be >= 3")
     if design.is_factorial:
         if max_len < 4:
-            return []
+            return ()
         per_input = [k * (k - 1) for k in design.input_sizes]
         if sum(per_input) ** 2 - sum(c * c for c in per_input) > sequence_guard:
             raise _too_many(sequence_guard)
-        return enumerate_tetradic_sequences(design)
+        return tuple(enumerate_tetradic_sequences(design))
     points = design.input_points()
     pairs = _pair_realizers(design)
     results: list[InputPointSequence] = []
@@ -250,7 +263,7 @@ def enumerate_irreducible_sequences(
     for target in range(3, min(max_len, len(points)) + 1):
         for start in points:
             extend([start], target)
-    return results
+    return tuple(results)
 
 
 def enumerate_tetradic_sequences(design: ExperimentDesign) -> list[InputPointSequence]:
@@ -311,7 +324,7 @@ class ChainReport:
     sequences: tuple[InputPointSequence, ...]
     slacks: tuple[int, ...]
     scale: int
-    realizations: Mapping[tuple[Point, Point], tuple[list[Treatment], list[int]]]
+    realizations: Mapping[tuple[Point, Point], tuple[tuple[Treatment, ...], list[int]]]
 
     @property
     def passed(self) -> bool:
@@ -354,7 +367,7 @@ def chain_test(
     pairs = _pair_realizers(dataset.design)
     scale = lcm(*(p.denominator for table in dataset.tables.values() for p in table.values()))
     rank, sizes = order._rank, dataset.design.outcome_sizes
-    realizations: dict[tuple[Point, Point], tuple[list[Treatment], list[int]]] = {}
+    realizations: dict[tuple[Point, Point], tuple[tuple[Treatment, ...], list[int]]] = {}
     low: dict[tuple[Point, Point], int] = {}
     high: dict[tuple[Point, Point], int] = {}
 
@@ -493,8 +506,13 @@ def check_pq_metric_axioms(
 ) -> AxiomReport:
     """Verify nonnegativity, zero self-distance, and every triangle
     inequality for the order-distance on an explicit joint distribution over
-    at least three variables (keyed 1..v in the outcome tuples)."""
-    items = [(tuple(int(a) for a in key), Fraction(p)) for key, p in joint.items()]
+    at least three variables (keyed 1..v in the outcome tuples).  The
+    distances are summed, and the triangles compared, in integers over the
+    joint's common denominator."""
+    items = [
+        (tuple(map(int, key)), p if isinstance(p, Fraction) else Fraction(p))
+        for key, p in joint.items()
+    ]
     if not items:
         raise ValueError("empty joint distribution")
     v = len(items[0][0])
@@ -502,19 +520,24 @@ def check_pq_metric_axioms(
         raise ValueError("need a joint over at least three variables")
     if any(len(key) != v for key, _ in items):
         raise ValueError("ragged outcome tuples")
-    if any(p < 0 for _, p in items):
+    scale = lcm(*(p.denominator for _, p in items))
+    weights = [p.numerator * (scale // p.denominator) for _, p in items]
+    if min(weights) < 0:
         raise ValueError("negative probability in joint")
-    if sum(p for _, p in items) != 1:
+    if sum(weights) != scale:
         raise ValueError("joint distribution must sum to 1")
 
-    dist: dict[tuple[int, int], Fraction] = {}
-    for i in range(1, v + 1):
-        for j in range(1, v + 1):
-            d = ZERO
-            for key, p in items:
-                if p != 0 and order.rank(i, key[i - 1]) < order.rank(j, key[j - 1]):
-                    d += p
-            dist[(i, j)] = d
+    # ranked variable by variable, so an uncovered label raises for the first
+    # such variable, as a loop over the pairs (i, j) would
+    support = [(key, w) for (key, _), w in zip(items, weights) if w]
+    weights = [w for _, w in support]
+    ranks = [[order.rank(i, key[i - 1]) for key, _ in support] for i in range(1, v + 1)]
+    num = {
+        (i, j): sum([w for a, b, w in zip(ranks[i - 1], ranks[j - 1], weights) if a < b])
+        for i in range(1, v + 1)
+        for j in range(1, v + 1)
+    }
+    dist = {pair: Fraction(d, scale) for pair, d in num.items()}
 
     violations = []
     for (i, j), d in dist.items():
@@ -525,7 +548,7 @@ def check_pq_metric_axioms(
     for i in range(1, v + 1):
         for j in range(1, v + 1):
             for k in range(1, v + 1):
-                if dist[(i, k)] > dist[(i, j)] + dist[(j, k)]:
+                if num[i, k] > num[i, j] + num[j, k]:
                     violations.append(
                         f"triangle fails: d({i},{k}) > d({i},{j}) + d({j},{k})"
                     )

@@ -13,6 +13,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations, product
 from math import comb, lcm, prod
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -24,6 +25,9 @@ OutcomeTuple = tuple[int, ...]
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+# entries of each per-process cache of tables derived from a design alone,
+# keyed on the frozen `ExperimentDesign`
+DESIGN_CACHE = 16
 
 
 def parse_index(value) -> int:
@@ -90,7 +94,9 @@ class ExperimentDesign:
     """Inputs, outputs and the allowable treatment set.
 
     Treatments are stored in sorted order; that order is the canonical one
-    used for flat vector indexing elsewhere.
+    used for flat vector indexing elsewhere.  A design is immutable, so
+    tables derived from it alone are cached: here as cached properties,
+    elsewhere in caches of `DESIGN_CACHE` entries keyed on the design.
     """
 
     inputs: tuple[Input, ...]
@@ -133,11 +139,11 @@ class ExperimentDesign:
     def n(self) -> int:
         return len(self.inputs)
 
-    @property
+    @cached_property
     def input_sizes(self) -> tuple[int, ...]:
         return tuple(inp.size for inp in self.inputs)
 
-    @property
+    @cached_property
     def outcome_sizes(self) -> tuple[int, ...]:
         return tuple(out.size for out in self.outputs)
 

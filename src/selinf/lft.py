@@ -39,13 +39,14 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import accumulate, product, repeat
 from math import lcm, prod
 from typing import TYPE_CHECKING, Sequence
 
 from .errors import MarginalSelectivityError, SizeGuardError
 from .experiment import (
+    DESIGN_CACHE,
     Dataset,
     ExperimentDesign,
     MarginalReport,
@@ -78,11 +79,13 @@ Assignment = tuple[int, ...]
 COLUMN_GUARD = 10**6
 
 
+@lru_cache(maxsize=DESIGN_CACHE)
 def q_slot_offsets(design: ExperimentDesign) -> tuple[int, ...]:
     """Start position of each input's block of slots inside an assignment."""
     return tuple(accumulate(design.input_sizes[:-1], initial=0))
 
 
+@lru_cache(maxsize=DESIGN_CACHE)
 def slot_bases(design: ExperimentDesign) -> tuple[int, ...]:
     """Radix of each assignment slot: the outcome count of the slot's input."""
     return tuple(
@@ -180,9 +183,12 @@ class QVector:
         return mixed_radix_digits(flat, slot_bases(self.design))
 
     def support(self) -> list[tuple[Fraction, Assignment]]:
-        return [
-            (v, self.assignment_at(i)) for i, v in enumerate(self.values) if v != 0
-        ]
+        """The nonzero entries as (weight, assignment), in index order."""
+        return list(self._support)
+
+    @cached_property
+    def _support(self) -> tuple[tuple[Fraction, Assignment], ...]:
+        return tuple((v, self.assignment_at(i)) for i, v in enumerate(self.values) if v)
 
 
 def assignment_outcome(
@@ -263,6 +269,26 @@ def build_jdc_matrix(design: ExperimentDesign, column_guard: int = COLUMN_GUARD)
     return JdcMatrix(design, SparseMatrix(p_length(design), ncols, tuple(rows)))
 
 
+@lru_cache(maxsize=DESIGN_CACHE)
+def _front_cells(design: ExperimentDesign) -> tuple[tuple[tuple[tuple[int, ...], ...], ...], ...]:
+    """Per front, per last slot w, per outcome a, the rows of cell (w, a)
+    (see `LftSystem`), in tuples: they depend on the design alone."""
+    block = prod(design.outcome_sizes)
+    offsets = q_slot_offsets(design)
+    strides = [prod(design.outcome_sizes[i + 1:]) for i in range(design.n - 1)]
+    k, m = design.input_sizes[-1], design.outcome_sizes[-1]
+    fronts = []
+    for f in product(*map(range, slot_bases(design)[: offsets[-1]])):
+        cells = [[[] for _ in range(m)] for _ in range(k)]
+        for t, tr in enumerate(design.treatments):
+            row = t * block + sum([f[off + w - 1] * s for off, w, s in zip(offsets, tr, strides)])
+            for rows in cells[tr[-1] - 1]:
+                rows.append(row)
+                row += 1
+        fronts.append(tuple(tuple(map(tuple, cw)) for cw in cells))
+    return tuple(fronts)
+
+
 class LftSystem:
     """The LFT's M as its design describes it, never built.
 
@@ -276,6 +302,10 @@ class LftSystem:
     |fronts| x T x m_n rows, not M's T x |columns| entries.  Verification
     reads neither: it simulates a witness's atoms and enumerates the
     assignments against a Farkas vector.
+
+    The cells depend on the design alone.  They are built on first use,
+    once per design per process (`_front_cells`, a bounded cache keyed on
+    the design), so the chain route, which only verifies, builds none.
     """
 
     def __init__(self, design: ExperimentDesign, column_guard: int = COLUMN_GUARD):
@@ -285,23 +315,8 @@ class LftSystem:
         self._k, self._m = design.input_sizes[-1], design.outcome_sizes[-1]
 
     @cached_property
-    def _cells(self) -> list[list[list[list[int]]]]:
-        """Per front, per last slot w, per outcome a, the rows of cell (w, a);
-        built on first use, as verification reads none."""
-        design = self.design
-        block = prod(design.outcome_sizes)
-        offsets = q_slot_offsets(design)
-        strides = [prod(design.outcome_sizes[i + 1:]) for i in range(design.n - 1)]
-        fronts = []
-        for f in product(*map(range, slot_bases(design)[: offsets[-1]])):
-            cells = [[[] for _ in range(self._m)] for _ in range(self._k)]
-            for t, tr in enumerate(design.treatments):
-                row = t * block + sum([f[off + w - 1] * s for off, w, s in zip(offsets, tr, strides)])
-                for rows in cells[tr[-1] - 1]:
-                    rows.append(row)
-                    row += 1
-            fronts.append(cells)
-        return fronts
+    def _cells(self) -> tuple[tuple[tuple[tuple[int, ...], ...], ...], ...]:
+        return _front_cells(self.design)
 
     def presolve(self, P: list[Fraction]) -> Presolve:
         """Decide the zero rows before phase one, by this rule: sweep the rows
@@ -534,7 +549,8 @@ class LftVerdict:
 
 
 def collins_gisin_rows(design: ExperimentDesign) -> list[int]:
-    """Flat P indices of the rows of M that phase one uses.
+    """Flat P indices of the rows of M that phase one uses, in a new list;
+    computed once per design per process (`_collins_gisin_rows`).
 
     For each input i, the reference of a group of `design.treatment_groups`
     on the other inputs is its first member, the one with the lowest t_i.
@@ -551,6 +567,11 @@ def collins_gisin_rows(design: ExperimentDesign) -> list[int]:
     r_i < t_i, and every row on the right comes earlier in the order of (how
     many i have o_i = m_i, then sum(t)): induct on it.
     """
+    return list(_collins_gisin_rows(design))
+
+
+@lru_cache(maxsize=DESIGN_CACHE)
+def _collins_gisin_rows(design: ExperimentDesign) -> tuple[int, ...]:
     inputs = range(1, design.n + 1)
     references = [
         {group[0] for group in design.treatment_groups([l for l in inputs if l != i]).values()}
@@ -558,12 +579,12 @@ def collins_gisin_rows(design: ExperimentDesign) -> list[int]:
     ]
     sizes = design.outcome_sizes
     outcomes = list(design.all_outcomes())
-    return [
+    return tuple(
         t_idx * len(outcomes) + pos
         for t_idx, tr in enumerate(design.treatments)
         for pos, outcome in enumerate(outcomes)
         if all(o < m or tr in refs for o, m, refs in zip(outcome, sizes, references))
-    ]
+    )
 
 
 def chain_farkas(

@@ -217,6 +217,26 @@ class TestEnumeration:
             with pytest.raises(SizeGuardError, match=f"more than {count - 1} "):
                 enumerate_irreducible_sequences(design, max_len=6, sequence_guard=count - 1)
 
+    def test_breached_guard_raises_on_every_call(self):
+        # the chains are cached per (design, max_len, guard); a refusal is not
+        factorial = make_design((3, 2, 2), (2, 2, 2))
+        restricted = make_design((3, 2, 2), (2, 2, 2), treatments=factorial.treatments[1:])
+        for design in (factorial, restricted):
+            for _ in range(3):
+                with pytest.raises(SizeGuardError, match="more than 1 "):
+                    enumerate_irreducible_sequences(design, max_len=6, sequence_guard=1)
+            assert len(enumerate_irreducible_sequences(design, max_len=6)) > 1
+
+    def test_returns_a_fresh_list(self):
+        factorial = make_design((3, 2), (2, 2))
+        restricted = make_design((3, 2), (2, 2), treatments=factorial.treatments[1:])
+        for design in (factorial, restricted):
+            got = enumerate_irreducible_sequences(design)
+            want = list(got)
+            got.reverse()
+            got.pop()
+            assert got != want and enumerate_irreducible_sequences(design) == want
+
     def test_huge_max_len_stops_at_the_point_count(self):
         # no irreducible chain repeats a point, so the search ends at the
         # point count whatever max_len asks for

@@ -8,10 +8,15 @@ from math import lcm
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from selinf import distances, lft
+from selinf.cli import main
 from selinf.distances import chain_test, enumerate_irreducible_sequences, preset_order, random_order
 from selinf.errors import MarginalSelectivityError, SizeGuardError
 from selinf.experiment import (
+    DESIGN_CACHE,
     Dataset,
+    ExperimentDesign,
+    Input,
     check_marginal_selectivity,
     make_design,
     transform_outputs,
@@ -35,7 +40,7 @@ from selinf.lft import (
     restrict_design,
     run_lft,
 )
-from selinf.io import format_exact
+from selinf.io import dump_dataset, format_exact
 from selinf.rational_lp import (
     FeasibilityResult,
     SparseMatrix,
@@ -904,3 +909,116 @@ class TestChainRoute:
         p = build_p_vector(pr).values
         assert sum(y * v for y, v in zip(verdict.farkas, p)) == -record.slack
         assert "farkas_source" not in run_lft(pr).to_json_dict()
+
+
+# the per-process caches of tables derived from a design alone
+DESIGN_TABLES = (
+    lft.slot_bases,
+    lft.q_slot_offsets,
+    lft._front_cells,
+    lft._collins_gisin_rows,
+    distances._pair_realizers,
+    distances._irreducible_sequences,
+)
+
+
+def _clear_design_tables():
+    for table in DESIGN_TABLES:
+        table.cache_clear()
+
+
+class TestDesignTables:
+    """Tables that depend on the design alone are built once per design per
+    process, and every request reports what it reports in a fresh process."""
+
+    @staticmethod
+    def _write(tmp_path, name, dataset):
+        path = str(tmp_path / name)
+        dump_dataset(dataset, path)
+        return ["test", path, "--json"]
+
+    @staticmethod
+    def _request(argv, capsys):
+        code = main(argv)
+        return (code, *capsys.readouterr())
+
+    def _alone(self, argvs, capsys):
+        """Each request as a fresh process runs it: with every table empty."""
+        reports = []
+        for argv in argvs:
+            _clear_design_tables()
+            reports.append(self._request(argv, capsys))
+        return reports
+
+    def test_each_table_built_once_per_design(self, tmp_path, capsys):
+        ds = gen_classical(make_design((3, 3), (2, 2)), seed=5)[0]
+        argv = self._write(tmp_path, "classical.json", ds)
+        _clear_design_tables()
+        reports = [self._request(argv, capsys) for _ in range(3)]
+        assert reports[0][0] == 0 and reports == reports[:1] * 3
+        for table in DESIGN_TABLES:
+            info = table.cache_info()
+            assert (info.misses, info.currsize) == (1, 1) and info.hits >= 2, (table, info)
+
+    def test_same_shape_different_labels(self, tmp_path, capsys):
+        plain = make_design((2, 2), (2, 2))
+        relabelled = ExperimentDesign(
+            tuple(Input(f"x{i}", ("lo", "hi")) for i in (1, 2)), plain.outputs, plain.treatments
+        )
+        assert relabelled != plain
+        argvs = [
+            self._write(tmp_path, "classical.json", gen_classical(plain, seed=2)[0]),
+            self._write(tmp_path, "prbox.json", Dataset(relabelled, gen_prbox().tables)),
+        ]
+        alone = self._alone(argvs, capsys)
+        assert [code for code, _, _ in alone] == [0, 1]
+        _clear_design_tables()
+        assert [self._request(argv, capsys) for argv in argvs * 2] == alone * 2
+        assert distances._pair_realizers.cache_info().currsize == 2
+
+    def test_non_factorial_subset_alternating_with_its_parent(self, tmp_path, capsys):
+        full = make_design((3, 3), (2, 2))
+        subset = make_design((3, 3), (2, 2), treatments=[t for t in full.treatments if 3 not in t or t == (3, 3)])
+        classical = gen_classical(full, seed=7)[0].tables
+        ruled_out = mix_tables(F(1, 2), lifted_prbox(full), classical)
+        argvs = [
+            self._write(tmp_path, "full.json", Dataset(full, classical)),
+            self._write(tmp_path, "subset.json", Dataset(subset, {tr: classical[tr] for tr in subset.treatments})),
+            self._write(tmp_path, "full-mixed.json", Dataset(full, ruled_out)),
+            self._write(tmp_path, "subset-mixed.json", Dataset(subset, {tr: ruled_out[tr] for tr in subset.treatments})),
+        ]
+        alone = self._alone(argvs, capsys)
+        assert [code for code, _, _ in alone] == [0, 0, 1, 1]
+        _clear_design_tables()
+        assert [self._request(argv, capsys) for argv in argvs * 2] == alone * 2
+
+    def test_breached_sequence_guard_fails_every_request(self, tmp_path, capsys):
+        pr = gen_prbox()
+        argv = [*self._write(tmp_path, "prbox.json", pr), "--sequence-guard", "1"]
+        reports = [self._request(argv, capsys) for _ in range(3)]
+        assert reports[0][0] == 2 and "sequence_guard" in reports[0][2]
+        assert reports == reports[:1] * 3
+
+    def test_returned_containers_are_fresh(self):
+        ds = gen_classical(make_design((2, 2), (3, 2)), seed=4)[0]
+        rows = collins_gisin_rows(ds.design)
+        want = list(rows)
+        rows.clear()
+        assert collins_gisin_rows(ds.design) == want
+        witness = run_lft(ds).witness
+        support = witness.support()
+        want = list(support)
+        support.pop()
+        assert witness.support() == want and sum(w for w, _ in want) == 1
+
+    def test_caches_stay_bounded(self):
+        _clear_design_tables()
+        designs = [make_design((k, j), (2, 2)) for k in range(1, 6) for j in range(1, 5)]
+        assert len(designs) > DESIGN_CACHE
+        first = [(LftSystem(d)._cells, collins_gisin_rows(d), enumerate_irreducible_sequences(d)) for d in designs]
+        for table in DESIGN_TABLES:
+            info = table.cache_info()
+            assert info.maxsize == DESIGN_CACHE and info.currsize <= DESIGN_CACHE, (table, info)
+        # an evicted design's tables are built again, the same
+        d = designs[0]
+        assert (LftSystem(d)._cells, collins_gisin_rows(d), enumerate_irreducible_sequences(d)) == first[0]
