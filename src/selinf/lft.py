@@ -65,6 +65,7 @@ from .rational_lp import (
     FeasibilityResult,
     Presolve,
     SparseMatrix,
+    Witness,
     scaled_integers,
     simplex,
     solve_equality_feasibility,
@@ -174,7 +175,15 @@ class QVector:
     values: tuple[Fraction, ...]
 
     def __post_init__(self):
-        _store_exact(self, "Q", q_length(self.design))
+        """Hold the values as a `Witness`, which keeps the nonzero entries; a
+        solver's witness is one already, so it is not scanned again."""
+        values = self.values
+        if not isinstance(values, Witness):
+            exact = [v if isinstance(v, Fraction) else Fraction(v) for v in values]
+            values = Witness(len(exact), dict(enumerate(exact)))
+        if len(values) != q_length(self.design):
+            raise ValueError(f"Q has length {len(values)}, design needs {q_length(self.design)}")
+        object.__setattr__(self, "values", values)
 
     def index_of(self, assignment: Sequence[int]) -> int:
         return mixed_radix_index(assignment, slot_bases(self.design))
@@ -188,7 +197,7 @@ class QVector:
 
     @cached_property
     def _support(self) -> tuple[tuple[Fraction, Assignment], ...]:
-        return tuple((v, self.assignment_at(i)) for i, v in enumerate(self.values) if v)
+        return tuple((v, self.assignment_at(i)) for i, v in self.values.support)
 
 
 def assignment_outcome(
@@ -425,10 +434,7 @@ class LftSystem:
         feasible, vec, pivots = simplex(b, self.ncols, price, column)
         if not feasible:
             return False, dict(zip(kept_rows, vec)), pivots
-        witness = [ZERO] * self.ncols
-        for j, v in vec.items():
-            witness[j] = v / scale
-        return True, tuple(witness), pivots
+        return True, Witness(self.ncols, {j: v / scale for j, v in vec.items()}), pivots
 
     def farkas(self, kept_y, pre):
         """y on the kept rows, and -K (`_farkas_bound`) on each fired row."""
@@ -521,8 +527,10 @@ class LftVerdict:
             "pivots": self.pivots,
         }
         if self.feasible:
-            zero = format_exact(ZERO)
-            doc["witness"] = [format_exact(v) if v else zero for v in self.witness.values]
+            witness = [format_exact(ZERO)] * len(self.witness.values)
+            for i, v in self.witness.values.support:
+                witness[i] = format_exact(v)
+            doc["witness"] = witness
             doc["witness_support"] = [
                 {"weight": format_exact(w), "assignment": list(a)}
                 for w, a in self.witness.support()

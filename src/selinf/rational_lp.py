@@ -7,7 +7,13 @@ least-index rule inside long runs of degenerate pivots, so it terminates on
 every input and is deterministic: identical inputs give identical witnesses
 and pivot counts.  Its state is the basis inverse and the artificial reduced
 costs times d, the last pivot, all integers (Edmonds' integer-preserving
-pivoting); it forms no full tableau.  `simplex` is that one ratio-test and
+pivoting); it forms no full tableau.  The state is column-packed: each of
+its m+1 columns is one Python int whose digits, W bits each, are the column's
+entries, so a pivot updates a column by one big-integer expression instead
+of m+1 small ones.  W comes from rigorous bounds on the entries, never from
+a guess: the smaller of a Hadamard bound over the current basis and a
+running bound carried from pivot to pivot, and the columns are repacked
+wider only when that bound outgrows W.  `simplex` is that one ratio-test and
 update core, on any integer system; the system it solves supplies pricing
 and the entering column.  Phase one may run on a subset of the rows that
 implies the others (a row basis, see `solve_equality_feasibility`).
@@ -23,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import isqrt, lcm
 from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence
 
 if TYPE_CHECKING:
@@ -47,6 +53,22 @@ class FeasibilityResult:
     witness: tuple[Fraction, ...] | None
     farkas: tuple[Fraction, ...] | None
     pivots: int
+
+
+class Witness(tuple):
+    """A dense witness made from its nonzero entries, which it keeps as
+    `support`, (column, value) pairs in column order: readers of the nonzero
+    entries need not scan every column."""
+
+    support: tuple[tuple[int, Fraction], ...]
+
+    def __new__(cls, ncols: int, values: dict[int, Fraction]):
+        dense = [ZERO] * ncols
+        for j, v in values.items():
+            dense[j] = v
+        witness = super().__new__(cls, dense)
+        witness.support = tuple(sorted((j, v) for j, v in values.items() if v))
+        return witness
 
 
 class Presolve(NamedTuple):
@@ -126,6 +148,45 @@ class SparseMatrix:
         return dense
 
 
+def _width(bound: int) -> int:
+    """The digit width, in bits, of packed columns whose digits below the
+    top are at most `bound` in absolute value: the least multiple of 8 with
+    bound < 2**(width - 1)."""
+    return (bound.bit_length() + 8) // 8 * 8
+
+
+def _layout(width: int, m: int) -> tuple[int, int, int, range]:
+    """(half, mask, bias, shifts) of packed columns with m digits of `width`
+    bits below the top one: digit i sits at shifts[i] and the top digit at
+    shifts.stop, and adding bias adds half to each digit below the top,
+    which makes them unsigned."""
+    half = 1 << (width - 1)
+    bias = int.from_bytes(half.to_bytes(width // 8, "little") * m, "little")
+    return half, (1 << width) - 1, bias, range(0, width * m, width)
+
+
+def _pack(low: list[int], top: int, width: int) -> int:
+    """The packed column with digits `low` below the top digit `top`."""
+    half, _, bias, shifts = _layout(width, len(low))
+    raw = b"".join([(e + half).to_bytes(width // 8, "little") for e in low])
+    return int.from_bytes(raw, "little") - bias + (top << shifts.stop)
+
+
+def _refit(
+    cols: list[int], m: int, width: int, need: Callable[[int], int]
+) -> tuple[int, int, list[int]]:
+    """Unpack every column at `width`; exact is the largest digit below the
+    top.  Repack at the width that holds exact and need(exact), plus one byte
+    for the digits to grow into.  Returns (exact, the new width, the
+    columns)."""
+    half, mask, bias, shifts = _layout(width, m)
+    lows = [[((y >> s) & mask) - half for s in shifts] for y in [c + bias for c in cols]]
+    tops = [((c >> (shifts.stop - 1)) + 1) >> 1 for c in cols]
+    exact = max([max(map(abs, low)) for low in lows])
+    width = _width(max(exact, need(exact))) + 8
+    return exact, width, [_pack(low, top, width) for low, top in zip(lows, tops)]
+
+
 def simplex(
     b: list[int], n: int, price: Pricer, column: Callable[[int], list[tuple[int, int]]]
 ) -> tuple[bool, dict[int, Fraction] | list[Fraction], int]:
@@ -143,6 +204,32 @@ def simplex(
     times row i's dual: column j's reduced cost in the tableau is
     sum_i dual_i a_ij, so every integer compared is the tableau's.  Pivots are
     positive, so d > 0 and the integers order as the Fractions do.
+
+    The state is held column-packed: column j is one int, sum_i e_ij 2**(W i)
+    over its entries e_ij in rows i < m and art_j as digit m, the top.  The
+    digits below the top are signed and |e| < 2**(W-1); the top one is read
+    by a rounding shift and may be any size.  Packing is linear and every
+    entry of the update divides exactly, so one expression per column,
+    (C_j * piv - alpha' * pv_j) // d, is the whole Edmonds update: alpha' is
+    the packed entering column sum_k v_k C_k, with digit `leave` set to
+    piv - d (that row stays) and the top digit to the entering cost.  Per
+    pivot only the art digits (for pricing), alpha and x_B (for the ratio
+    test) and the pivot row (pv_j) are unpacked.
+
+    W, a multiple of 8, holds the digits below the top by the smaller of
+    two rigorous bounds; it starts as the least that holds b.  Each such
+    digit is +- a minor of order <= m of A | I | b, so it is at most the
+    Hadamard bound sqrt(prod over the basic columns of |a_j|^2 * |b|^2), an
+    alpha digit sqrt(prod |a_j|^2 * |a_enter|^2).  And a running bound U
+    carries over a pivot as (U * piv + a * max|pv_j|) // d + 1, where
+    a = max(|piv - d|, max|alpha_i|) bounds the digits of alpha' below the
+    top; it also covers the pivot row, whose digits pv_j stay, since
+    U * piv + a * |pv_j| >= d * |pv_j|.  An alpha digit is at most
+    sum |v_k| * U.  Only when the smaller bound outgrows W are the columns
+    unpacked and repacked, one byte wider than the bound and their exact
+    largest digit need, and U is reset to that exact maximum.  The Hadamard
+    bound is 2-3 times the digits' bit length on the LFT's systems, so it is
+    the running bound that keeps W tight.
 
     Dantzig's rule enters the column with the most negative reduced cost,
     ties to the lowest index; the structural columns 0..n-1 come before the
@@ -162,36 +249,54 @@ def simplex(
     m = len(b)
     if not m:
         return True, {}, 0
-    inv = [[0] * i + [1] + [0] * (m - 1 - i) + [b[i]] for i in range(m)]
     basis = list(range(n, n + m))
-    art = [0] * m + [-sum(b)]
+    norms = [1] * m  # |a_j|^2 of each basic column of A | I
+    gram = 1  # their product
+    bnorm = max(1, sum([v * v for v in b]))
+    bound = max(1, *b)  # the running bound on the digits below the top
     d = 1
+    width = _width(bound)
+    cols = [1 << (width * k) for k in range(m)]
+    cols.append(_pack(b, -sum(b), width))
+    half, mask, bias, shifts = _layout(width, m)
 
     pivots = 0
     stall = 0  # degenerate pivots in a row
     while True:
-        dual = [a - d for a in art[:m]]  # -d times the duals
+        art = [((c >> (shifts.stop - 1)) + 1) >> 1 for c in cols]
+        low = art[:m]
+        dual = [a - d for a in low]  # -d times the duals
         bland = stall > DEGENERATE_RUN
         enter, cost = price(dual, bland)
         if bland:
             if enter < 0:
-                k = next((k for k, v in enumerate(art[:m]) if v < 0), -1)
+                k = next((k for k, v in enumerate(low) if v < 0), -1)
                 enter, cost = (n + k, art[k]) if k >= 0 else (-1, None)
         else:
-            low = min(art[:m])
-            if enter < 0 or low < cost:
-                enter, cost = n + art.index(low), low
+            least = min(low)
+            if enter < 0 or least < cost:
+                enter, cost = n + low.index(least), least
             if cost >= 0:
                 enter = -1
         if enter < 0:
             break
         col = column(enter) if enter < n else [(enter - n, 1)]
-        alpha = [sum([row[i] * v for i, v in col]) for row in inv]
+        norm = sum([v * v for _, v in col])
+        l1 = sum([abs(v) for _, v in col])
+        if l1 * bound >= half:
+            hadamard = isqrt(gram * norm)
+            if hadamard >= half:
+                bound, width, cols = _refit(cols, m, width, lambda exact: min(hadamard, l1 * exact))
+                half, mask, bias, shifts = _layout(width, m)
+        packed = sum([v * cols[k] for k, v in col])
+        y = packed + bias
+        alpha = [((y >> s) & mask) - half for s in shifts]
+        rhs = cols[m] + bias
         leave = -1
         lead_num = lead_den = 0  # best ratio = lead_num / lead_den, lead_den > 0
         for i, a in enumerate(alpha):
             if a > 0:
-                ri_num = inv[i][m]
+                ri_num = ((rhs >> shifts[i]) & mask) - half
                 cmp = ri_num * lead_den - lead_num * a
                 if leave < 0 or cmp < 0 or (cmp == 0 and basis[i] < basis[leave]):
                     leave = i
@@ -199,19 +304,39 @@ def simplex(
         if leave < 0:
             raise RuntimeError("phase-one objective unbounded; invariant violated")
 
-        prow = inv[leave]
         piv = alpha[leave]
-        for i, f in enumerate(alpha):
-            if i != leave:
-                inv[i] = [(v * piv - f * pv) // d for v, pv in zip(inv[i], prow)]
-        art = [(v * piv - cost * pv) // d for v, pv in zip(art, prow)]
+        top = sum([v * art[k] for k, v in col])
+        gram_next = gram * norm // norms[leave]
+        pos = shifts[leave]
+        pvs = [(((c + bias) >> pos) & mask) - half for c in cols]
+        big = max(abs(piv - d), *map(abs, alpha))  # |digits of alpha'| <= big
+        grow = big * max(map(abs, pvs))
+        bound_next = (bound * piv + grow) // d + 1
+        if bound_next >= half:
+            cap = isqrt(gram_next * bnorm)
+            if cap >= half:
+                # the new width holds alpha too, packed again below
+                bound, width, cols = _refit(
+                    cols, m, width, lambda exact: max(big, min((exact * piv + grow) // d + 1, cap))
+                )
+                half, mask, bias, shifts = _layout(width, m)
+                packed = _pack(alpha, top, width)
+                pos = shifts[leave]
+            bound_next = min((bound * piv + grow) // d + 1, cap)
+        step = packed - (d << pos) + ((cost - top) << shifts.stop)  # alpha'
+        cols = [(c * piv - step * p) // d for c, p in zip(cols, pvs)]
         d = piv
         basis[leave] = enter
+        norms[leave] = norm
+        gram = gram_next
+        bound = bound_next
         pivots += 1
         stall = stall + 1 if lead_num == 0 else 0
 
     if art[m] == 0:
-        return True, {bv: Fraction(inv[i][m], d) for i, bv in enumerate(basis) if bv < n}, pivots
+        rhs = cols[m] + bias
+        x = {bv: Fraction(((rhs >> shifts[i]) & mask) - half, d) for i, bv in enumerate(basis) if bv < n}
+        return True, x, pivots
     return False, [ONE - Fraction(art[k], d) for k in range(m)], pivots
 
 
@@ -246,7 +371,7 @@ def solve_equality_feasibility(
         basis = set(row_basis)
         kept_rows = [i for i in kept_rows if i in basis]
     if not kept_rows:
-        return FeasibilityResult(True, tuple([ZERO] * M.ncols), None, 0)
+        return FeasibilityResult(True, Witness(M.ncols, {}), None, 0)
     feasible, vec, pivots = M.phase_one(P, kept_rows, pre)
     if feasible:
         return FeasibilityResult(True, vec, None, pivots)
@@ -262,7 +387,8 @@ def verify_certificate(M: LftSystem, P: Sequence, result: FeasibilityResult) -> 
     cert = result.witness if result.feasible else result.farkas
     if cert is None or len(cert) != (M.ncols if result.feasible else M.nrows):
         return False
-    nonzero = {i: Fraction(v) for i, v in enumerate(cert) if v}
+    pairs = cert.support if isinstance(cert, Witness) else enumerate(cert)
+    nonzero = {i: Fraction(v) for i, v in pairs if v}
     if result.feasible:
         return all(v > 0 for v in nonzero.values()) and M.reproduces(nonzero, P)
     return sum([v * P[i] for i, v in nonzero.items()]) > 0 and M.bounded(nonzero)

@@ -22,7 +22,7 @@ from selinf.experiment import (
     marginal,
     marginal_discrepancy,
 )
-from selinf.rational_lp import FeasibilityResult
+from selinf.rational_lp import ONE, FeasibilityResult
 
 F = Fraction
 ZERO = F(0)
@@ -243,6 +243,67 @@ def textbook_phase_one(A: list[list[Fraction]], b: list[Fraction], degenerate_ru
                 x[bv] = rows[i][total]
         return True, x, pivots
     return False, [1 - obj[n + k] for k in range(m)], pivots
+
+
+def reference_simplex(b: list[int], n: int, price, column):
+    """`rational_lp.simplex` on the state it documents, held as lists: the
+    rows d*B^-1 | d*x_B and `art`, each entry one int, updated entry by
+    entry.  The packed kernel must match it pivot for pivot; it reads
+    DEGENERATE_RUN from `rational_lp`, so a test that patches one patches both."""
+    m = len(b)
+    if not m:
+        return True, {}, 0
+    inv = [[0] * i + [1] + [0] * (m - 1 - i) + [b[i]] for i in range(m)]
+    basis = list(range(n, n + m))
+    art = [0] * m + [-sum(b)]
+    d = 1
+
+    pivots = 0
+    stall = 0  # degenerate pivots in a row
+    while True:
+        dual = [a - d for a in art[:m]]  # -d times the duals
+        bland = stall > rational_lp.DEGENERATE_RUN
+        enter, cost = price(dual, bland)
+        if bland:
+            if enter < 0:
+                k = next((k for k, v in enumerate(art[:m]) if v < 0), -1)
+                enter, cost = (n + k, art[k]) if k >= 0 else (-1, None)
+        else:
+            low = min(art[:m])
+            if enter < 0 or low < cost:
+                enter, cost = n + art.index(low), low
+            if cost >= 0:
+                enter = -1
+        if enter < 0:
+            break
+        col = column(enter) if enter < n else [(enter - n, 1)]
+        alpha = [sum([row[i] * v for i, v in col]) for row in inv]
+        leave = -1
+        lead_num = lead_den = 0  # best ratio = lead_num / lead_den, lead_den > 0
+        for i, a in enumerate(alpha):
+            if a > 0:
+                ri_num = inv[i][m]
+                cmp = ri_num * lead_den - lead_num * a
+                if leave < 0 or cmp < 0 or (cmp == 0 and basis[i] < basis[leave]):
+                    leave = i
+                    lead_num, lead_den = ri_num, a
+        if leave < 0:
+            raise RuntimeError("phase-one objective unbounded; invariant violated")
+
+        prow = inv[leave]
+        piv = alpha[leave]
+        for i, f in enumerate(alpha):
+            if i != leave:
+                inv[i] = [(v * piv - f * pv) // d for v, pv in zip(inv[i], prow)]
+        art = [(v * piv - cost * pv) // d for v, pv in zip(art, prow)]
+        d = piv
+        basis[leave] = enter
+        pivots += 1
+        stall = stall + 1 if lead_num == 0 else 0
+
+    if art[m] == 0:
+        return True, {bv: Fraction(inv[i][m], d) for i, bv in enumerate(basis) if bv < n}, pivots
+    return False, [ONE - Fraction(art[k], d) for k in range(m)], pivots
 
 
 def dense_pricer(cols):

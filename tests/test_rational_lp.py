@@ -10,7 +10,7 @@ from selinf import rational_lp
 from selinf.experiment import Dataset, make_design
 from selinf.generators import AngleSpec, gen_classical, gen_ghz, gen_prbox, gen_singlet
 from selinf.io import format_exact
-from selinf.lft import LftSystem, build_jdc_matrix, build_p_vector, run_lft
+from selinf.lft import LftSystem, build_jdc_matrix, build_p_vector, collins_gisin_rows, run_lft
 from selinf.rational_lp import (
     FeasibilityResult,
     SparseMatrix,
@@ -25,6 +25,7 @@ from helpers import (
     lifted_prbox,
     lp_feasible_bruteforce,
     mix_tables,
+    reference_simplex,
     reference_solve,
     textbook_phase_one,
 )
@@ -199,6 +200,23 @@ class TestSolveBasics:
         dense = build_jdc_matrix(lft.design).matrix.to_dense()
         assert dense_certifies(dense, p, res) and res == reference_solve(dense, p)
 
+    def test_farkas_bound_counts_the_fired_rows_a_column_meets(self):
+        # phase one on the Collins-Gisin rows ends infeasible after rows 3, 5
+        # and 6 fire.  Forced column 10 meets two fired rows and has y'M = 2,
+        # columns 8 and 11 meet one and have y'M = 1: K = max(1, 2/2, 1/1) = 1,
+        # where a bound that ignored the count would give 2
+        lft = LftSystem(make_design((2, 2), (2, 2)))
+        p = list(map(F, [1, 1, 1, 0, 3, 0, 0, 4, 2, 1, 2, 1, 2, 4, 1, 4]))
+        rows = collins_gisin_rows(lft.design)
+        assert lft.presolve(p).fired == (3, 5, 6)
+        res = solve_equality_feasibility(lft, p, rows)
+        assert not res.feasible and res.pivots == 3
+        assert [res.farkas[z] for z in (3, 5, 6)] == [F(-1)] * 3
+        dense = build_jdc_matrix(lft.design).matrix.to_dense()
+        assert sum(res.farkas[i] for i in range(16) if dense[i][10] and i not in (3, 5, 6)) == 2
+        assert verify_certificate(lft, p, res) and dense_certifies(dense, p, res)
+        assert res == reference_solve(dense, p, rows)
+
     def test_farkas_when_elimination_empties_an_inconsistent_row(self):
         # rows 0 and 1 force every column to zero, so row 2 (P = 1) has none
         # left in the first sweep; then a later row fires and empties an
@@ -358,6 +376,98 @@ class TestAgainstTextbookTableau:
                 assert got == want
             verdicts[got[0]] += 1
         assert zero_rows > 500 and min(verdicts) > 500
+
+
+class TestAgainstListKernel:
+    """`simplex` holds d*B^-1 | d*x_B column-packed, each column one int;
+    `reference_simplex` holds it as lists of ints.  On every system, the
+    LFT's and random signed ones, both give the same (feasible, vector,
+    pivots)."""
+
+    @staticmethod
+    def _through_both(monkeypatch) -> list[tuple[bool, int]]:
+        """Send `lft`'s phase one through both kernels; the (verdict, pivot
+        count) of each solve."""
+        seen = []
+
+        def both(b, n, price, column):
+            got = simplex(b, n, price, column)
+            assert got == reference_simplex(b, n, price, column)
+            seen.append((got[0], got[2]))
+            return got
+
+        monkeypatch.setattr("selinf.lft.simplex", both)
+        return seen
+
+    @pytest.mark.parametrize(
+        "ks, ms", [((3, 3), (3, 3)), ((3, 3, 3), (2, 2, 2)), ((4, 4), (3, 3)), ((2, 2, 2, 2), (2, 2, 2, 2))]
+    )
+    def test_dense_ladder(self, monkeypatch, ks, ms):
+        seen = self._through_both(monkeypatch)
+        assert run_lft(gen_classical(make_design(ks, ms), seed=3)[0]).feasible
+        assert seen and min(pivots for _, pivots in seen) > 0
+
+    def test_classical_and_mixture_data(self, monkeypatch):
+        # factorial and not; weight 1 is the lifted PR box alone, mostly
+        # decided in presolve, and at 1/2 and 1/5 phase one finds the mixture
+        # feasible or infeasible
+        designs = [
+            ((2, 2), (2, 2), None),
+            ((3, 2), (2, 3), None),
+            ((2, 2, 2), (2, 2, 2), None),
+            ((3, 3), (2, 2), [(1, 1), (1, 3), (2, 2), (3, 1), (3, 2), (3, 3)]),
+            ((2, 2, 2), (2, 3, 2), [(1, 1, 1), (1, 2, 2), (2, 1, 2), (2, 2, 1), (2, 2, 2)]),
+            ((2, 3), (3, 2), [(1, 2), (2, 1), (2, 3)]),
+        ]
+        seen = self._through_both(monkeypatch)
+        for ks, ms, treatments in designs:
+            design = make_design(ks, ms, treatments=treatments)
+            lft = LftSystem(design)
+            for seed in range(3):
+                classical = gen_classical(design, seed=seed)[0]
+                for weight in (F(1), F(1, 2), F(1, 5)):
+                    ds = Dataset(design, mix_tables(weight, lifted_prbox(design), classical.tables))
+                    p = list(build_p_vector(ds).values)
+                    for rows in (collins_gisin_rows(design), None):
+                        solve_equality_feasibility(lft, p, rows)
+        assert len(seen) > 60 and sum(pivots for _, pivots in seen) > 2000
+        assert {feasible for feasible, _ in seen} == {False, True}
+
+    @pytest.mark.parametrize("degenerate_run", [rational_lp.DEGENERATE_RUN, 0])
+    def test_random_signed_systems_with_wide_entries(self, monkeypatch, degenerate_run):
+        # b of up to 260 bits, m up to 40: each solve records the digit
+        # widths the kernel packs at, and on some of them the width grows
+        # during the run
+        monkeypatch.setattr(rational_lp, "DEGENERATE_RUN", degenerate_run)
+        widths = []
+        width = rational_lp._width
+
+        def recorded(bound):
+            widths[-1].append(width(bound))
+            return widths[-1][-1]
+
+        monkeypatch.setattr(rational_lp, "_width", recorded)
+        rng = random.Random(1968)
+        wide = 0
+        for _ in range(40):
+            m, n = rng.randint(1, 40), rng.randint(1, 60)
+            A = [[rng.choice((-3, -2, -1, 0, 0, 1, 2, 3)) for _ in range(n)] for _ in range(m)]
+            bits = rng.choice((1, 8, 64, 200, 260))
+            if rng.random() < 0.5:
+                # feasible: b = A q for a random q >= 0, rows flipped to b >= 0
+                q = [rng.getrandbits(bits) for _ in range(n)]
+                b = [sum(a * v for a, v in zip(row, q)) for row in A]
+                A = [row if v >= 0 else [-a for a in row] for row, v in zip(A, b)]
+                b = [abs(v) for v in b]
+            else:
+                b = [rng.getrandbits(bits) for _ in range(m)]
+            cols = [[(i, row[j]) for i, row in enumerate(A) if row[j]] for j in range(n)]
+            widths.append([])
+            got = simplex(b, n, dense_pricer(cols), cols.__getitem__)
+            assert got == reference_simplex(b, n, dense_pricer(cols), cols.__getitem__)
+            wide += max(b).bit_length() > 200
+        assert wide >= 10
+        assert sum(1 for w in widths if w[-1] > w[0]) >= 10
 
 
 class TestSoundnessAndCompleteness:
