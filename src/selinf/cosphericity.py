@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from typing import Mapping
 
-from .experiment import Dataset
+from .experiment import Dataset, parse_index
 
 DEFAULT_TOL = 1e-9
 
@@ -43,18 +43,13 @@ class CorrelationQuad:
 
 def _coding(design, value_map, lam: int, w: int) -> dict[int, float]:
     m = design.outcome_sizes[lam - 1]
-    if value_map is None:
-        return {a: float(a) for a in range(1, m + 1)}
-    mp = None
-    if (lam, w) in value_map:
-        mp = value_map[(lam, w)]
-    elif lam in value_map:
-        mp = value_map[lam]
+    mp = None if value_map is None else value_map.get((lam, w), value_map.get(lam))
     if mp is None:
         return {a: float(a) for a in range(1, m + 1)}
-    coded = {int(a): float(x) for a, x in mp.items()}
-    if set(coded) != set(range(1, m + 1)):
-        raise ValueError(f"value map for output {lam} (value {w}) must cover 1..{m}")
+    # keys read as indices: an integral string or number names its outcome
+    coded = {parse_index(a): float(x) for a, x in mp.items()}
+    if len(coded) != len(mp) or set(coded) != set(range(1, m + 1)):
+        raise ValueError(f"value map for output {lam} (value {w}) must name each of 1..{m} once")
     return coded
 
 

@@ -670,10 +670,6 @@ class Si2Model:
     design: ExperimentDesign
     atoms: tuple[tuple[Fraction, Assignment], ...]
 
-    def response(self, lam: int, w: int, assignment: Assignment) -> int:
-        off = q_slot_offsets(self.design)[lam - 1]
-        return assignment[off + w - 1]
-
     def sums(self) -> tuple[int, dict[Treatment, dict[OutcomeTuple, int]]]:
         """The weights' common denominator, and per treatment each outcome's
         probability times it, summed in integers over the atoms."""

@@ -10,13 +10,13 @@ costs times d, the last pivot, all integers (Edmonds' integer-preserving
 pivoting); it forms no full tableau.  The state is column-packed: each of
 its m+1 columns is one Python int whose digits, W bits each, are the column's
 entries, so a pivot updates a column by one big-integer expression instead
-of m+1 small ones.  W comes from rigorous bounds on the entries, never from
-a guess: the smaller of a Hadamard bound over the current basis and a
-running bound carried from pivot to pivot, and the columns are repacked
-wider only when that bound outgrows W.  `simplex` is that one ratio-test and
-update core, on any integer system; the system it solves supplies pricing
-and the entering column.  Phase one may run on a subset of the rows that
-implies the others (a row basis, see `solve_equality_feasibility`).
+of m+1 small ones.  W comes from a rigorous bound on the entries, never
+from a guess: one running bound carried from pivot to pivot, and the
+columns are repacked wider only when that bound outgrows W.  `simplex` is
+that one ratio-test and update core, on any integer system; the system it
+solves supplies pricing and the entering column.  Phase one may run on a
+subset of the rows that implies the others (a row basis, see
+`solve_equality_feasibility`).
 Infeasibility comes with a Farkas vector y (y'M <= 0, y'P > 0) read off the
 optimal phase-one duals, so every verdict is self-verifying via
 `verify_certificate`.
@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt, lcm
+from math import lcm
 from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence
 
 if TYPE_CHECKING:
@@ -216,20 +216,17 @@ def simplex(
     pivot only the art digits (for pricing), alpha and x_B (for the ratio
     test) and the pivot row (pv_j) are unpacked.
 
-    W, a multiple of 8, holds the digits below the top by the smaller of
-    two rigorous bounds; it starts as the least that holds b.  Each such
-    digit is +- a minor of order <= m of A | I | b, so it is at most the
-    Hadamard bound sqrt(prod over the basic columns of |a_j|^2 * |b|^2), an
-    alpha digit sqrt(prod |a_j|^2 * |a_enter|^2).  And a running bound U
-    carries over a pivot as (U * piv + a * max|pv_j|) // d + 1, where
-    a = max(|piv - d|, max|alpha_i|) bounds the digits of alpha' below the
-    top; it also covers the pivot row, whose digits pv_j stay, since
-    U * piv + a * |pv_j| >= d * |pv_j|.  An alpha digit is at most
-    sum |v_k| * U.  Only when the smaller bound outgrows W are the columns
-    unpacked and repacked, one byte wider than the bound and their exact
-    largest digit need, and U is reset to that exact maximum.  The Hadamard
-    bound is 2-3 times the digits' bit length on the LFT's systems, so it is
-    the running bound that keeps W tight.
+    W, a multiple of 8, holds the digits below the top by one rigorous
+    bound U, carried from pivot to pivot; U starts at max b, packed one
+    byte wider than it needs.  Over a pivot U becomes
+    (U * piv + a * max|pv_j|) // d + 1, where a = max(|piv - d|, max|alpha_i|)
+    bounds the digits of alpha' below the top; it also covers the pivot row,
+    whose digits pv_j stay, since U * piv + a * |pv_j| >= d * |pv_j|.  An
+    alpha digit is at most sum |v_k| * U.  When sum |v_k| * U (before the
+    entering column is formed) or the carried U (after the update) reaches
+    2**(W-1), the columns are unpacked and repacked one byte wider than
+    that bound and their exact largest digit need, and U is reset to that
+    exact maximum.
 
     Dantzig's rule enters the column with the most negative reduced cost,
     ties to the lowest index; the structural columns 0..n-1 come before the
@@ -250,12 +247,9 @@ def simplex(
     if not m:
         return True, {}, 0
     basis = list(range(n, n + m))
-    norms = [1] * m  # |a_j|^2 of each basic column of A | I
-    gram = 1  # their product
-    bnorm = max(1, sum([v * v for v in b]))
     bound = max(1, *b)  # the running bound on the digits below the top
     d = 1
-    width = _width(bound)
+    width = _width(bound) + 8
     cols = [1 << (width * k) for k in range(m)]
     cols.append(_pack(b, -sum(b), width))
     half, mask, bias, shifts = _layout(width, m)
@@ -281,13 +275,10 @@ def simplex(
         if enter < 0:
             break
         col = column(enter) if enter < n else [(enter - n, 1)]
-        norm = sum([v * v for _, v in col])
         l1 = sum([abs(v) for _, v in col])
         if l1 * bound >= half:
-            hadamard = isqrt(gram * norm)
-            if hadamard >= half:
-                bound, width, cols = _refit(cols, m, width, lambda exact: min(hadamard, l1 * exact))
-                half, mask, bias, shifts = _layout(width, m)
+            bound, width, cols = _refit(cols, m, width, lambda u: l1 * u)
+            half, mask, bias, shifts = _layout(width, m)
         packed = sum([v * cols[k] for k, v in col])
         y = packed + bias
         alpha = [((y >> s) & mask) - half for s in shifts]
@@ -306,30 +297,22 @@ def simplex(
 
         piv = alpha[leave]
         top = sum([v * art[k] for k, v in col])
-        gram_next = gram * norm // norms[leave]
         pos = shifts[leave]
         pvs = [(((c + bias) >> pos) & mask) - half for c in cols]
         big = max(abs(piv - d), *map(abs, alpha))  # |digits of alpha'| <= big
         grow = big * max(map(abs, pvs))
-        bound_next = (bound * piv + grow) // d + 1
-        if bound_next >= half:
-            cap = isqrt(gram_next * bnorm)
-            if cap >= half:
-                # the new width holds alpha too, packed again below
-                bound, width, cols = _refit(
-                    cols, m, width, lambda exact: max(big, min((exact * piv + grow) // d + 1, cap))
-                )
-                half, mask, bias, shifts = _layout(width, m)
-                packed = _pack(alpha, top, width)
-                pos = shifts[leave]
-            bound_next = min((bound * piv + grow) // d + 1, cap)
+        bound = (bound * piv + grow) // d + 1  # carried over this pivot
+        if bound >= half:
+            # the new width holds alpha too, packed again below
+            exact, width, cols = _refit(cols, m, width, lambda u: max(big, (u * piv + grow) // d + 1))
+            half, mask, bias, shifts = _layout(width, m)
+            packed = _pack(alpha, top, width)
+            pos = shifts[leave]
+            bound = (exact * piv + grow) // d + 1
         step = packed - (d << pos) + ((cost - top) << shifts.stop)  # alpha'
         cols = [(c * piv - step * p) // d for c, p in zip(cols, pvs)]
         d = piv
         basis[leave] = enter
-        norms[leave] = norm
-        gram = gram_next
-        bound = bound_next
         pivots += 1
         stall = stall + 1 if lead_num == 0 else 0
 

@@ -60,6 +60,26 @@ class TestQuadConstruction:
         with pytest.raises(ValueError, match="2-input"):
             correlations_from_dataset(ds)
 
+    @pytest.mark.parametrize(
+        "coding, match",
+        [
+            ({1.9: 0.0, 2: 1.0}, "not an integer"),
+            ({True: 0.0, 2: 1.0}, "not an integer"),
+            ({1: 0.0, "1": 5.0, 2: 1.0}, "each of 1..2 once"),
+            ({1: 0.0}, "each of 1..2 once"),
+        ],
+    )
+    def test_value_map_keys_are_read_as_indices(self, coding, match):
+        with pytest.raises(ValueError, match=match):
+            correlations_from_dataset(gen_prbox(), {1: coding})
+
+    def test_value_map_keys_may_be_integral_strings_and_numbers(self):
+        signed = {1: {1: 1.0, 2: -1.0}, 2: {1: 1.0, 2: -1.0}}
+        spelled = {1: {"1": 1.0, 2.0: -1.0}, 2: {"1": 1.0, "2": -1.0}}
+        assert correlations_from_dataset(gen_prbox(), spelled) == correlations_from_dataset(
+            gen_prbox(), signed
+        )
+
     def test_default_coding_is_outcome_index(self):
         design = make_design((2, 2), (2, 2))
         mixed = {(1, 1): F(1, 2), (2, 2): F(1, 2)}

@@ -432,7 +432,8 @@ class TestSi2Model:
         q = QVector(design, (F(1), F(0), F(0), F(0)))
         model = construct_si2(q, design)
         assert len(model.atoms) == 1
-        assert model.response(1, 1, model.atoms[0][1]) == 1
+        # the atom is Q's first column: outcome 1 at both values of the input
+        assert model.atoms == ((F(1), (1, 1)),)
 
     def test_two_atom_mixture_simulates_average(self):
         design = make_design((2,), (2,))
