@@ -17,8 +17,10 @@ import json
 import math
 import sys
 
-from .cosphericity import correlations_from_dataset, cosphericity_test
+from .cosphericity import DEFAULT_TOL, correlations_from_dataset, cosphericity_test
 from .distances import (
+    MAX_LEN,
+    SEQUENCE_GUARD,
     OrderRelation,
     chain_test,
     enumerate_irreducible_sequences,
@@ -26,7 +28,7 @@ from .distances import (
     preset_order,
 )
 from .errors import DatasetParseError, MarginalSelectivityError, SizeGuardError
-from .experiment import check_marginal_selectivity, make_design, validate_dataset
+from .experiment import COMPARISON_GUARD, check_marginal_selectivity, make_design, validate_dataset
 from .generators import (
     AngleSpec,
     gen_classical,
@@ -329,18 +331,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_test.add_argument(
         "--orders-file", default=None, help="JSON file with custom order relations"
     )
-    p_test.add_argument("--tol", type=tolerance, default=1e-9, help="cosphericity tolerance")
-    p_test.add_argument("--max-len", type=int, default=6, help="maximum chain length")
+    p_test.add_argument("--tol", type=tolerance, default=DEFAULT_TOL, help="cosphericity tolerance")
+    p_test.add_argument("--max-len", type=int, default=MAX_LEN, help="maximum chain length")
     p_test.add_argument(
         "--column-guard", type=int, default=COLUMN_GUARD, help="assignment-count guard for the LFT"
     )
     p_test.add_argument(
-        "--sequence-guard", type=int, default=10**5, help="chain enumeration guard"
+        "--sequence-guard", type=int, default=SEQUENCE_GUARD, help="chain enumeration guard"
     )
     p_test.add_argument(
         "--marginal-guard",
         type=int,
-        default=10**6,
+        default=COMPARISON_GUARD,
         help="comparison-count guard for the marginal-selectivity check",
     )
     p_test.add_argument("--json", action="store_true", help="machine-readable report")

@@ -28,7 +28,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import permutations
-from math import lcm
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
@@ -41,11 +40,15 @@ from .experiment import (
     Treatment,
     ZERO,
     check_marginal_selectivity,
+    coerce_prob,
     parse_index,
+    scaled,
+    scaled_tables,
 )
 
 Point = tuple[int, int]  # (input position, value index), 1-based
 Labeled = tuple[int, int]  # (variable key, outcome index)
+MAX_LEN, SEQUENCE_GUARD = 6, 10**5  # defaults: longest chain, most chains
 
 
 @dataclass(frozen=True)
@@ -199,7 +202,7 @@ def _too_many(sequence_guard: int) -> SizeGuardError:
 
 
 def enumerate_irreducible_sequences(
-    design: ExperimentDesign, max_len: int = 6, sequence_guard: int = 10**5
+    design: ExperimentDesign, max_len: int = MAX_LEN, sequence_guard: int = SEQUENCE_GUARD
 ) -> list[InputPointSequence]:
     """All irreducible treatment-realizable chains of length 3..max_len.
 
@@ -361,11 +364,11 @@ def chain_test(
     hold for every realization, so this is the tightest necessary condition
     (under marginal selectivity all realizations coincide).  Each (treatment,
     output pair) distance is summed once, in integers over the tables' common
-    denominator, so every slack is an integer sum.
+    denominator (`scaled_tables`), so every slack is an integer sum.
     """
     sequences = tuple(sequences)
     pairs = _pair_realizers(dataset.design)
-    scale = lcm(*(p.denominator for table in dataset.tables.values() for p in table.values()))
+    scale, tables = scaled_tables(dataset, dataset.tables)
     rank, sizes = order._rank, dataset.design.outcome_sizes
     realizations: dict[tuple[Point, Point], tuple[tuple[Treatment, ...], list[int]]] = {}
     low: dict[tuple[Point, Point], int] = {}
@@ -387,11 +390,7 @@ def chain_test(
                 if not order.covers(lam, sizes[lam - 1]):
                     raise ValueError(f"order does not cover all outcomes of output {lam}") from None
             ds = [
-                sum([
-                    p.numerator * (scale // p.denominator)
-                    for o, p in dataset.table(tr).items()
-                    if rank[l1, o[l1 - 1]] < rank[l2, o[l2 - 1]]
-                ])
+                sum([v for o, v in tables[tr] if rank[l1, o[l1 - 1]] < rank[l2, o[l2 - 1]]])
                 for tr in trs
             ]
         realizations[a, b] = trs, ds
@@ -506,13 +505,10 @@ def check_pq_metric_axioms(
 ) -> AxiomReport:
     """Verify nonnegativity, zero self-distance, and every triangle
     inequality for the order-distance on an explicit joint distribution over
-    at least three variables (keyed 1..v in the outcome tuples).  The
-    distances are summed, and the triangles compared, in integers over the
-    joint's common denominator."""
-    items = [
-        (tuple(map(int, key)), p if isinstance(p, Fraction) else Fraction(p))
-        for key, p in joint.items()
-    ]
+    at least three variables (keyed 1..v in the outcome tuples), its
+    probabilities read by `coerce_prob`.  The distances are summed, and the
+    triangles compared, in integers over the joint's common denominator."""
+    items = [(tuple(map(int, key)), coerce_prob(p)) for key, p in joint.items()]
     if not items:
         raise ValueError("empty joint distribution")
     v = len(items[0][0])
@@ -520,8 +516,7 @@ def check_pq_metric_axioms(
         raise ValueError("need a joint over at least three variables")
     if any(len(key) != v for key, _ in items):
         raise ValueError("ragged outcome tuples")
-    scale = lcm(*(p.denominator for _, p in items))
-    weights = [p.numerator * (scale // p.denominator) for _, p in items]
+    scale, weights = scaled(p for _, p in items)
     if min(weights) < 0:
         raise ValueError("negative probability in joint")
     if sum(weights) != scale:

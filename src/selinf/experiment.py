@@ -6,10 +6,15 @@ treatments (index tuples choosing one value per input).  A dataset attaches
 to each treatment an exact joint distribution over outcome tuples.  All
 probabilities are `fractions.Fraction`; floating point never enters a verdict.
 
+`coerce_prob` is the package's one conversion of a probability or weight,
+`scaled` its one scaling of Fractions to integers, and `ZERO` and `ONE` its
+exact constants.
+
 Value and outcome indices are 1-based throughout.
 """
 from __future__ import annotations
 
+import re
 from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -25,6 +30,11 @@ OutcomeTuple = tuple[int, ...]
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+# Fraction("1e-10000000") builds 10**10**7, so larger exponents are refused
+MAX_EXPONENT = 1000
+_EXPONENT = re.compile(r"e([-+]?[\d_]+)\s*\Z", re.IGNORECASE)
+# default bound on the marginal check's (subset, treatment pair) comparisons
+COMPARISON_GUARD = 10**6
 # entries of each per-process cache of tables derived from a design alone,
 # keyed on the frozen `ExperimentDesign`
 DESIGN_CACHE = 16
@@ -41,52 +51,63 @@ def parse_index(value) -> int:
 
 
 def coerce_prob(value) -> Fraction:
-    """Exact conversion; floats are rejected to keep every verdict exact."""
+    """A probability or weight as an exact Fraction: a Fraction, an int, or a
+    "p/q" or decimal string.  A float, a bool or any other type raises
+    TypeError, to keep every verdict exact; a decimal exponent beyond
+    `MAX_EXPONENT` raises ValueError before Fraction expands it."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, (int, str)):
+    if isinstance(value, str):
+        exponent = _EXPONENT.search(value)
+        if exponent and abs(int(exponent.group(1))) > MAX_EXPONENT:
+            raise ValueError(f"decimal exponent beyond {MAX_EXPONENT}")
+        return Fraction(value)
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     raise TypeError(
         f"probabilities must be Fraction, int or exact string, got {type(value).__name__}"
     )
 
 
+def scaled(values: Iterable[Fraction]) -> tuple[int, list[int]]:
+    """The lcm of the denominators of `values`, and each value times it, as
+    ints in the same order."""
+    values = list(values)
+    scale = lcm(*(v.denominator for v in values))
+    return scale, [v.numerator * (scale // v.denominator) for v in values]
+
+
 @dataclass(frozen=True)
-class Input:
+class _Labels:
+    """A label and its distinct item labels, named by `_noun` and `_item`."""
+
+    label: str
+    values: tuple[str, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "values", tuple(str(v) for v in self.values))
+        if not self.values:
+            raise ValueError(f"{self._noun} {self.label!r} has no {self._item}s")
+        if len(set(self.values)) != len(self.values):
+            raise ValueError(f"{self._noun} {self.label!r} has duplicate {self._item} labels")
+
+    @property
+    def size(self) -> int:
+        return len(self.values)
+
+
+@dataclass(frozen=True)
+class Input(_Labels):
     """One input: a label and its ordered value labels (size k >= 1)."""
 
-    label: str
-    values: tuple[str, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", tuple(str(v) for v in self.values))
-        if not self.values:
-            raise ValueError(f"input {self.label!r} has no values")
-        if len(set(self.values)) != len(self.values):
-            raise ValueError(f"input {self.label!r} has duplicate value labels")
-
-    @property
-    def size(self) -> int:
-        return len(self.values)
+    _noun, _item = "input", "value"
 
 
 @dataclass(frozen=True)
-class Output:
+class Output(_Labels):
     """One random output: a label and its ordered outcome labels (size m >= 1)."""
 
-    label: str
-    values: tuple[str, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", tuple(str(v) for v in self.values))
-        if not self.values:
-            raise ValueError(f"output {self.label!r} has no outcomes")
-        if len(set(self.values)) != len(self.values):
-            raise ValueError(f"output {self.label!r} has duplicate outcome labels")
-
-    @property
-    def size(self) -> int:
-        return len(self.values)
+    _noun, _item = "output", "outcome"
 
 
 @dataclass(frozen=True)
@@ -362,12 +383,10 @@ class MarginalReport:
 def scaled_tables(dataset: Dataset, treatments: Iterable[Treatment]) -> tuple[int, dict]:
     """The lcm of the denominators in the tables of `treatments`, read in that
     order, and each of those tables as (outcome, probability times it) pairs."""
-    tables = {tr: dataset.table(tr).items() for tr in treatments}
-    scale = lcm(*(p.denominator for table in tables.values() for _, p in table))
-    return scale, {
-        tr: [(o, p.numerator * (scale // p.denominator)) for o, p in table]
-        for tr, table in tables.items()
-    }
+    tables = {tr: dataset.table(tr) for tr in treatments}
+    scale, ints = scaled(p for table in tables.values() for p in table.values())
+    ints = iter(ints)
+    return scale, {tr: list(zip(table, ints)) for tr, table in tables.items()}
 
 
 def compare_marginals(
@@ -393,7 +412,7 @@ def compare_marginals(
 
 
 def check_marginal_selectivity(
-    dataset: Dataset, comparison_guard: int = 10**6
+    dataset: Dataset, comparison_guard: int = COMPARISON_GUARD
 ) -> MarginalReport:
     """Compare, for every nonempty proper input subset and every pair of
     treatments agreeing on it, the exact subset marginals.

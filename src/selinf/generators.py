@@ -16,11 +16,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .experiment import Dataset, ExperimentDesign, Input, Output, ZERO, make_design
+from .experiment import Dataset, ExperimentDesign, Input, Output, ZERO, coerce_prob, make_design
 from .errors import SizeGuardError
 from .lft import COLUMN_GUARD, QVector, construct_si2, q_length
 
-ONE = Fraction(1)
 HALF = Fraction(1, 2)
 
 
@@ -80,10 +79,10 @@ def gen_classical(
 ) -> tuple[Dataset, QVector]:
     """Dataset with an explicit hidden-variable ground truth.
 
-    Either pass a normalized Q over assignments, or a seed to draw a random
-    rational Q with bounded denominators (optionally bounding the support
-    size).  Returns the dataset together with the generating Q.  Refuses
-    designs with more than `COLUMN_GUARD` assignments.
+    Either pass a normalized Q over assignments (read by `coerce_prob`), or
+    a seed to draw a random rational Q with bounded denominators (optionally
+    bounding the support size).  Returns the dataset together with the
+    generating Q.  Refuses designs with more than `COLUMN_GUARD` assignments.
     """
     qlen = q_length(design)
     if qlen > COLUMN_GUARD:
@@ -104,7 +103,7 @@ def gen_classical(
         total = sum(weights)
         q = QVector(design, tuple(Fraction(w, total) for w in weights))
     elif not isinstance(q, QVector):
-        q = QVector(design, tuple(Fraction(v) for v in q))
+        q = QVector(design, q)
     return construct_si2(q, design).simulate(), q
 
 
@@ -229,22 +228,18 @@ def gen_double_detection(
     `hit_rates[(area, intensity)]` is the exact probability of Yes.  The
     joint under each treatment mixes the comonotone coupling of the two
     Bernoulli responses (weight `coupling`) with the independent one, so the
-    construction is classical for every coupling in [0, 1].
+    construction is classical for every coupling in [0, 1].  The rates and
+    the coupling are read by `coerce_prob`.
     """
-    if isinstance(hit_rates, Mapping):
-        rates = {k: Fraction(v) for k, v in hit_rates.items()}
-    else:
-        rates = {
-            (area, intensity): Fraction(hit_rates[area - 1][intensity - 1])
-            for area in (1, 2)
-            for intensity in (1, 2)
-        }
+    if not isinstance(hit_rates, Mapping):
+        hit_rates = {(a, i): hit_rates[a - 1][i - 1] for a in (1, 2) for i in (1, 2)}
+    rates = {k: coerce_prob(v) for k, v in hit_rates.items()}
     for key in ((1, 1), (1, 2), (2, 1), (2, 2)):
         if key not in rates:
             raise ValueError(f"missing hit rate for (area, intensity) {key}")
         if not 0 <= rates[key] <= 1:
             raise ValueError(f"hit rate {rates[key]} for {key} outside [0, 1]")
-    theta = Fraction(coupling)
+    theta = coerce_prob(coupling)
     if not 0 <= theta <= 1:
         raise ValueError(f"coupling {theta} does not produce a valid joint")
 

@@ -9,44 +9,33 @@ Top-level object:
         {"treatment": [1, 2], "counts": {"1,1": 3, "1,2": 17}}]}
 
 Probabilities are strings so they stay exact: either "p/q" or a decimal
-string (parsed as an exact fraction over a power of ten).  Raw count tables
-are converted to exact frequencies count/total.  Outcome keys are
-comma-joined 1-based indices.
+string (parsed as an exact fraction over a power of ten), read by
+`experiment.coerce_prob`, whose refusals become DatasetParseErrors.  Raw
+count tables are converted to exact frequencies count/total.  Outcome keys
+are comma-joined 1-based indices.
 """
 from __future__ import annotations
 
 import json
-import re
 from fractions import Fraction
 from typing import Any, IO
 
 from .errors import DatasetParseError
-from .experiment import Dataset, ExperimentDesign, Input, Output, parse_index
-
-# Fraction("1e-10000000") builds 10**10**7, so larger exponents are refused
-MAX_EXPONENT = 1000
-_EXPONENT = re.compile(r"e([-+]?[\d_]+)\s*\Z", re.IGNORECASE)
+from .experiment import Dataset, ExperimentDesign, Input, Output, coerce_prob, parse_index
 
 
 def parse_exact(value) -> Fraction:
-    """Parse "p/q", a decimal string, or an int into an exact Fraction."""
-    if isinstance(value, bool):
-        raise DatasetParseError(f"not a probability: {value!r}")
-    if isinstance(value, int):
-        return Fraction(value)
+    """Parse "p/q", a decimal string or an int by `coerce_prob`, refusing with DatasetParseError."""
     if isinstance(value, float):
         raise DatasetParseError(
             f"refusing float {value!r}: write probabilities as strings to keep them exact"
         )
-    if isinstance(value, str):
-        try:
-            exponent = _EXPONENT.search(value)
-            if exponent and abs(int(exponent.group(1))) > MAX_EXPONENT:
-                raise ValueError(f"decimal exponent beyond {MAX_EXPONENT}")
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise DatasetParseError(f"malformed probability string {value!r}: {exc}") from None
-    raise DatasetParseError(f"not a probability: {value!r}")
+    try:
+        return coerce_prob(value)
+    except TypeError:
+        raise DatasetParseError(f"not a probability: {value!r}") from None
+    except (ValueError, ZeroDivisionError) as exc:
+        raise DatasetParseError(f"malformed probability string {value!r}: {exc}") from None
 
 
 def format_exact(value: Fraction) -> str:

@@ -41,32 +41,33 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import accumulate, product, repeat
-from math import lcm, prod
+from math import prod
 from typing import TYPE_CHECKING, Sequence
 
 from .errors import MarginalSelectivityError, SizeGuardError
 from .experiment import (
     DESIGN_CACHE,
+    ONE,
+    ZERO,
     Dataset,
     ExperimentDesign,
     MarginalReport,
     OutcomeTuple,
     Treatment,
     ValidationReport,
-    ZERO,
+    coerce_prob,
     compare_marginals,
     parse_index,
+    scaled,
     scaled_tables,
     validate_dataset,
 )
 from .io import format_exact
 from .rational_lp import (
-    ONE,
     FeasibilityResult,
     Presolve,
     SparseMatrix,
     Witness,
-    scaled_integers,
     simplex,
     solve_equality_feasibility,
     verify_certificate,
@@ -125,14 +126,6 @@ def mixed_radix_digits(idx: int, bases: Sequence[int]) -> tuple[int, ...]:
     return tuple(reversed(digits))
 
 
-def _store_exact(vector, name: str, length: int) -> None:
-    """Store `vector.values` as Fractions, converting only non-Fractions, and check the count."""
-    values = tuple(v if isinstance(v, Fraction) else Fraction(v) for v in vector.values)
-    if len(values) != length:
-        raise ValueError(f"{name} has length {len(values)}, design needs {length}")
-    object.__setattr__(vector, "values", values)
-
-
 @dataclass(frozen=True)
 class PVector:
     """Flat vector of all observed probabilities with its index maps.
@@ -145,7 +138,10 @@ class PVector:
     values: tuple[Fraction, ...]
 
     def __post_init__(self):
-        _store_exact(self, "P", p_length(self.design))
+        values = tuple(map(coerce_prob, self.values))
+        if len(values) != p_length(self.design):
+            raise ValueError(f"P has length {len(values)}, design needs {p_length(self.design)}")
+        object.__setattr__(self, "values", values)
 
     @property
     def block_size(self) -> int:
@@ -175,11 +171,12 @@ class QVector:
     values: tuple[Fraction, ...]
 
     def __post_init__(self):
-        """Hold the values as a `Witness`, which keeps the nonzero entries; a
-        solver's witness is one already, so it is not scanned again."""
+        """Hold the values, read by `coerce_prob`, as a `Witness`, which keeps
+        the nonzero entries; a solver's witness is one already, so it is not
+        scanned again."""
         values = self.values
         if not isinstance(values, Witness):
-            exact = [v if isinstance(v, Fraction) else Fraction(v) for v in values]
+            exact = list(map(coerce_prob, values))
             values = Witness(len(exact), dict(enumerate(exact)))
         if len(values) != q_length(self.design):
             raise ValueError(f"Q has length {len(values)}, design needs {q_length(self.design)}")
@@ -385,8 +382,7 @@ class LftSystem:
         with each slot's smallest a that the later slots' minima complete to
         a negative sum.
         """
-        scale = lcm(*(P[i].denominator for i in kept_rows))
-        b = [P[i].numerator * (scale // P[i].denominator) for i in kept_rows]
+        scale, b = scaled(P[i] for i in kept_rows)
         position = dict(zip(kept_rows, range(len(kept_rows))))
         tables = []  # (front, per slot (allowed outcomes, their kept positions))
         for f, cells in enumerate(self._cells):
@@ -454,7 +450,8 @@ class LftSystem:
         forced h with y'M_h > 0; h meets at least one, since the first zero
         row h meets found h live and fired.  The one place that enumerates
         the forced columns."""
-        scale, y = scaled_integers(kept_y)
+        scale, ints = scaled(kept_y.values())
+        y = dict(zip(kept_y, ints))
         fired = set(pre.fired)
         top, under = scale, 1  # K = top / (under * scale)
         for cells in self._cells:
@@ -486,7 +483,7 @@ class LftSystem:
         design = self.design
         block = prod(design.outcome_sizes)
         c = [0] * self.nrows
-        for i, v in scaled_integers(y)[1].items():
+        for i, v in zip(y, scaled(y.values())[1]):
             c[i] = v
         offsets = q_slot_offsets(design)
         strides = [prod(design.outcome_sizes[i + 1:]) for i in range(design.n)]
@@ -674,12 +671,11 @@ class Si2Model:
         """The weights' common denominator, and per treatment each outcome's
         probability times it, summed in integers over the atoms."""
         offsets = q_slot_offsets(self.design)
-        scale = lcm(*(w.denominator for w, _ in self.atoms))
-        atoms = [(w.numerator * (scale // w.denominator), a) for w, a in self.atoms]
+        scale, weights = scaled(w for w, _ in self.atoms)
         sums: dict[Treatment, dict[OutcomeTuple, int]] = {}
         for tr in self.design.treatments:
             row = sums[tr] = defaultdict(int)
-            for weight, assignment in atoms:
+            for weight, (_, assignment) in zip(weights, self.atoms):
                 row[assignment_outcome(assignment, tr, offsets)] += weight
         return scale, sums
 

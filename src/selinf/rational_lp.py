@@ -29,14 +29,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence
+
+from .experiment import ONE, ZERO, coerce_prob
 
 if TYPE_CHECKING:
     from .lft import LftSystem
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
 # once more than this many degenerate pivots come in a row, Bland's rule
 # prices instead of Dantzig's until the next nondegenerate pivot
 DEGENERATE_RUN = 50
@@ -84,12 +83,6 @@ class Presolve(NamedTuple):
     infeasible_row: int
     zero_rows: frozenset[int]
     fired: tuple[int, ...]
-
-
-def scaled_integers(vector: dict[int, Fraction]) -> tuple[int, dict[int, int]]:
-    """The entries times their denominators' lcm, as ints, and that lcm."""
-    scale = lcm(*(v.denominator for v in vector.values()))
-    return scale, {i: v.numerator * (scale // v.denominator) for i, v in vector.items()}
 
 
 @dataclass(frozen=True)
@@ -339,9 +332,9 @@ def solve_equality_feasibility(
     among the other rows); otherwise its witness may fail the skipped rows,
     which `verify_certificate` against the full M rejects.  The phase-one
     simplex runs on the reduced system, and certificates are mapped back to
-    the full one.
+    the full one.  P's entries are read by `coerce_prob`.
     """
-    P = [Fraction(p) for p in P]
+    P = list(map(coerce_prob, P))
     if len(P) != M.nrows:
         raise ValueError(f"P has length {len(P)}, matrix has {M.nrows} rows")
 
@@ -363,15 +356,16 @@ def solve_equality_feasibility(
 
 def verify_certificate(M: LftSystem, P: Sequence, result: FeasibilityResult) -> bool:
     """Re-check the certificate by direct exact arithmetic, independent of the
-    solver: MQ = P with Q >= 0, or y'M <= 0 with y'P > 0."""
-    P = [Fraction(p) for p in P]
+    solver: MQ = P with Q >= 0, or y'M <= 0 with y'P > 0.  The entries of P
+    and of the certificate are read by `coerce_prob`."""
+    P = list(map(coerce_prob, P))
     if len(P) != M.nrows:
         return False
     cert = result.witness if result.feasible else result.farkas
     if cert is None or len(cert) != (M.ncols if result.feasible else M.nrows):
         return False
     pairs = cert.support if isinstance(cert, Witness) else enumerate(cert)
-    nonzero = {i: Fraction(v) for i, v in pairs if v}
+    nonzero = {i: coerce_prob(v) for i, v in pairs if v}
     if result.feasible:
         return all(v > 0 for v in nonzero.values()) and M.reproduces(nonzero, P)
     return sum([v * P[i] for i, v in nonzero.items()]) > 0 and M.bounded(nonzero)

@@ -14,6 +14,7 @@ from selinf import rational_lp
 from selinf.distances import ChainRecord, LinkEvaluation, order_distance
 from selinf.errors import SizeGuardError
 from selinf.experiment import (
+    ONE,
     Dataset,
     ExperimentDesign,
     MarginalReport,
@@ -22,7 +23,7 @@ from selinf.experiment import (
     marginal,
     marginal_discrepancy,
 )
-from selinf.rational_lp import ONE, FeasibilityResult
+from selinf.rational_lp import FeasibilityResult
 
 F = Fraction
 ZERO = F(0)

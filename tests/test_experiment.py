@@ -4,6 +4,7 @@ from itertools import product
 
 import pytest
 
+from selinf.distances import check_pq_metric_axioms, preset_order
 from selinf.errors import SizeGuardError
 from selinf.experiment import (
     Dataset,
@@ -11,13 +12,17 @@ from selinf.experiment import (
     Input,
     Output,
     check_marginal_selectivity,
+    coerce_prob,
     make_design,
     marginal,
     marginal_discrepancy,
+    scaled,
     transform_outputs,
     validate_dataset,
 )
-from selinf.generators import gen_classical, gen_prbox
+from selinf.generators import gen_classical, gen_double_detection, gen_prbox
+from selinf.lft import LftSystem, PVector, QVector, build_p_vector, run_lft
+from selinf.rational_lp import FeasibilityResult, solve_equality_feasibility, verify_certificate
 
 from helpers import (
     random_small_design,
@@ -32,6 +37,66 @@ def uniform_chsh() -> Dataset:
     design = make_design((2, 2), (2, 2))
     table = {o: F(1, 4) for o in product((1, 2), (1, 2))}
     return Dataset(design, {tr: dict(table) for tr in design.treatments})
+
+
+CHSH = make_design((2, 2), (2, 2))
+HALF = F(1, 2)
+
+
+def _pr_certificate():
+    pr = gen_prbox()
+    p = list(build_p_vector(pr).values)
+    return p, FeasibilityResult(False, None, run_lft(pr).farkas, 0)
+
+
+# each entry point that takes a probability or weight, fed one inexact number
+ENTRY_POINTS = {
+    "Dataset": lambda bad: Dataset(CHSH, {(1, 1): {(1, 1): bad, (2, 2): HALF}}),
+    "PVector": lambda bad: PVector(CHSH, (bad,) + (F(0),) * 15),
+    "QVector": lambda bad: QVector(CHSH, (bad,) + (F(0),) * 15),
+    "gen_classical": lambda bad: gen_classical(CHSH, q=[bad] + [0] * 15),
+    "gen_double_detection-rates": lambda bad: gen_double_detection(
+        {(1, 1): bad, (1, 2): HALF, (2, 1): HALF, (2, 2): HALF}, 0
+    ),
+    "gen_double_detection-coupling": lambda bad: gen_double_detection([[HALF, HALF], [HALF, HALF]], bad),
+    "solve_equality_feasibility": lambda bad: solve_equality_feasibility(
+        LftSystem(CHSH), [bad] + _pr_certificate()[0][1:]
+    ),
+    "verify_certificate-P": lambda bad: verify_certificate(
+        LftSystem(CHSH), [bad] + _pr_certificate()[0][1:], _pr_certificate()[1]
+    ),
+    "verify_certificate-witness": lambda bad: verify_certificate(
+        LftSystem(CHSH), [F(1, 4)] * 16, FeasibilityResult(True, (bad,) + (F(0),) * 15, None, 0)
+    ),
+    "check_pq_metric_axioms": lambda bad: check_pq_metric_axioms(
+        {(1, 1, 1): bad, (2, 2, 2): HALF}, preset_order(make_design((2, 2, 2), (2, 2, 2)), "d1")
+    ),
+}
+
+
+class TestExactNumbers:
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    def test_inexact_numbers_refused(self, entry):
+        # a float and a bool are not exact probabilities, and a short string
+        # with a huge decimal exponent would build an enormous denominator
+        for bad, error, message in (
+            (0.5, TypeError, "got float"),
+            (True, TypeError, "got bool"),
+            ("1e-1001", ValueError, "exponent"),
+        ):
+            with pytest.raises(error, match=message):
+                ENTRY_POINTS[entry](bad)
+
+    def test_exact_numbers_accepted(self):
+        for value, exact in ((F(1, 3), F(1, 3)), (2, F(2)), ("0.25", F(1, 4)), ("1e-1000", F(1, 10**1000))):
+            assert coerce_prob(value) == exact
+        ds, _ = gen_classical(CHSH, q=[F(1, 10)] * 10 + [0] * 6)
+        assert sum(ds.table((1, 1)).values()) == 1
+
+    def test_scaled(self):
+        assert scaled([F(1, 2), F(-1, 3), F(0), F(5)]) == (6, [3, -2, 0, 30])
+        assert scaled(iter([F(2, 4)])) == (2, [1])
+        assert scaled([]) == (1, [])
 
 
 class TestDesign:
@@ -85,6 +150,19 @@ class TestDesign:
             ExperimentDesign(inp, out, ((1, 1),))
         with pytest.raises(ValueError, match="duplicate value labels"):
             Input("a", ("1", "1"))
+
+    def test_inputs_and_outputs_share_one_body(self):
+        assert Input("a", ("1", 2)) == Input("a", ("1", "2"))
+        assert Input("a", ("1",)) != Output("a", ("1",))
+        assert Output("A", ("x", "y", "z")).size == 3
+        for cls, message in (
+            (Input, "input 'a' has no values"),
+            (Output, "output 'a' has no outcomes"),
+        ):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                cls("a", ())
+        with pytest.raises(ValueError, match="^output 'a' has duplicate outcome labels$"):
+            Output("a", ("1", "1"))
 
 
 class TestValidate:
