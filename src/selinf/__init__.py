@@ -58,7 +58,6 @@ from .generators import (
 )
 from .io import dataset_from_json_dict, dataset_to_json_dict, dump_dataset, load_dataset
 from .lft import (
-    JdcMatrix,
     LftVerdict,
     PVector,
     QVector,
@@ -71,7 +70,6 @@ from .lft import (
 )
 from .rational_lp import (
     FeasibilityResult,
-    SparseMatrix,
     solve_equality_feasibility,
     verify_certificate,
 )

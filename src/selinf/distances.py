@@ -43,7 +43,6 @@ from .experiment import (
     coerce_prob,
     parse_index,
     scaled,
-    scaled_tables,
 )
 
 Point = tuple[int, int]  # (input position, value index), 1-based
@@ -364,11 +363,11 @@ def chain_test(
     hold for every realization, so this is the tightest necessary condition
     (under marginal selectivity all realizations coincide).  Each (treatment,
     output pair) distance is summed once, in integers over the tables' common
-    denominator (`scaled_tables`), so every slack is an integer sum.
+    denominator (`Dataset.integer_tables`), so every slack is an integer sum.
     """
     sequences = tuple(sequences)
     pairs = _pair_realizers(dataset.design)
-    scale, tables = scaled_tables(dataset, dataset.tables)
+    scale, tables = dataset.integer_tables
     rank, sizes = order._rank, dataset.design.outcome_sizes
     realizations: dict[tuple[Point, Point], tuple[tuple[Treatment, ...], list[int]]] = {}
     low: dict[tuple[Point, Point], int] = {}
@@ -508,7 +507,7 @@ def check_pq_metric_axioms(
     at least three variables (keyed 1..v in the outcome tuples), its
     probabilities read by `coerce_prob`.  The distances are summed, and the
     triangles compared, in integers over the joint's common denominator."""
-    items = [(tuple(map(int, key)), coerce_prob(p)) for key, p in joint.items()]
+    items = [(tuple(map(parse_index, key)), coerce_prob(p)) for key, p in joint.items()]
     if not items:
         raise ValueError("empty joint distribution")
     v = len(items[0][0])

@@ -7,8 +7,8 @@ to each treatment an exact joint distribution over outcome tuples.  All
 probabilities are `fractions.Fraction`; floating point never enters a verdict.
 
 `coerce_prob` is the package's one conversion of a probability or weight,
-`scaled` its one scaling of Fractions to integers, and `ZERO` and `ONE` its
-exact constants.
+`scaled` its one scaling of Fractions to integers (`Dataset.integer_tables`
+a dataset's, once), and `ZERO` and `ONE` its exact constants.
 
 Value and outcome indices are 1-based throughout.
 """
@@ -254,6 +254,15 @@ class Dataset:
     def prob(self, treatment, outcome) -> Fraction:
         return self.table(treatment).get(tuple(outcome), ZERO)
 
+    @cached_property
+    def integer_tables(self) -> tuple[int, dict[Treatment, list[tuple[OutcomeTuple, int]]]]:
+        """The lcm of the denominators over every table, and each table as
+        (outcome, probability times it) pairs in its order: the one integer
+        form of the data, computed once per dataset."""
+        scale, ints = scaled(p for table in self.tables.values() for p in table.values())
+        ints = iter(ints)
+        return scale, {tr: list(zip(table, ints)) for tr, table in self.tables.items()}
+
 
 @dataclass(frozen=True)
 class ValidationBreach:
@@ -281,9 +290,10 @@ def validate_dataset(dataset: Dataset) -> ValidationReport:
 
     Checked: a table exists for every treatment of the design and for no
     other, outcome keys have the right arity and range, probabilities are
-    nonnegative, each table's mass is exactly 1.
+    nonnegative, each table's mass is exactly 1, summed in `integer_tables`.
     """
     design = dataset.design
+    scale, ints = dataset.integer_tables
     breaches: list[ValidationBreach] = []
     for tr in design.treatments:
         if tr not in dataset.tables:
@@ -297,8 +307,8 @@ def validate_dataset(dataset: Dataset) -> ValidationReport:
                 ValidationBreach("unknown-treatment", f"treatment {tr} not in design", tr)
             )
             continue
-        mass = ZERO
-        for outcome, p in table.items():
+        mass = 0
+        for outcome, v in ints[tr]:
             if len(outcome) != design.n:
                 breaches.append(
                     ValidationBreach(
@@ -312,15 +322,17 @@ def validate_dataset(dataset: Dataset) -> ValidationReport:
                         "bad-outcome", f"outcome {outcome} out of range under {tr}", tr
                     )
                 )
-            if p < 0:
+            if v < 0:
                 breaches.append(
                     ValidationBreach(
-                        "negative-probability", f"negative probability {p} at {outcome} under {tr}", tr
+                        "negative-probability",
+                        f"negative probability {table[outcome]} at {outcome} under {tr}",
+                        tr,
                     )
                 )
-            mass += p
-        if mass != 1:
-            diff = ONE - mass
+            mass += v
+        if mass != scale:
+            diff = Fraction(scale - mass, scale)
             word = "deficit" if diff > 0 else "excess"
             breaches.append(
                 ValidationBreach(
@@ -380,24 +392,18 @@ class MarginalReport:
         return not self.violations
 
 
-def scaled_tables(dataset: Dataset, treatments: Iterable[Treatment]) -> tuple[int, dict]:
-    """The lcm of the denominators in the tables of `treatments`, read in that
-    order, and each of those tables as (outcome, probability times it) pairs."""
-    tables = {tr: dataset.table(tr) for tr in treatments}
-    scale, ints = scaled(p for table in tables.values() for p in table.values())
-    ints = iter(ints)
-    return scale, {tr: list(zip(table, ints)) for tr, table in tables.items()}
-
-
 def compare_marginals(
-    scale: int, tables: Mapping, lam_list: tuple[int, ...], group, pairs
+    dataset: Dataset, lam_list: tuple[int, ...], group, pairs
 ) -> tuple[dict[Treatment, dict[OutcomeTuple, int]], list[MarginalViolation]]:
     """The marginal over the sorted inputs `lam_list` of each treatment of
-    `group`, summed once in integers from `scaled_tables`, zeros dropped; and
-    a violation for each of `pairs` whose marginals differ, the only place a
-    Fraction is built."""
+    `group`, summed once in the dataset's `integer_tables`, zeros dropped;
+    and a violation for each of `pairs` whose marginals differ, the only
+    place a Fraction is built.  A treatment without a table raises
+    ValueError."""
+    scale, tables = dataset.integer_tables
     margs = {}
     for tr in group:
+        dataset.table(tr)  # refuses a missing table
         out: dict[OutcomeTuple, int] = defaultdict(int)
         for outcome, v in tables[tr]:
             out[tuple([outcome[lam - 1] for lam in lam_list])] += v
@@ -439,12 +445,10 @@ def check_marginal_selectivity(
             f"(CLI: --marginal-guard) to run anyway"
         )
 
-    read = dict.fromkeys(tr for _, groups in groups_per_subset for g in groups for tr in g)
-    scale, tables = scaled_tables(dataset, read)
     violations: list[MarginalViolation] = []
     for lam_list, groups in groups_per_subset:
         for g in groups:
-            violations += compare_marginals(scale, tables, lam_list, g, combinations(g, 2))[1]
+            violations += compare_marginals(dataset, lam_list, g, combinations(g, 2))[1]
     return MarginalReport(tuple(violations), total, max(1, n - 1))
 
 

@@ -46,7 +46,8 @@ def parse_angle(token: str) -> Fraction:
     """Parse an angle token into a rational multiple of pi.
 
     Accepts "pi/2", "3pi/4", "-pi", "0", and bare rationals (interpreted as
-    multiples of pi, so "1/4" means pi/4).
+    multiples of pi, so "1/4" means pi/4).  The number is read by
+    `coerce_prob`, which refuses a decimal exponent beyond `MAX_EXPONENT`.
     """
     token = token.strip().lower()
     if not token:
@@ -65,7 +66,7 @@ def parse_angle(token: str) -> Fraction:
             token = token[:-1]
         token = token.replace("*", "")
     try:
-        return Fraction(token)
+        return coerce_prob(token)
     except (ValueError, ZeroDivisionError):
         raise ValueError(f"malformed angle {token!r}") from None
 

@@ -15,9 +15,9 @@ derived from the design: fix an assignment's front, its slots for inputs
 1..n-1, and the last input's slots are independent, so pricing, presolve and
 the Farkas bound come from per-front tables.  Verification simulates a
 witness's atoms, or enumerates the assignments against a Farkas vector.
-`build_jdc_matrix` builds M as stored entries, row (t, o) as the Kronecker
-product of the rows (t_i, o_i) of per-input matrices M_i, for library
-callers and for checks by plain arithmetic; no solver reads it.
+`build_jdc_matrix` builds M's rows as the columns of their 1s, row (t, o)
+as the Kronecker product of the rows (t_i, o_i) of per-input matrices M_i,
+for checks by plain arithmetic; no solver and no request reaches it.
 
 Many rows of M are redundant.  Phase one uses only the rows that
 `collins_gisin_rows` picks from the design, which span M on any treatment
@@ -40,7 +40,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import accumulate, product, repeat
+from itertools import accumulate, product
 from math import prod
 from typing import TYPE_CHECKING, Sequence
 
@@ -59,14 +59,12 @@ from .experiment import (
     compare_marginals,
     parse_index,
     scaled,
-    scaled_tables,
     validate_dataset,
 )
 from .io import format_exact
 from .rational_lp import (
     FeasibilityResult,
     Presolve,
-    SparseMatrix,
     Witness,
     simplex,
     solve_equality_feasibility,
@@ -233,24 +231,11 @@ def _guarded_q_length(design: ExperimentDesign, column_guard: int) -> int:
     return ncols
 
 
-@dataclass(frozen=True)
-class JdcMatrix:
-    """The 0/1 compatibility matrix between observed rows and assignments."""
-
-    design: ExperimentDesign
-    matrix: SparseMatrix
-
-    @property
-    def nrows(self) -> int:
-        return self.matrix.nrows
-
-    @property
-    def ncols(self) -> int:
-        return self.matrix.ncols
-
-
-def build_jdc_matrix(design: ExperimentDesign, column_guard: int = COLUMN_GUARD) -> JdcMatrix:
-    """Build the compatibility matrix; refuses designs whose assignment count
+def build_jdc_matrix(
+    design: ExperimentDesign, column_guard: int = COLUMN_GUARD
+) -> tuple[tuple[int, ...], ...]:
+    """M as its rows, each the increasing tuple of the columns where it has a
+    1, the only value it holds; refuses designs whose assignment count
     exceeds `column_guard` (override by passing a larger guard).  Input i's
     table maps (slot w, outcome a) to its block's values with a in slot w,
     times the block's stride (the later blocks' sizes multiplied); row (t, o)
@@ -271,8 +256,8 @@ def build_jdc_matrix(design: ExperimentDesign, column_guard: int = COLUMN_GUARD)
             cols = [0]
             for table, w, a in zip(tables, tr, outcome):
                 cols = [c + d for c in cols for d in table[w, a]]
-            rows.append(tuple(zip(cols, repeat(ONE))))
-    return JdcMatrix(design, SparseMatrix(p_length(design), ncols, tuple(rows)))
+            rows.append(tuple(cols))
+    return tuple(rows)
 
 
 @lru_cache(maxsize=DESIGN_CACHE)
@@ -713,12 +698,10 @@ def restrict_design(dataset: Dataset, subset) -> Dataset:
         raise ValueError(f"subset {lam_list} out of range")
 
     groups = design.treatment_groups(lam_list)
-    scale, tables = scaled_tables(dataset, (tr for group in groups.values() for tr in group))
+    scale = dataset.integer_tables[0]
     margs, violations = {}, []
     for proj, (ref, *others) in groups.items():
-        found, broken = compare_marginals(
-            scale, tables, lam_list, (ref, *others), [(ref, tr) for tr in others]
-        )
+        found, broken = compare_marginals(dataset, lam_list, (ref, *others), [(ref, tr) for tr in others])
         margs[proj] = {o: Fraction(v, scale) for o, v in found[ref].items()}
         violations += broken
     if violations:

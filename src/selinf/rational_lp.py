@@ -22,8 +22,7 @@ optimal phase-one duals, so every verdict is self-verifying via
 `verify_certificate`.
 
 M is the LFT's 0/1 matrix as `lft.LftSystem` derives it from the
-experiment's design, and P >= 0.  `SparseMatrix` stores a matrix's entries,
-as `lft.build_jdc_matrix` builds M; the solver does not read it.
+experiment's design, never stored, and P >= 0.
 """
 from __future__ import annotations
 
@@ -83,62 +82,6 @@ class Presolve(NamedTuple):
     infeasible_row: int
     zero_rows: frozenset[int]
     fired: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class SparseMatrix:
-    """Row-major sparse matrix of exact rationals.
-
-    Per row: (column, entry) pairs, int columns strictly increasing, nonzero
-    `Fraction` entries; checked and kept as given (`from_dense` converts).
-    """
-
-    nrows: int
-    ncols: int
-    rows: tuple[tuple[tuple[int, Fraction], ...], ...]
-
-    def __post_init__(self):
-        if self.nrows < 0 or self.ncols < 0:
-            raise ValueError("negative dimension")
-        if len(self.rows) != self.nrows:
-            raise ValueError(f"expected {self.nrows} rows, got {len(self.rows)}")
-        ncols = self.ncols
-        for i, row in enumerate(self.rows):
-            prev = -1
-            for col, val in row:
-                if type(col) is not int:
-                    raise ValueError(f"row {i}: column {col!r} is not an int")
-                if not 0 <= col < ncols:
-                    raise ValueError(f"row {i}: column {col} out of range")
-                if col == prev:
-                    raise ValueError(f"row {i}: duplicate column {col}")
-                if col < prev:
-                    raise ValueError(f"row {i}: column {col} after {prev}, not increasing")
-                if not isinstance(val, Fraction):
-                    raise ValueError(f"row {i}: entry {val!r} at column {col} is not a Fraction")
-                if not val:
-                    raise ValueError(f"row {i}: explicit zero entry at column {col}")
-                prev = col
-
-    @classmethod
-    def from_dense(cls, rows: Sequence[Sequence]) -> "SparseMatrix":
-        nrows = len(rows)
-        ncols = len(rows[0]) if nrows else 0
-        sparse = []
-        for row in rows:
-            if len(row) != ncols:
-                raise ValueError("ragged dense matrix")
-            sparse.append(
-                tuple((j, Fraction(v)) for j, v in enumerate(row) if Fraction(v) != 0)
-            )
-        return cls(nrows, ncols, tuple(sparse))
-
-    def to_dense(self) -> list[list[Fraction]]:
-        dense = [[ZERO] * self.ncols for _ in range(self.nrows)]
-        for i, row in enumerate(self.rows):
-            for j, v in row:
-                dense[i][j] = v
-        return dense
 
 
 def _width(bound: int) -> int:

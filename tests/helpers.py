@@ -23,6 +23,7 @@ from selinf.experiment import (
     marginal,
     marginal_discrepancy,
 )
+from selinf.lft import build_jdc_matrix, q_length
 from selinf.rational_lp import FeasibilityResult
 
 F = Fraction
@@ -49,6 +50,18 @@ def matrix_rank(rows: list[list[Fraction]]) -> int:
         if rank == m:
             break
     return rank
+
+
+def dense_m(design: ExperimentDesign) -> list[list[Fraction]]:
+    """M as dense rows of Fractions, from the columns of each row's 1s that
+    `build_jdc_matrix` lists."""
+    dense = []
+    for cols in build_jdc_matrix(design):
+        row = [ZERO] * q_length(design)
+        for c in cols:
+            row[c] = ONE
+        dense.append(row)
+    return dense
 
 
 def lp_feasible_bruteforce(dense: list[list[Fraction]], P: list[Fraction]) -> bool:

@@ -27,10 +27,10 @@ from selinf.distances import (
 )
 from selinf.experiment import Dataset, check_marginal_selectivity, make_design, validate_dataset
 from selinf.generators import AngleSpec, gen_classical, gen_ghz, gen_prbox, gen_singlet
-from selinf.lft import build_jdc_matrix, build_p_vector, construct_si2, run_lft
+from selinf.lft import build_p_vector, construct_si2, run_lft
 from selinf.rational_lp import FeasibilityResult
 
-from helpers import dense_certifies, lifted_prbox, mix_tables, random_ms_chsh
+from helpers import dense_certifies, dense_m, lifted_prbox, mix_tables, random_ms_chsh
 
 F = Fraction
 CHSH = make_design((2, 2), (2, 2))
@@ -238,13 +238,12 @@ def test_criterion_02_pr_box():
     fine = fine_inequalities(pr)
     verdict = run_lft(pr)
     p = build_p_vector(pr)
-    jdc = build_jdc_matrix(pr.design)
     res = FeasibilityResult(False, None, verdict.farkas, verdict.pivots)
     ok = (
         fine.violated_families() == ("p11|22",)
         and fine.families()["p11|22"] == F(1, 2)
         and not verdict.feasible
-        and dense_certifies(jdc.matrix.to_dense(), list(p.values), res)
+        and dense_certifies(dense_m(pr.design), list(p.values), res)
     )
     report(f"C2 PR box: {'PASS' if ok else 'FAIL'} (one family at +1/2, Farkas verified, {time.time()-t0:.2f}s)")
     assert ok, (fine.violated_families(), verdict.feasible)
@@ -377,16 +376,16 @@ def test_criterion_07_chain_pair_equals_first_fine():
 def test_criterion_08_ghz():
     t0 = time.time()
     g = gen_ghz()
-    jdc = build_jdc_matrix(g.design)
+    dense = dense_m(g.design)
     verdict = run_lft(g)
     p = build_p_vector(g)
     res = FeasibilityResult(False, None, verdict.farkas, verdict.pivots)
     ok = (
-        (jdc.nrows, jdc.ncols) == (64, 64)
+        (len(dense), len(dense[0])) == (64, 64)
         and g.design.input_sizes == (2, 2, 2)
         and g.design.outcome_sizes == (2, 2, 2)
         and not verdict.feasible
-        and dense_certifies(jdc.matrix.to_dense(), list(p.values), res)
+        and dense_certifies(dense, list(p.values), res)
     )
     report(f"C8 GHZ: {'PASS' if ok else 'FAIL'} (64x64 system infeasible, Farkas verified, {time.time()-t0:.2f}s)")
     assert ok
@@ -463,7 +462,7 @@ def test_criterion_11_chain_certificates(crit1_sweep, crit3_results):
     routes = list(crit1_sweep["chain_routes"])
     optimal = gen_singlet(AngleSpec(((F(0), F(1, 2)), (F(1, 4), F(3, 4)))), 12)
     routes.append((optimal, _first_chain_failure(optimal), crit3_results["verdict_optimal"]))
-    dense = build_jdc_matrix(CHSH).matrix.to_dense()
+    dense = dense_m(CHSH)
     bad = 0
     for ds, chain, phase_one in routes:
         verdict = run_lft(ds, chain_failure=chain)

@@ -499,6 +499,16 @@ class TestAxioms:
             order = OrderRelation(tuple(frozenset(c) for c in classes))
             assert check_pq_metric_axioms(joint, order).passed
 
+    def test_non_integer_outcome_keys_rejected(self):
+        # 1.9 is no outcome index: it must not be read as outcome 1
+        order = OrderRelation(
+            (frozenset({(v, 1) for v in (1, 2, 3)}), frozenset({(v, 2) for v in (1, 2, 3)}))
+        )
+        for bad in (1.9, True):
+            with pytest.raises(ValueError, match="not an integer"):
+                check_pq_metric_axioms({(bad, 1, 1): F(1, 2), (2, 2, 2): F(1, 2)}, order)
+        assert check_pq_metric_axioms({(1.0, "1", 1): F(1, 2), (2, 2, 2): F(1, 2)}, order).passed
+
     def test_two_variables_rejected(self):
         with pytest.raises(ValueError, match="three variables"):
             check_pq_metric_axioms({(1, 1): F(1)}, OrderRelation((frozenset({(1, 1), (2, 1)}),)))

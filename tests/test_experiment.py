@@ -98,6 +98,17 @@ class TestExactNumbers:
         assert scaled(iter([F(2, 4)])) == (2, [1])
         assert scaled([]) == (1, [])
 
+    def test_integer_tables(self):
+        # one lcm over every table, each table's pairs in its own order,
+        # computed once per dataset
+        ds = Dataset(
+            make_design((2,), (2,)),
+            {(1,): {(1,): F(1, 2), (2,): F(1, 2)}, (2,): {(2,): F(1, 3), (1,): F(2, 3)}},
+        )
+        assert ds.integer_tables == (6, {(1,): [((1,), 3), ((2,), 3)], (2,): [((2,), 2), ((1,), 4)]})
+        assert ds.integer_tables is ds.integer_tables
+        assert Dataset(make_design((2,), (2,)), {}).integer_tables == (1, {})
+
 
 class TestDesign:
     def test_treatments_sorted_and_deduped(self):

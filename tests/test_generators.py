@@ -129,8 +129,11 @@ class TestSinglet:
         assert parse_angle("-pi") == F(-1)
         assert parse_angle("0") == F(0)
         assert parse_angle("1/4") == F(1, 4)
-        with pytest.raises(ValueError):
-            parse_angle("about tau")
+        assert parse_angle("1e-1000pi") == F(1, 10**1000)
+        # Fraction("1e-3000000") would build a 10-million-bit denominator
+        for token in ("about tau", "1e-3000000", "1E+3000000pi", "-1e-1001"):
+            with pytest.raises(ValueError):
+                parse_angle(token)
 
 
 class TestGhz:

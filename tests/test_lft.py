@@ -43,13 +43,13 @@ from selinf.lft import (
 from selinf.io import dump_dataset, format_exact
 from selinf.rational_lp import (
     FeasibilityResult,
-    SparseMatrix,
     solve_equality_feasibility,
     verify_certificate,
 )
 
 from helpers import (
     dense_certifies,
+    dense_m,
     dense_pricer,
     lifted_prbox,
     matrix_rank,
@@ -135,34 +135,26 @@ class TestIndexing:
 class TestJdcMatrix:
     def test_chsh_matrix_shape_and_column_sums(self):
         design = make_design((2, 2), (2, 2))
-        jdc = build_jdc_matrix(design)
-        assert (jdc.nrows, jdc.ncols) == (16, 16)
-        col_counts = [0] * 16
-        for row in jdc.matrix.rows:
-            for c, v in row:
-                assert v == 1
-                col_counts[c] += 1
-        assert all(cnt == 4 for cnt in col_counts)  # one per treatment
+        dense = dense_m(design)
+        assert (len(dense), len(dense[0])) == (16, 16)
+        assert [sum(col) for col in zip(*dense)] == [4] * 16  # one per treatment
 
     def test_trivial_design_is_identity(self):
         design = make_design((1,), (2,))
-        jdc = build_jdc_matrix(design)
-        assert jdc.matrix.to_dense() == [[F(1), F(0)], [F(0), F(1)]]
+        assert build_jdc_matrix(design) == ((0,), (1,))
+        assert dense_m(design) == [[F(1), F(0)], [F(0), F(1)]]
 
     def test_ghz_matrix_eight_ones_per_column(self):
-        jdc = build_jdc_matrix(gen_ghz().design)
-        assert (jdc.nrows, jdc.ncols) == (64, 64)
-        col_counts = [0] * 64
-        for row in jdc.matrix.rows:
-            for c, _ in row:
-                col_counts[c] += 1
-        assert all(cnt == 8 for cnt in col_counts)
+        dense = dense_m(gen_ghz().design)
+        assert (len(dense), len(dense[0])) == (64, 64)
+        assert [sum(col) for col in zip(*dense)] == [8] * 64
 
     @staticmethod
     def assert_matches_definition(design):
         # M(r, c) = 1 exactly when column c's assignment yields row r's
-        # outcomes under row r's treatment, built here column by column
-        jdc = build_jdc_matrix(design)
+        # outcomes under row r's treatment, built here column by column; a
+        # row lists the columns of its 1s in increasing order
+        rows = build_jdc_matrix(design)
         p = PVector(design, (F(0),) * p_length(design))
         q = QVector(design, (F(0),) * q_length(design))
         offsets = q_slot_offsets(design)
@@ -171,9 +163,8 @@ class TestJdcMatrix:
             assignment = q.assignment_at(c)
             for tr in design.treatments:
                 want[p.index_of(tr, assignment_outcome(assignment, tr, offsets))].append(c)
-        assert (jdc.nrows, jdc.ncols) == (p_length(design), q_length(design))
-        assert [[c for c, _ in row] for row in jdc.matrix.rows] == want
-        assert all(v == 1 and type(v) is F for row in jdc.matrix.rows for _, v in row)
+        assert type(rows) is tuple and all(type(row) is tuple for row in rows)
+        assert rows == tuple(map(tuple, want))
 
     @pytest.mark.parametrize(
         "sizes",
@@ -199,7 +190,8 @@ class TestJdcMatrix:
         design = make_design((2, 2), (3, 3))  # 81 columns
         with pytest.raises(SizeGuardError, match="column_guard"):
             build_jdc_matrix(design, column_guard=80)
-        assert build_jdc_matrix(design, column_guard=81).ncols == 81
+        rows = build_jdc_matrix(design, column_guard=81)
+        assert max(c for row in rows for c in row) == 80
 
 
 class TestRunLft:
@@ -208,7 +200,7 @@ class TestRunLft:
         verdict = run_lft(pr)
         assert not verdict.feasible
         p = build_p_vector(pr)
-        dense = build_jdc_matrix(pr.design).matrix.to_dense()
+        dense = dense_m(pr.design)
         res = FeasibilityResult(False, None, verdict.farkas, verdict.pivots)
         assert dense_certifies(dense, list(p.values), res)
 
@@ -244,7 +236,7 @@ class TestRunLft:
 
         rng = random.Random(222)
         design = make_design((2, 2), (2, 2))
-        jdc = build_jdc_matrix(design)
+        dense = dense_m(design)
         for trial in range(4):
             if trial % 2 == 0:
                 ds, _ = gen_classical(design, seed=rng.randrange(10**9))
@@ -253,14 +245,14 @@ class TestRunLft:
             verdict = run_lft(ds)
             p = build_p_vector(ds)
             assert verdict.feasible == lp_feasible_bruteforce(
-                jdc.matrix.to_dense(), list(p.values)
+                dense, list(p.values)
             )
         # drive at least one infeasible instance through the oracle
         pr_verdict = run_lft(gen_prbox())
         pr = gen_prbox()
         assert not pr_verdict.feasible
         assert not lp_feasible_bruteforce(
-            build_jdc_matrix(pr.design).matrix.to_dense(),
+            dense_m(pr.design),
             list(build_p_vector(pr).values),
         )
 
@@ -293,7 +285,7 @@ class TestRowBasis:
 
     def _check(self, ds, monkeypatch):
         p = list(build_p_vector(ds).values)
-        m, dense = LftSystem(ds.design), build_jdc_matrix(ds.design).matrix.to_dense()
+        m, dense = LftSystem(ds.design), dense_m(ds.design)
         rows = collins_gisin_rows(ds.design)
         reduced, full = solve_equality_feasibility(m, p, rows), solve_equality_feasibility(m, p)
         assert reduced.feasible == full.feasible
@@ -335,7 +327,7 @@ class TestRowBasis:
         verdicts = set()
         for _ in range(5):
             design = make_design(ks, ms, treatments=rng.sample(full, rng.randint(1, len(full) - 1)))
-            dense = build_jdc_matrix(design).matrix.to_dense()
+            dense = dense_m(design)
             rows = collins_gisin_rows(design)
             assert matrix_rank([dense[r] for r in rows]) == matrix_rank(dense)
             classical = gen_classical(design, seed=rng.randrange(10**9))[0]
@@ -352,7 +344,7 @@ class TestRowBasis:
         is when `run_lft` must fall back to every row."""
         assert not check_marginal_selectivity(ds).passed
         p = list(build_p_vector(ds).values)
-        m, dense = LftSystem(ds.design), build_jdc_matrix(ds.design).matrix.to_dense()
+        m, dense = LftSystem(ds.design), dense_m(ds.design)
         basis = collins_gisin_rows(ds.design)
         on_basis = solve_equality_feasibility(m, p, basis)
         full = solve_equality_feasibility(m, p)
@@ -385,7 +377,7 @@ class TestRowBasis:
         # that solve is feasible, and only the full-M check catches it
         p = list(build_p_vector(ds).values)
         wrong = solve_equality_feasibility(LftSystem(design), p, collins_gisin_rows(design))
-        dense = build_jdc_matrix(design).matrix.to_dense()
+        dense = dense_m(design)
         assert wrong.feasible and not dense_certifies(dense, p, wrong)
         assert self._check_signalling(ds, monkeypatch)
 
@@ -509,8 +501,8 @@ def embed_in_ternary(ds: Dataset) -> Dataset:
 class TestTernaryEmbedding:
     def test_embedded_prbox_infeasible_on_36x81_system(self):
         emb = embed_in_ternary(gen_prbox())
-        jdc = build_jdc_matrix(emb.design)
-        assert (jdc.nrows, jdc.ncols) == (36, 81)
+        dense = dense_m(emb.design)
+        assert (len(dense), len(dense[0])) == (36, 81)
         verdict = run_lft(emb)
         assert not verdict.feasible
 
@@ -630,7 +622,7 @@ class TestLftSystem:
     @pytest.mark.parametrize("ks, ms, treatments", _SYSTEM_DESIGNS)
     def test_pricing_matches_sparse(self, ks, ms, treatments, monkeypatch):
         design = make_design(ks, ms, treatments)
-        dense, lft = build_jdc_matrix(design).matrix.to_dense(), LftSystem(design)
+        dense, lft = dense_m(design), LftSystem(design)
         rng = random.Random(sum(ks) * 100 + sum(ms) * 10 + len(ks))
         masked = priced = 0
         for _ in range(12):
@@ -661,7 +653,7 @@ class TestLftSystem:
     @pytest.mark.parametrize("ks, ms, treatments", _SYSTEM_DESIGNS)
     def test_presolve_matches_sparse(self, ks, ms, treatments):
         design = make_design(ks, ms, treatments)
-        dense, lft = build_jdc_matrix(design).matrix.to_dense(), LftSystem(design)
+        dense, lft = dense_m(design), LftSystem(design)
         rng = random.Random(sum(ks) * 100 + sum(ms))
         decided = 0
         for _ in range(25):
@@ -724,8 +716,6 @@ class TestRunLftWithoutM:
             raise AssertionError("run_lft built M")
 
         monkeypatch.setattr("selinf.lft.build_jdc_matrix", refuse)
-        monkeypatch.setattr("selinf.lft.SparseMatrix", refuse)
-        monkeypatch.setattr(SparseMatrix, "__post_init__", refuse)
         calls = []
 
         def spy(m, p, row_basis=None):
@@ -783,7 +773,7 @@ class TestVerificationWithoutM:
         rejected = {"moved": 0, "negative": 0, "flipped": 0}
         for ds, verdict in self._results(200):
             p = list(build_p_vector(ds).values)
-            dense, lft = build_jdc_matrix(ds.design).matrix.to_dense(), LftSystem(ds.design)
+            dense, lft = dense_m(ds.design), LftSystem(ds.design)
             variants = []
             if verdict.feasible:
                 q = list(verdict.witness.values)
@@ -823,7 +813,7 @@ def _chain_cases():
                make_design((3, 3), (2, 2), [(1, 1), (1, 2), (2, 2), (2, 3), (3, 1), (3, 3)])]
     cases = []
     for design in designs:
-        dense = build_jdc_matrix(design).matrix.to_dense()
+        dense = dense_m(design)
         sequences = enumerate_irreducible_sequences(design)
         for _ in range(6):
             classical = gen_classical(design, seed=rng.randrange(10**9), max_support=rng.randint(1, 6))[0]

@@ -10,10 +10,9 @@ from selinf import rational_lp
 from selinf.experiment import Dataset, make_design
 from selinf.generators import AngleSpec, gen_classical, gen_ghz, gen_prbox, gen_singlet
 from selinf.io import format_exact
-from selinf.lft import LftSystem, build_jdc_matrix, build_p_vector, collins_gisin_rows, run_lft
+from selinf.lft import LftSystem, build_p_vector, collins_gisin_rows, run_lft
 from selinf.rational_lp import (
     FeasibilityResult,
-    SparseMatrix,
     simplex,
     solve_equality_feasibility,
     verify_certificate,
@@ -21,6 +20,7 @@ from selinf.rational_lp import (
 
 from helpers import (
     dense_certifies,
+    dense_m,
     dense_pricer,
     lifted_prbox,
     lp_feasible_bruteforce,
@@ -60,33 +60,6 @@ def _solve(dense, p):
             witness[j] = v / scale_b
         return FeasibilityResult(True, tuple(witness), None, pivots)
     return FeasibilityResult(False, None, tuple(s * y for s, y in zip(flip, vec)), pivots)
-
-
-class TestSparseMatrix:
-    def test_from_dense_roundtrip(self):
-        dense = [[F(1), F(0)], [F(-2, 3), F(5)]]
-        m = SparseMatrix.from_dense(dense)
-        assert m.to_dense() == dense
-
-    def test_rejects_bad_entries(self):
-        with pytest.raises(ValueError, match="duplicate column"):
-            SparseMatrix(1, 2, (((0, F(1)), (0, F(2))),))
-        with pytest.raises(ValueError, match="out of range"):
-            SparseMatrix(1, 2, (((2, F(1)),),))
-        with pytest.raises(ValueError, match="zero entry"):
-            SparseMatrix(1, 2, (((0, F(0)),),))
-        # rows are checked and kept as given: nothing is sorted or converted
-        with pytest.raises(ValueError, match="not increasing"):
-            SparseMatrix(1, 2, (((1, F(1)), (0, F(2))),))
-        with pytest.raises(ValueError, match="not an int"):
-            SparseMatrix(1, 2, (((1.9, F(1)),),))
-        with pytest.raises(ValueError, match="not an int"):
-            SparseMatrix(1, 2, (((True, F(1)),),))
-        for entry in (1, 0.5):
-            with pytest.raises(ValueError, match="not a Fraction"):
-                SparseMatrix(1, 2, (((0, entry),),))
-        rows = (((0, F(1)), (1, F(-2))),)
-        assert SparseMatrix(1, 2, rows).rows is rows
 
 
 class TestSolveBasics:
@@ -158,7 +131,7 @@ class TestSolveBasics:
         def holds(p, *cert, feasible):
             result = FeasibilityResult(feasible, cert if feasible else None,
                                        None if feasible else cert, 0)
-            assert dense_certifies(build_jdc_matrix(lft.design).matrix.to_dense(), p, result) == (
+            assert dense_certifies(dense_m(lft.design), p, result) == (
                 verify_certificate(lft, p, result)
             )
             return verify_certificate(lft, p, result)
@@ -197,7 +170,7 @@ class TestSolveBasics:
         assert not res.feasible and res.pivots == 2
         assert [res.farkas[z] for z in (1, 5, 7, 9)] == [F(-3)] * 4
         assert verify_certificate(lft, p, res)
-        dense = build_jdc_matrix(lft.design).matrix.to_dense()
+        dense = dense_m(lft.design)
         assert dense_certifies(dense, p, res) and res == reference_solve(dense, p)
 
     def test_farkas_bound_counts_the_fired_rows_a_column_meets(self):
@@ -212,7 +185,7 @@ class TestSolveBasics:
         res = solve_equality_feasibility(lft, p, rows)
         assert not res.feasible and res.pivots == 3
         assert [res.farkas[z] for z in (3, 5, 6)] == [F(-1)] * 3
-        dense = build_jdc_matrix(lft.design).matrix.to_dense()
+        dense = dense_m(lft.design)
         assert sum(res.farkas[i] for i in range(16) if dense[i][10] and i not in (3, 5, 6)) == 2
         assert verify_certificate(lft, p, res) and dense_certifies(dense, p, res)
         assert res == reference_solve(dense, p, rows)
@@ -222,7 +195,7 @@ class TestSolveBasics:
         # left in the first sweep; then a later row fires and empties an
         # earlier one with P != 0, which only the second presolve sweep sees
         lft = LftSystem(make_design((2,), (2,)))
-        dense = build_jdc_matrix(lft.design).matrix.to_dense()
+        dense = dense_m(lft.design)
         for p, farkas in (
             ([0, 0, 1, 0], [-1, -1, 1, 0]),
             ([1, 0, 0, 0], [1, -1, -1, -1]),
