@@ -47,15 +47,6 @@ from .experiment import (
     transform_outputs,
     validate_dataset,
 )
-from .generators import (
-    AngleSpec,
-    gen_classical,
-    gen_double_detection,
-    gen_ghz,
-    gen_prbox,
-    gen_singlet,
-    parse_angle,
-)
 from .io import dataset_from_json_dict, dataset_to_json_dict, dump_dataset, load_dataset
 from .lft import (
     LftVerdict,
@@ -75,3 +66,17 @@ from .rational_lp import (
 )
 
 __version__ = "0.1.0"
+
+# the dataset generators load on first use, so `import selinf` skips them
+_GENERATORS = {
+    "AngleSpec", "gen_classical", "gen_double_detection", "gen_ghz", "gen_prbox", "gen_singlet", "parse_angle"
+}
+
+
+def __getattr__(name: str):
+    if name in _GENERATORS or name == "generators":
+        import importlib
+
+        generators = importlib.import_module(".generators", __name__)
+        return generators if name == "generators" else getattr(generators, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

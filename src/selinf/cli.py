@@ -29,15 +29,6 @@ from .distances import (
 )
 from .errors import DatasetParseError, MarginalSelectivityError, SizeGuardError
 from .experiment import COMPARISON_GUARD, check_marginal_selectivity, make_design, validate_dataset
-from .generators import (
-    AngleSpec,
-    gen_classical,
-    gen_double_detection,
-    gen_ghz,
-    gen_prbox,
-    gen_singlet,
-    parse_angle,
-)
 from .io import dump_dataset, format_exact, load_dataset, parse_exact
 from .lft import COLUMN_GUARD, run_lft
 
@@ -266,6 +257,11 @@ def _parse_sizes(text: str) -> tuple[int, ...]:
 
 
 def cmd_generate(args) -> int:
+    # loaded here, on first use: no other command needs the generators
+    from .generators import (
+        AngleSpec, gen_classical, gen_double_detection, gen_ghz, gen_prbox, gen_singlet, parse_angle
+    )
+
     if args.kind == "classical":
         k = _parse_sizes(args.inputs)
         m = _parse_sizes(args.outcomes)

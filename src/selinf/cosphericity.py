@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .experiment import Dataset, parse_index
 
@@ -96,8 +96,7 @@ def correlations_from_dataset(
     return CorrelationQuad(rho[(1, 1)], rho[(1, 2)], rho[(2, 1)], rho[(2, 2)])
 
 
-@dataclass(frozen=True)
-class CosphericityResult:
+class CosphericityResult(NamedTuple):
     lhs: float
     rhs: float
     slack: float

@@ -26,10 +26,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import permutations
 from types import MappingProxyType
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .errors import MarginalSelectivityError, SizeGuardError
 from .experiment import (
@@ -287,8 +287,7 @@ def enumerate_tetradic_sequences(design: ExperimentDesign) -> list[InputPointSeq
     return list(map(InputPointSequence, tetrads))
 
 
-@dataclass(frozen=True)
-class LinkEvaluation:
+class LinkEvaluation(NamedTuple):
     """One chain link: the pair, the distance used, the treatment that
     realized it, and every (treatment, distance) realization evaluated."""
 
@@ -298,8 +297,7 @@ class LinkEvaluation:
     evaluated: tuple[tuple[Treatment, Fraction], ...]
 
 
-@dataclass(frozen=True)
-class ChainRecord:
+class ChainRecord(NamedTuple):
     sequence: InputPointSequence
     lhs: Fraction
     rhs: Fraction
@@ -312,8 +310,7 @@ class ChainRecord:
         return self.slack >= 0
 
 
-@dataclass(frozen=True)
-class ChainReport:
+class ChainReport(NamedTuple):
     """One order's chain inequalities over a list of sequences.
 
     `slacks` holds each sequence's slack times `scale`, the tables' common
@@ -335,7 +332,7 @@ class ChainReport:
     def failures(self) -> tuple[ChainRecord, ...]:
         return tuple(self._record(q) for q, s in zip(self.sequences, self.slacks) if s < 0)
 
-    @cached_property
+    @property
     def records(self) -> tuple[ChainRecord, ...]:
         return tuple(map(self._record, self.sequences))
 
@@ -409,8 +406,7 @@ def chain_test(
     return ChainReport(order, sequences, tuple(slacks), scale, realizations)
 
 
-@dataclass(frozen=True)
-class FineInequality:
+class FineInequality(NamedTuple):
     family: str
     expression: str
     value: Fraction
@@ -421,8 +417,7 @@ class FineInequality:
         return self.value >= -1 if self.bound == "lower" else self.value <= 0
 
 
-@dataclass(frozen=True)
-class FineReport:
+class FineReport(NamedTuple):
     records: tuple[FineInequality, ...]
 
     @property
@@ -487,8 +482,7 @@ def canonical_tetrad() -> InputPointSequence:
     return InputPointSequence(((1, 1), (2, 1), (1, 2), (2, 2)))
 
 
-@dataclass(frozen=True)
-class AxiomReport:
+class AxiomReport(NamedTuple):
     """Order-distance axiom check on one explicit joint distribution."""
 
     distances: dict[tuple[int, int], Fraction]

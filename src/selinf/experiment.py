@@ -21,7 +21,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, product
 from math import comb, lcm, prod
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import SizeGuardError
 
@@ -264,15 +264,13 @@ class Dataset:
         return scale, {tr: list(zip(table, ints)) for tr, table in self.tables.items()}
 
 
-@dataclass(frozen=True)
-class ValidationBreach:
+class ValidationBreach(NamedTuple):
     kind: str
     message: str
     treatment: Treatment | None = None
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     breaches: tuple[ValidationBreach, ...]
 
     @property
@@ -373,16 +371,14 @@ def marginal_discrepancy(
     )
 
 
-@dataclass(frozen=True)
-class MarginalViolation:
+class MarginalViolation(NamedTuple):
     subset: tuple[int, ...]
     treatment_a: Treatment
     treatment_b: Treatment
     discrepancy: Fraction
 
 
-@dataclass(frozen=True)
-class MarginalReport:
+class MarginalReport(NamedTuple):
     violations: tuple[MarginalViolation, ...]
     comparisons: int
     max_subset_size: int

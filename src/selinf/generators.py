@@ -25,7 +25,8 @@ HALF = Fraction(1, 2)
 
 @dataclass(frozen=True)
 class AngleSpec:
-    """Measurement angles per input value, as exact rational multiples of pi."""
+    """Measurement angles per input value, as exact rational multiples of pi,
+    each read by `coerce_prob` (a float raises TypeError)."""
 
     per_input: tuple[tuple[Fraction, ...], ...]
 
@@ -33,7 +34,7 @@ class AngleSpec:
         object.__setattr__(
             self,
             "per_input",
-            tuple(tuple(Fraction(a) for a in angles) for angles in self.per_input),
+            tuple(tuple(map(coerce_prob, angles)) for angles in self.per_input),
         )
         if not self.per_input or any(not angles for angles in self.per_input):
             raise ValueError("each input needs at least one angle")

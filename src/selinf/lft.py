@@ -42,7 +42,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import accumulate, product
 from math import prod
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .errors import MarginalSelectivityError, SizeGuardError
 from .experiment import (
@@ -486,8 +486,7 @@ class LftSystem:
         return True
 
 
-@dataclass(frozen=True)
-class LftVerdict:
+class LftVerdict(NamedTuple):
     """Outcome of the linear feasibility test.
 
     Feasible means a classical (selective-influences) explanation exists and
@@ -643,8 +642,7 @@ def run_lft(
     return LftVerdict(dataset.design, result.feasible, witness, result.farkas, result.pivots)
 
 
-@dataclass(frozen=True)
-class Si2Model:
+class Si2Model(NamedTuple):
     """Explicit classical model: a hidden variable C ranging over weighted
     atoms, plus deterministic responses (the atom's assignment slot) for each
     input value."""

@@ -26,7 +26,6 @@ experiment's design, never stored, and P >= 0.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence
 
@@ -43,8 +42,7 @@ DEGENERATE_RUN = 50
 Pricer = Callable[[list[int], bool], tuple[int, int | None]]
 
 
-@dataclass(frozen=True)
-class FeasibilityResult:
+class FeasibilityResult(NamedTuple):
     """Feasible with witness Q, or infeasible with Farkas vector y."""
 
     feasible: bool

@@ -1,7 +1,10 @@
 import importlib
 import json
+import os
 import random
 import runpy
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -218,6 +221,31 @@ class TestTest:
 
 
 class TestGenerate:
+    def test_generators_load_on_first_use(self):
+        # in a fresh interpreter, as this one has loaded them already:
+        # importing the package or the CLI leaves the generators unloaded;
+        # the first read of a generator name, or of the submodule, loads them
+        script = """if True:
+            import importlib, sys
+            importlib.import_module(sys.argv[1])
+            assert "selinf.generators" not in sys.modules
+            import selinf
+            if sys.argv[2] == "names":
+                from selinf import gen_prbox
+            generators = selinf.generators
+            assert generators is sys.modules["selinf.generators"]
+            from selinf import AngleSpec, gen_prbox, parse_angle
+            assert (AngleSpec, gen_prbox, parse_angle) == (
+                generators.AngleSpec, generators.gen_prbox, generators.parse_angle
+            )
+            assert gen_prbox().design.n == 2 and not hasattr(selinf, "no_such_name")
+        """
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+        for module in ("selinf", "selinf.cli"):
+            for first in ("names", "module"):
+                run = subprocess.run([sys.executable, "-c", script, module, first], capture_output=True, text=True, env=env)
+                assert run.returncode == 0, (module, first, run.stderr)
+
     def test_generate_prbox_roundtrip(self, tmp_path):
         path = tmp_path / "pr.json"
         assert main(["generate", "prbox", "-o", str(path)]) == 0

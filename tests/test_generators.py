@@ -134,6 +134,14 @@ class TestSinglet:
         for token in ("about tau", "1e-3000000", "1E+3000000pi", "-1e-1001"):
             with pytest.raises(ValueError):
                 parse_angle(token)
+        # AngleSpec reads each angle as parse_angle reads its number: its
+        # Fractions pass unchanged, a huge exponent and a float are refused
+        a = parse_angle("3pi/4")
+        assert AngleSpec(((a, F(0)), (F(1, 4), 1))).per_input[0][0] is a
+        with pytest.raises(ValueError, match="exponent"):
+            AngleSpec((("1e-200000", F(1, 4)), (0, "1/2")))
+        with pytest.raises(TypeError):
+            AngleSpec(((0, 0.25), (0, "1/2")))
 
 
 class TestGhz:

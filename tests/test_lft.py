@@ -1,6 +1,5 @@
 import hashlib
 import random
-from dataclasses import replace
 from fractions import Fraction
 from functools import cache
 from math import lcm
@@ -865,13 +864,13 @@ class TestChainRoute:
                     variants.append(("passing", chain_test(ds, order, held).records[0]))
                 for r in report.failures()[:1]:
                     # the endpoint enters with -1 and a link with +1
-                    variants.append(("flipped", replace(r, endpoint=r.links[0], links=(r.endpoint, *r.links[1:]))))
+                    variants.append(("flipped", r._replace(endpoint=r.links[0], links=(r.endpoint, *r.links[1:]))))
                     # a link read in a treatment that does not hold its pair
                     (l1, w1), (l2, w2) = r.links[1].pair
                     other = next(t for t in design.treatments if (t[l1 - 1], t[l2 - 1]) != (w1, w2))
                     links = list(r.links)
-                    links[1] = replace(links[1], treatment=other)
-                    variants.append(("moved", replace(r, links=tuple(links))))
+                    links[1] = links[1]._replace(treatment=other)
+                    variants.append(("moved", r._replace(links=tuple(links))))
                 for kind, record in variants:
                     verdict = run_lft(ds, chain_failure=(order, record))
                     if self._certifies(ds, p, dense, chain_farkas(design, order, record)):
