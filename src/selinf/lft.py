@@ -10,19 +10,13 @@ value most significant.  M(r, c) = 1 exactly when column c's assignment
 produces row r's outcomes under row r's treatment, so each column has one 1
 per treatment.
 
-`run_lft` never builds M.  `LftSystem` is the one system the solver reads,
-derived from the design: fix an assignment's front, its slots for inputs
-1..n-1, and the last input's slots are independent, so pricing, presolve and
-the Farkas bound come from per-front tables.  Verification simulates a
-witness's atoms, or enumerates the assignments against a Farkas vector.
-`build_jdc_matrix` builds M's rows as the columns of their 1s, row (t, o)
-as the Kronecker product of the rows (t_i, o_i) of per-input matrices M_i,
-for checks by plain arithmetic; no solver and no request reaches it.
+`run_lft` never builds M: the solver reads `LftSystem`, derived from the
+design.  `build_jdc_matrix` builds M's rows as the columns of their 1s, row
+(t, o) as the Kronecker product of the rows (t_i, o_i) of per-input matrices
+M_i, for checks by plain arithmetic; no solver and no request reaches it.
 
-Many rows of M are redundant.  Phase one uses only the rows that
-`collins_gisin_rows` picks from the design, which span M on any treatment
-set; presolve and certificate verification cover every row.  P obeys the
-relations that give the dropped rows exactly under marginal selectivity.
+Phase one uses only the rows that `collins_gisin_rows` picks, which span M;
+presolve and certificate verification cover every row.
 
 A feasible witness converts into an explicit classical model (`Si2Model`)
 whose forward simulation reproduces the dataset exactly; infeasibility comes
@@ -303,7 +297,6 @@ class LftSystem:
         self.design = design
         self.ncols = _guarded_q_length(design, column_guard)
         self.nrows = p_length(design)
-        self._k, self._m = design.input_sizes[-1], design.outcome_sizes[-1]
 
     @cached_property
     def _cells(self) -> tuple[tuple[tuple[tuple[int, ...], ...], ...], ...]:
@@ -320,21 +313,32 @@ class LftSystem:
         meet a zero row, and the second sweep finds the positive rows that
         this emptied.
 
-        It is decided from the zero cells: row (t, o) with P = 0 forbids
-        every h with h(t) = o.  Let kill(h) be the first zero row h meets
-        (nrows if none) and maxkill(r) the largest kill(h) over the h that
-        meet row r.  A row with P > 0 has no live column when the first sweep
-        reaches it iff maxkill(r) < r, and in the second sweep iff
-        maxkill(r) < nrows.  A zero row fires iff maxkill(r) = r: some h of
-        it meets no earlier zero row.  maxkill separates per front: the max
-        over a of a min over the last slots is the min over the slots of
-        each slot's max.
+        Some row proves infeasibility iff no column made of free outcomes
+        (`Presolve.free`) meets some row with P > 0: one pass over the cells
+        tells.  Only then does `_sweeps` run here; otherwise `fired()` runs it.
         """
         if any(p < 0 for p in P):
             raise ValueError("P has a negative entry")
         zero = frozenset(i for i, p in enumerate(P) if not p)
-        if not zero:
-            return Presolve(-1, zero, ())
+        free = [[[a for a, rows in enumerate(cw) if zero.isdisjoint(rows)] for cw in cells]
+                for cells in self._cells]
+        met = set().union(*[cw[a] for cells, fs in zip(self._cells, free) if all(fs)
+                            for cw, fw in zip(cells, fs) for a in fw]) if zero else range(self.nrows)
+        if len(met) + len(zero) == self.nrows:
+            return Presolve(-1, free, lambda: self._sweeps(P)[1])
+        row, fired = self._sweeps(P)
+        return Presolve(row, free, lambda: fired)
+
+    def _sweeps(self, P) -> tuple[int, tuple[int, ...]]:
+        """`presolve`'s rule: (the row that proves infeasibility or -1, the
+        fired rows).  Row (t, o) with P = 0 forbids every h with h(t) = o.
+        Let kill(h) be the first zero row h meets (nrows if none) and
+        maxkill(r) the largest kill(h) over the h that meet row r.  A row with
+        P > 0 has no live column when the first sweep reaches it iff
+        maxkill(r) < r, and in the second sweep iff maxkill(r) < nrows.  A
+        zero row fires iff maxkill(r) = r: some h of it meets no earlier zero
+        row.  maxkill separates per front: the max over a of a min over the
+        last slots is the min over the slots of each slot's max."""
         end = self.nrows
         kill = [end if p else i for i, p in enumerate(P)]
         maxkill = [-1] * end
@@ -353,14 +357,13 @@ class LftSystem:
         if row < 0:
             row = next((i for i in positive if maxkill[i] < end), -1)
             limit = end
-        fired = tuple(i for i in sorted(zero) if i < limit and maxkill[i] == i)
-        return Presolve(row, zero, fired)
+        return row, tuple(i for i, p in enumerate(P) if not p and i < limit and maxkill[i] == i)
 
     def phase_one(self, P, kept_rows, pre):
         """`simplex` priced by exact min-sum over each front's last slots.
 
         Column (f, a) costs sum_w g_w(a_w), g_w(a) summing the duals of the
-        kept rows of cell (w, a); a cell with a zero row is forbidden.
+        kept rows of cell (w, a), over the free outcomes (`Presolve.free`).
         Dantzig's lowest-index least column is the first front of least
         sum_w min g_w, with each slot's smallest argmin.  Bland's first
         negative column is in the first front whose least sum is negative,
@@ -369,15 +372,12 @@ class LftSystem:
         """
         scale, b = scaled(P[i] for i in kept_rows)
         position = dict(zip(kept_rows, range(len(kept_rows))))
-        tables = []  # (front, per slot (allowed outcomes, their kept positions))
-        for f, cells in enumerate(self._cells):
-            slots = []
-            for cw in cells:
-                allowed = [a for a, rows in enumerate(cw) if pre.zero_rows.isdisjoint(rows)]
-                slots.append((allowed, [[position[r] for r in cw[a] if r in position] for a in allowed]))
-            if all(allowed for allowed, _ in slots):
-                tables.append((f, slots))
-        width, m = self._m**self._k, self._m
+        tables = []  # (front, per slot (free outcomes, their kept positions))
+        for f, (cells, free) in enumerate(zip(self._cells, pre.free)):
+            if all(free):
+                tables.append((f, [(fw, [[position[r] for r in cw[a] if r in position] for a in fw])
+                                   for cw, fw in zip(cells, free)]))
+        width, m = self.ncols // len(pre.free), self.design.outcome_sizes[-1]  # columns per front, m_n
 
         def price(dual, bland):
             get = dual.__getitem__
@@ -420,15 +420,16 @@ class LftSystem:
     def farkas(self, kept_y, pre):
         """y on the kept rows, and -K (`_farkas_bound`) on each fired row."""
         y = [kept_y.get(i, ZERO) for i in range(self.nrows)]
-        if pre.fired:
+        fired = pre.fired()
+        if fired:
             # a presolve-decided y is 1 on one row whose columns the fired
             # rows all meet, so no column needs more than K = 1
-            bound = ONE if pre.infeasible_row >= 0 else self._farkas_bound(kept_y, pre)
-            for z in pre.fired:
+            bound = ONE if pre.infeasible_row >= 0 else self._farkas_bound(kept_y, pre.free, fired)
+            for z in fired:
                 y[z] = -bound
         return tuple(y)
 
-    def _farkas_bound(self, kept_y, pre) -> Fraction:
+    def _farkas_bound(self, kept_y, free, fired) -> Fraction:
         """The least K >= 1 with y'M_h <= K * (fired rows h meets) for every
         forced column h: phase one bounds y'M on the live columns only.  It
         is the largest of 1 and y'M_h over the fired rows h meets, over the
@@ -437,13 +438,13 @@ class LftSystem:
         the forced columns."""
         scale, ints = scaled(kept_y.values())
         y = dict(zip(kept_y, ints))
-        fired = set(pre.fired)
+        fired = set(fired)
         top, under = scale, 1  # K = top / (under * scale)
-        for cells in self._cells:
+        for cells, fs in zip(self._cells, free):
             sums = [
-                [(sum([y.get(r, 0) for r in rows]), len(fired.intersection(rows)),
-                  not pre.zero_rows.isdisjoint(rows)) for rows in cw]
-                for cw in cells
+                [(sum([y.get(r, 0) for r in rows]), len(fired.intersection(rows)), a not in fw)
+                 for a, rows in enumerate(cw)]
+                for cw, fw in zip(cells, fs)
             ]
             for h in product(*sums):
                 num = sum([c[0] for c in h])

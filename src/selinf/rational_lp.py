@@ -70,16 +70,18 @@ class Witness(tuple):
 class Presolve(NamedTuple):
     """What presolve decided before phase one.
 
-    `infeasible_row` is a row with P-component nonzero that meets no live
-    column, which proves infeasibility alone, or -1.  `zero_rows` are the
-    rows with P-component 0: they leave phase one, and every column that
-    meets one is forced to zero.  `fired` are the zero rows that still met a
-    live column when presolve reached them.
+    The rows with P-component 0, the zero rows, leave phase one, and every
+    column that meets one is forced to zero.  `infeasible_row` is a row with
+    P-component nonzero that meets no live column, which proves
+    infeasibility alone, or -1.  `free[f][w]` lists the outcomes a whose
+    cell (w, a) of front f (see `lft.LftSystem`) holds no zero row: the live
+    columns are made of them.  `fired()` computes, when called, the zero
+    rows that still met a live column when presolve reached them.
     """
 
     infeasible_row: int
-    zero_rows: frozenset[int]
-    fired: tuple[int, ...]
+    free: list[list[list[int]]]
+    fired: Callable[[], tuple[int, ...]]
 
 
 def _width(bound: int) -> int:
@@ -262,18 +264,17 @@ def solve_equality_feasibility(
 ) -> FeasibilityResult:
     """Decide MQ = P, Q >= 0 exactly.
 
-    `row_basis`, if given, names the rows of M that phase one uses.  Presolve
-    (`M.presolve`) still reads every row; phase one runs only on the rows of
-    the basis with P-component nonzero, and the Farkas vector is zero on the
-    rows it skipped.  An infeasible result is always a certificate for the
-    whole system, since a Farkas vector of some rows, zero on the rest, is one
-    of all rows.  A feasible result solves the whole system when the basis
-    rows span every row and P obeys the same linear relations (a zero row has
-    P-component 0 and meets no live column, so the relations still hold
-    among the other rows); otherwise its witness may fail the skipped rows,
-    which `verify_certificate` against the full M rejects.  The phase-one
-    simplex runs on the reduced system, and certificates are mapped back to
-    the full one.  P's entries are read by `coerce_prob`.
+    Presolve (`M.presolve`) covers every row in one pass over the cells; the
+    sweeps of its rule run only for a row with P > 0 that no column free of
+    zero rows meets, or for the fired rows that a Farkas vector needs.
+    Phase one runs on the rows of `row_basis` (all rows if None) with
+    P-component nonzero, and its Farkas vector, zero on the rows it skipped,
+    certifies the whole system.  A feasible result solves the whole system
+    when the basis rows span every row and P obeys the same linear
+    relations (a zero row meets no live column, so they still hold among the
+    other rows); otherwise its witness may fail the skipped rows, which
+    `verify_certificate` against the full M rejects.  P's entries are read
+    by `coerce_prob`.
     """
     P = list(map(coerce_prob, P))
     if len(P) != M.nrows:
@@ -283,10 +284,8 @@ def solve_equality_feasibility(
     if pre.infeasible_row >= 0:
         return FeasibilityResult(False, None, M.farkas({pre.infeasible_row: ONE}, pre), 0)
 
-    kept_rows = [i for i in range(M.nrows) if i not in pre.zero_rows]
-    if row_basis is not None:
-        basis = set(row_basis)
-        kept_rows = [i for i in kept_rows if i in basis]
+    basis = range(M.nrows) if row_basis is None else set(row_basis)
+    kept_rows = [i for i in range(M.nrows) if P[i] and i in basis]
     if not kept_rows:
         return FeasibilityResult(True, Witness(M.ncols, {}), None, 0)
     feasible, vec, pivots = M.phase_one(P, kept_rows, pre)

@@ -33,6 +33,7 @@ from selinf.lft import (
     chain_farkas,
     collins_gisin_rows,
     construct_si2,
+    mixed_radix_digits,
     p_length,
     q_length,
     q_slot_offsets,
@@ -653,29 +654,95 @@ class TestLftSystem:
     def test_presolve_matches_sparse(self, ks, ms, treatments):
         design = make_design(ks, ms, treatments)
         dense, lft = dense_m(design), LftSystem(design)
-        rng = random.Random(sum(ks) * 100 + sum(ms))
         decided = 0
-        for _ in range(25):
-            p = _mixed_p(design, rng)
-            if rng.random() < 0.3:
-                # zero a positive cell and put its mass on another of its table
-                block = len(p) // len(design.treatments)
-                i = rng.choice([i for i, v in enumerate(p) if v])
-                j = i - i % block + rng.randrange(block)
-                if j != i:
-                    p[j], p[i] = p[j] + p[i], F(0)
+        for p in _presolve_draws(design):
             row, settled, fired, forced = reference_presolve(dense, p)
             got = lft.presolve(p)
-            assert got.infeasible_row == row and got.fired == fired
+            assert got.infeasible_row == row and got.fired() == fired
             decided += row >= 0
             if row < 0:
-                assert got.zero_rows == settled
-                # the forced columns: those meeting a zero row
-                assert {j for i in got.zero_rows for j, a in enumerate(dense[i]) if a} == forced
+                assert settled == {i for i, v in enumerate(p) if not v}
+                # the forced columns: those with a last slot outside `free`
+                width = lft.ncols // len(got.free)
+                slots = (design.outcome_sizes[-1],) * design.input_sizes[-1]
+                live = {j for j in range(lft.ncols) if all(
+                    a - 1 in fw for a, fw in zip(mixed_radix_digits(j % width, slots), got.free[j // width])
+                )}
+                assert live == set(range(lft.ncols)) - forced
             assert solve_equality_feasibility(lft, p) == reference_solve(dense, p)
         assert decided or design.n == 1 or min(ms) == 1
         with pytest.raises(ValueError, match="negative"):
             lft.presolve([F(-1)] + p[1:])
+
+    def test_presolve_defers_to_phase_one(self):
+        # on some of `test_presolve_matches_sparse`'s draws presolve decides
+        # nothing, phase one ends infeasible, and its Farkas vector reads the
+        # fired rows, which that test checks against `reference_solve`
+        deferred = 0
+        for ks, ms, treatments in _SYSTEM_DESIGNS:
+            lft = LftSystem(make_design(ks, ms, treatments))
+            for p in _presolve_draws(lft.design):
+                pre = lft.presolve(p)
+                if pre.infeasible_row < 0 and pre.fired():
+                    deferred += not solve_equality_feasibility(lft, p).feasible
+        assert deferred
+
+
+class TestDeferredSweeps:
+    """`LftSystem._sweeps`, the presolve rule, runs only when a row with
+    P > 0 meets no column free of zero rows, or when a Farkas vector reads
+    the fired rows, and then once."""
+
+    @staticmethod
+    def _count(monkeypatch) -> list:
+        calls = []
+        sweeps = LftSystem._sweeps
+
+        def counted(self, P):
+            calls.append(P)
+            return sweeps(self, P)
+
+        monkeypatch.setattr(LftSystem, "_sweeps", counted)
+        return calls
+
+    def test_feasible_data_skip_them(self, monkeypatch):
+        ds = gen_classical(make_design((4, 4), (3, 3)), seed=3, max_support=3)[0]
+        assert sum(not v for v in build_p_vector(ds).values) == 100
+        calls = self._count(monkeypatch)
+        assert run_lft(ds).feasible and not calls
+
+    def test_decided_in_presolve_once(self, monkeypatch):
+        calls = self._count(monkeypatch)
+        verdict = run_lft(gen_prbox())
+        assert not verdict.feasible and verdict.pivots == 0 and len(calls) == 1
+
+    def test_fired_rows_read_once(self, monkeypatch):
+        # `TestPinnedPresolve`'s mixture: presolve decides nothing, phase one
+        # ends infeasible, and the Farkas vector reads the fired rows
+        design = make_design((2, 2), (3, 3))
+        classical = gen_classical(design, seed=2, max_support=3)[0]
+        ds = Dataset(design, mix_tables(F(1, 2), lifted_prbox(design), classical.tables))
+        calls = self._count(monkeypatch)
+        verdict = run_lft(ds)
+        assert not verdict.feasible and verdict.pivots == 6 and len(calls) == 1
+        fired = LftSystem(design).presolve(list(build_p_vector(ds).values)).fired()
+        assert fired == (1, 3, 5, 6, 7, 8, 12, 14, 19, 23, 24, 25, 26, 27, 29)
+        assert len(calls) == 2
+
+
+def _presolve_draws(design):
+    """25 P vectors of `_mixed_p`, some with a positive cell zeroed and its
+    mass put on another cell of its table; seeded by the design's sizes."""
+    rng = random.Random(sum(design.input_sizes) * 100 + sum(design.outcome_sizes))
+    for _ in range(25):
+        p = _mixed_p(design, rng)
+        if rng.random() < 0.3:
+            block = len(p) // len(design.treatments)
+            i = rng.choice([i for i, v in enumerate(p) if v])
+            j = i - i % block + rng.randrange(block)
+            if j != i:
+                p[j], p[i] = p[j] + p[i], F(0)
+        yield p
 
 
 def _three_atoms(design, rng):

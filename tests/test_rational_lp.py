@@ -165,7 +165,7 @@ class TestSolveBasics:
         # columns, which takes K = 3 on the fired rows
         lft = LftSystem(make_design((2, 2), (2, 2)))
         p = list(map(F, [1, 0, 2, 1, 2, 0, 1, 0, 2, 0, 1, 2, 2, 0, 2, 0]))
-        assert lft.presolve(p).fired == (1, 5, 7, 9)
+        assert lft.presolve(p).fired() == (1, 5, 7, 9)
         res = solve_equality_feasibility(lft, p)
         assert not res.feasible and res.pivots == 2
         assert [res.farkas[z] for z in (1, 5, 7, 9)] == [F(-3)] * 4
@@ -181,7 +181,7 @@ class TestSolveBasics:
         lft = LftSystem(make_design((2, 2), (2, 2)))
         p = list(map(F, [1, 1, 1, 0, 3, 0, 0, 4, 2, 1, 2, 1, 2, 4, 1, 4]))
         rows = collins_gisin_rows(lft.design)
-        assert lft.presolve(p).fired == (3, 5, 6)
+        assert lft.presolve(p).fired() == (3, 5, 6)
         res = solve_equality_feasibility(lft, p, rows)
         assert not res.feasible and res.pivots == 3
         assert [res.farkas[z] for z in (3, 5, 6)] == [F(-1)] * 3
@@ -306,7 +306,7 @@ class TestPinnedPresolve:
         design = make_design((2, 2), (3, 3))
         classical = gen_classical(design, seed=2, max_support=3)[0]
         ds = Dataset(design, mix_tables(F(1, 2), lifted_prbox(design), classical.tables))
-        fired = LftSystem(design).presolve(list(build_p_vector(ds).values)).fired
+        fired = LftSystem(design).presolve(list(build_p_vector(ds).values)).fired()
         assert len(fired) == 15
         verdict = run_lft(ds)
         assert not verdict.feasible and verdict.pivots == 6
