@@ -50,7 +50,6 @@ from .experiment import (
 from .io import dataset_from_json_dict, dataset_to_json_dict, dump_dataset, load_dataset
 from .lft import (
     LftVerdict,
-    PVector,
     QVector,
     Si2Model,
     build_jdc_matrix,

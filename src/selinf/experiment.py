@@ -183,7 +183,11 @@ class ExperimentDesign:
 
     def treatment_groups(self, subset: Sequence[int]) -> dict[Treatment, list[Treatment]]:
         """The treatments grouped by their values on `subset`, sorted 1-based input
-        positions; each group in sorted order, so its first is least on the others."""
+        positions; each group in sorted order, so its first is least on the others.
+        A position outside 1..n raises ValueError."""
+        subset = [parse_index(lam) for lam in subset]
+        if not all(1 <= lam <= self.n for lam in subset):
+            raise ValueError(f"subset {tuple(subset)} out of range")
         groups: dict[Treatment, list[Treatment]] = defaultdict(list)
         for tr in self.treatments:
             groups[tuple(tr[lam - 1] for lam in subset)].append(tr)

@@ -119,38 +119,6 @@ def mixed_radix_digits(idx: int, bases: Sequence[int]) -> tuple[int, ...]:
 
 
 @dataclass(frozen=True)
-class PVector:
-    """Flat vector of all observed probabilities with its index maps.
-
-    Flat index = treatment block (sorted treatment order) * block size +
-    lexicographic rank of the outcome tuple.
-    """
-
-    design: ExperimentDesign
-    values: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        values = tuple(map(coerce_prob, self.values))
-        if len(values) != p_length(self.design):
-            raise ValueError(f"P has length {len(values)}, design needs {p_length(self.design)}")
-        object.__setattr__(self, "values", values)
-
-    @property
-    def block_size(self) -> int:
-        return prod(self.design.outcome_sizes)
-
-    def index_of(self, treatment, outcome) -> int:
-        block = self.design.treatments.index(tuple(treatment))
-        return block * self.block_size + mixed_radix_index(outcome, self.design.outcome_sizes)
-
-    def entry_at(self, flat: int) -> tuple[Treatment, OutcomeTuple]:
-        if not 0 <= flat < len(self.values):
-            raise ValueError("index out of range")
-        block, pos = divmod(flat, self.block_size)
-        return self.design.treatments[block], mixed_radix_digits(pos, self.design.outcome_sizes)
-
-
-@dataclass(frozen=True)
 class QVector:
     """Flat vector over deterministic assignments with its index maps.
 
@@ -198,20 +166,17 @@ def assignment_outcome(
 
 def build_p_vector(
     dataset: Dataset, *, validation_report: ValidationReport | None = None
-) -> PVector:
-    """Stack the dataset's exact probabilities into canonical flat order.
-    Refuses invalid data, by the caller's `validate_dataset` report of it if
-    given, else by validating it here."""
+) -> tuple[Fraction, ...]:
+    """P: the dataset's exact probabilities, one block per treatment in
+    sorted order, outcome tuples lexicographic within a block.  Refuses
+    invalid data, by the caller's `validate_dataset` report of it if given,
+    else by validating it here."""
     report = validation_report if validation_report is not None else validate_dataset(dataset)
     if not report.valid:
         raise ValueError(f"invalid dataset: {report.summary()}")
     design = dataset.design
-    values = []
-    for tr in design.treatments:
-        table = dataset.tables[tr]
-        for outcome in design.all_outcomes():
-            values.append(table.get(outcome, ZERO))
-    return PVector(design, tuple(values))
+    outcomes = list(design.all_outcomes())
+    return tuple([dataset.tables[tr].get(o, ZERO) for tr in design.treatments for o in outcomes])
 
 
 def _guarded_q_length(design: ExperimentDesign, column_guard: int) -> int:
@@ -626,7 +591,7 @@ def run_lft(
     on every row.  Any other verification failure would be an internal error
     and raises RuntimeError.
     """
-    p = list(build_p_vector(dataset, validation_report=validation_report).values)
+    p = build_p_vector(dataset, validation_report=validation_report)
     m = LftSystem(dataset.design, column_guard)
     if chain_failure is not None:
         y = chain_farkas(dataset.design, *chain_failure)
@@ -674,9 +639,10 @@ def construct_si2(q: QVector, design: ExperimentDesign) -> Si2Model:
     """Turn a normalized nonnegative Q vector into an explicit model."""
     if q.design != design:
         raise ValueError("Q vector belongs to a different design")
-    if any(v < 0 for v in q.values):
+    weights = [v for _, v in q.values.support]
+    if any(v < 0 for v in weights):
         raise ValueError("Q has negative components")
-    if sum(q.values) != 1:
+    if sum(weights) != 1:
         raise ValueError("Q does not sum to 1")
     return Si2Model(design, tuple(q.support()))
 

@@ -286,8 +286,6 @@ def solve_equality_feasibility(
 
     basis = range(M.nrows) if row_basis is None else set(row_basis)
     kept_rows = [i for i in range(M.nrows) if P[i] and i in basis]
-    if not kept_rows:
-        return FeasibilityResult(True, Witness(M.ncols, {}), None, 0)
     feasible, vec, pivots = M.phase_one(P, kept_rows, pre)
     if feasible:
         return FeasibilityResult(True, vec, None, pivots)

@@ -243,7 +243,7 @@ def test_criterion_02_pr_box():
         fine.violated_families() == ("p11|22",)
         and fine.families()["p11|22"] == F(1, 2)
         and not verdict.feasible
-        and dense_certifies(dense_m(pr.design), list(p.values), res)
+        and dense_certifies(dense_m(pr.design), p, res)
     )
     report(f"C2 PR box: {'PASS' if ok else 'FAIL'} (one family at +1/2, Farkas verified, {time.time()-t0:.2f}s)")
     assert ok, (fine.violated_families(), verdict.feasible)
@@ -385,7 +385,7 @@ def test_criterion_08_ghz():
         and g.design.input_sizes == (2, 2, 2)
         and g.design.outcome_sizes == (2, 2, 2)
         and not verdict.feasible
-        and dense_certifies(dense, list(p.values), res)
+        and dense_certifies(dense, p, res)
     )
     report(f"C8 GHZ: {'PASS' if ok else 'FAIL'} (64x64 system infeasible, Farkas verified, {time.time()-t0:.2f}s)")
     assert ok
@@ -472,7 +472,7 @@ def test_criterion_11_chain_certificates(crit1_sweep, crit3_results):
             and verdict.pivots == 0
             and not verdict.feasible
             and not phase_one.feasible
-            and dense_certifies(dense, list(build_p_vector(ds).values), res)
+            and dense_certifies(dense, build_p_vector(ds), res)
         )
     ok = bad == 0 and len(routes) > 100
     report(

@@ -164,6 +164,27 @@ class TestTest:
             assert main(["test", ghz, f"--tol={tol}", "--no-lft"]) == 2
             assert "tolerance" in capsys.readouterr().err
 
+    def test_valid_tolerance_and_max_len(self, tmp_path, capsys):
+        path = write(tmp_path, "pr.json", gen_prbox())
+
+        def stages(*extra):
+            assert main(["test", path, "--json", *extra]) == 1
+            return {s["name"]: s for s in json.loads(capsys.readouterr().out)["stages"]}
+
+        # the PR box's cosphericity slack of -2 fails the default tolerance
+        # and is within --tol 3
+        assert stages()["cosphericity"]["status"] == "fail"
+        cos = stages("--tol", "3")["cosphericity"]
+        assert (cos["status"], cos["detail"]["verdict"], cos["detail"]["slack"]) == ("pass", "marginal", -2.0)
+        # no irreducible chain has 3 points or fewer: the chain stage passes
+        # with none, and the LFT decides without a chain's vector
+        found = stages("--max-len", "3")
+        chain, lft_detail = found["chain-tests"], found["lft"]["detail"]
+        assert (chain["status"], chain["detail"]) == ("pass", {"sequences": 0})
+        assert chain["summary"] == "no irreducible sequences to test"
+        assert (lft_detail["verdict"], lft_detail["pivots"]) == ("infeasible", 0)
+        assert "farkas_source" not in lft_detail
+
     def test_column_guard_exits_two(self, tmp_path, capsys):
         ds, _ = gen_classical(make_design((2, 2), (3, 3)), seed=1)
         path = write(tmp_path, "big.json", ds)
@@ -301,18 +322,21 @@ class TestGenerate:
         big = ["--inputs", "7,7,7", "--outcomes", "2,2,2"]
         assert main(["generate", "classical", *big, "-o", str(tmp_path / "x.json")]) == 2
         capsys.readouterr()
-        # a zero denominator, a huge exponent or a precision past the float
-        # range is one error line, not a traceback
-        for extra in (
-            ["--rates", "1/2,1/2,1/2,1/0"],
-            ["--coupling", "1/0"],
-            ["--coupling", "1e-100000000"],
-            ["--precision", "309"],
+        # a zero denominator, a huge exponent, a precision past the float
+        # range, a bad size list or a short rate list is one error line, not
+        # a traceback
+        for kind, *extra, message in (
+            ("double-detection", "--rates", "1/2,1/2,1/2,1/0", "probability"),
+            ("double-detection", "--coupling", "1/0", "probability"),
+            ("double-detection", "--coupling", "1e-100000000", "exponent"),
+            ("singlet", "--precision", "309", ""),
+            ("classical", "--inputs", "2,x", "bad size list '2,x'"),
+            ("classical", "--inputs", "0", "bad size list '0'"),
+            ("double-detection", "--rates", "1/2,1/2", "needs four values"),
         ):
-            kind = "singlet" if extra[0] == "--precision" else "double-detection"
             assert main(["generate", kind, *extra, "-o", str(tmp_path / "x.json")]) == 2
             err = capsys.readouterr().err
-            assert err.startswith("error: ") and err.count("\n") == 1
+            assert err.startswith("error: ") and err.count("\n") == 1 and message in err
 
     def test_roundtrip_every_kind_100_seeds(self, tmp_path, capsys):
         # generate -> validate -> test matches the generator's ground truth:

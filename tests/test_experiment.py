@@ -21,7 +21,7 @@ from selinf.experiment import (
     validate_dataset,
 )
 from selinf.generators import gen_classical, gen_double_detection, gen_prbox
-from selinf.lft import LftSystem, PVector, QVector, build_p_vector, run_lft
+from selinf.lft import LftSystem, QVector, build_p_vector, run_lft
 from selinf.rational_lp import FeasibilityResult, solve_equality_feasibility, verify_certificate
 
 from helpers import (
@@ -45,14 +45,13 @@ HALF = F(1, 2)
 
 def _pr_certificate():
     pr = gen_prbox()
-    p = list(build_p_vector(pr).values)
+    p = build_p_vector(pr)
     return p, FeasibilityResult(False, None, run_lft(pr).farkas, 0)
 
 
 # each entry point that takes a probability or weight, fed one inexact number
 ENTRY_POINTS = {
     "Dataset": lambda bad: Dataset(CHSH, {(1, 1): {(1, 1): bad, (2, 2): HALF}}),
-    "PVector": lambda bad: PVector(CHSH, (bad,) + (F(0),) * 15),
     "QVector": lambda bad: QVector(CHSH, (bad,) + (F(0),) * 15),
     "gen_classical": lambda bad: gen_classical(CHSH, q=[bad] + [0] * 15),
     "gen_double_detection-rates": lambda bad: gen_double_detection(
@@ -60,10 +59,10 @@ ENTRY_POINTS = {
     ),
     "gen_double_detection-coupling": lambda bad: gen_double_detection([[HALF, HALF], [HALF, HALF]], bad),
     "solve_equality_feasibility": lambda bad: solve_equality_feasibility(
-        LftSystem(CHSH), [bad] + _pr_certificate()[0][1:]
+        LftSystem(CHSH), [bad, *_pr_certificate()[0][1:]]
     ),
     "verify_certificate-P": lambda bad: verify_certificate(
-        LftSystem(CHSH), [bad] + _pr_certificate()[0][1:], _pr_certificate()[1]
+        LftSystem(CHSH), [bad, *_pr_certificate()[0][1:]], _pr_certificate()[1]
     ),
     "verify_certificate-witness": lambda bad: verify_certificate(
         LftSystem(CHSH), [F(1, 4)] * 16, FeasibilityResult(True, (bad,) + (F(0),) * 15, None, 0)
@@ -149,6 +148,16 @@ class TestDesign:
         assert design.treatment_groups((1, 2)) == {tr: [tr] for tr in design.treatments}
         one = make_design((3,), (2,), treatments=[(3,), (2,)])
         assert one.treatment_groups(()) == {(): [(2,), (3,)]}
+
+    def test_treatment_groups_refuses_bad_positions(self):
+        # tr[lam - 1] read position 0 as input 2 and -1 as input 1, and
+        # position 3 ended in a bare IndexError
+        design = make_design((2, 2), (2, 2))
+        for subset in ((0,), (-1,), (3,), (1, 3)):
+            with pytest.raises(ValueError, match="out of range"):
+                design.treatment_groups(subset)
+        with pytest.raises(ValueError, match="not an integer"):
+            design.treatment_groups((1.5,))
 
     def test_empty_treatments_rejected(self):
         with pytest.raises(ValueError, match="nonempty"):

@@ -96,8 +96,17 @@ def test_both_probabilities_and_counts_rejected():
     doc["treatments"][0]["counts"] = {"1,1": 1}
     with pytest.raises(DatasetParseError, match="exactly one"):
         dataset_from_json_dict(doc)
-    # wrongly shaped sections name the section instead of crashing
+    # wrongly shaped sections name the section instead of crashing; an edit
+    # changes the document in place, or returns a new one
     for edit, match in (
+        (lambda d: [d], "top level must be an object"),
+        (lambda d: {k: v for k, v in d.items() if k != "outputs"}, "missing section 'outputs'"),
+        (lambda d: d.update(treatments=[]), "no treatments given"),
+        (lambda d: d["treatments"][1].__delitem__("treatment"), "lacks 'treatment'"),
+        (lambda d: d["treatments"][0]["probabilities"].update({"1,1": None}), "not a probability: None"),
+        (lambda d: d["treatments"][0]["probabilities"].update({"1,x": "0"}), "'1,x' is not a tuple of integers"),
+        (lambda d: d["treatments"][2].update(counts={"1,1": 0, "2,2": "0"}), "counts sum to zero"),
+        (lambda d: d["treatments"][2].update(counts={"1,1": -1, "2,2": 3}), "bad count -1"),
         (lambda d: d.update(treatments=7), "'treatments' must be a list"),
         (lambda d: d.update(treatments=[5]), "record 5 is not an object"),
         (lambda d: d["treatments"][0].update(probabilities=["1/2", "1/2"]), "'probabilities' must"),
@@ -117,7 +126,7 @@ def test_both_probabilities_and_counts_rejected():
         (lambda d: d["treatments"][2].update(counts={"1,1": 3, "01,1": 5}), "repeats"),
     ):
         doc = json.loads(json.dumps(CHSH_DOC))
-        edit(doc)
+        doc = edit(doc) or doc
         with pytest.raises(DatasetParseError, match=match):
             dataset_from_json_dict(doc)
 

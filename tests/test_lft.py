@@ -2,6 +2,7 @@ import hashlib
 import random
 from fractions import Fraction
 from functools import cache
+from itertools import product
 from math import lcm
 
 import pytest
@@ -25,7 +26,6 @@ from selinf.generators import gen_classical, gen_ghz, gen_prbox
 from selinf.lft import (
     LftSystem,
     LftVerdict,
-    PVector,
     QVector,
     assignment_outcome,
     build_jdc_matrix,
@@ -78,23 +78,16 @@ class TestIndexing:
         design = make_design((1,), (2,))
         ds = Dataset(design, {(1,): {(1,): F(1, 3), (2,): F(2, 3)}})
         p = build_p_vector(ds)
-        assert p.values == (F(1, 3), F(2, 3))
-
-    def test_p_roundtrip(self):
-        design = make_design((2, 1), (2, 3), treatments=[(1, 1), (2, 1)])
-        p = PVector(design, (F(0),) * p_length(design))
-        for flat in range(p_length(design)):
-            tr, outcome = p.entry_at(flat)
-            assert p.index_of(tr, outcome) == flat
+        assert type(p) is tuple and p == (F(1, 3), F(2, 3))
 
     def test_wrong_length_outcome_rejected(self):
-        # zip would truncate (2,) and (1, 2, 2) to a prefix of (1, 2)
-        p = PVector(gen_prbox().design, (F(0),) * 16)
-        for outcome in ((2,), (1, 2, 2)):
-            with pytest.raises(ValueError, match="expected 2"):
-                p.index_of((1, 1), outcome)
+        # zip would truncate (2,) and (1, 2, 2, 1, 2) to a prefix of (1, 2, 2, 1)
+        q = QVector(gen_prbox().design, (F(0),) * 16)
+        for assignment in ((2,), (1, 2, 2, 1, 2)):
+            with pytest.raises(ValueError, match="expected 4"):
+                q.index_of(assignment)
         with pytest.raises(ValueError, match="out of range"):
-            p.index_of((1, 1), (1, 3))
+            q.index_of((1, 1, 1, 3))
 
     def test_q_roundtrip(self):
         design = make_design((2, 2), (2, 3))
@@ -111,9 +104,8 @@ class TestIndexing:
         assert q.values[0] is kept
         assert q.values == (F(1, 3), F(2, 3)) and all(type(v) is F for v in q.values)
         assert QVector(design, (0, 1)).values == (F(0), F(1))
-        p = PVector(design, ("0.1", 1))
-        assert p.values == (F(1, 10), F(1)) and all(type(v) is F for v in p.values)
-        assert p.values[0] != 0.1  # exact, not the float nearest 1/10
+        q = QVector(design, ("0.1", "9/10"))
+        assert q.values[0] != 0.1  # exact, not the float nearest 1/10
         with pytest.raises(ValueError):
             QVector(design, ("half", 0))
 
@@ -153,16 +145,19 @@ class TestJdcMatrix:
     def assert_matches_definition(design):
         # M(r, c) = 1 exactly when column c's assignment yields row r's
         # outcomes under row r's treatment, built here column by column; a
-        # row lists the columns of its 1s in increasing order
+        # row lists the columns of its 1s in increasing order.  Rows are
+        # numbered by P's layout: treatments in sorted order, outcome tuples
+        # lexicographic within a block
         rows = build_jdc_matrix(design)
-        p = PVector(design, (F(0),) * p_length(design))
+        outcomes = product(*(range(1, m + 1) for m in design.outcome_sizes))
+        row_of = {key: r for r, key in enumerate(product(sorted(design.treatments), outcomes))}
         q = QVector(design, (F(0),) * q_length(design))
         offsets = q_slot_offsets(design)
         want = [[] for _ in range(p_length(design))]
         for c in range(q_length(design)):
             assignment = q.assignment_at(c)
             for tr in design.treatments:
-                want[p.index_of(tr, assignment_outcome(assignment, tr, offsets))].append(c)
+                want[row_of[tr, assignment_outcome(assignment, tr, offsets)]].append(c)
         assert type(rows) is tuple and all(type(row) is tuple for row in rows)
         assert rows == tuple(map(tuple, want))
 
@@ -202,7 +197,7 @@ class TestRunLft:
         p = build_p_vector(pr)
         dense = dense_m(pr.design)
         res = FeasibilityResult(False, None, verdict.farkas, verdict.pivots)
-        assert dense_certifies(dense, list(p.values), res)
+        assert dense_certifies(dense, p, res)
 
     def test_deterministic_dataset_feasible_point_mass(self):
         design = make_design((2, 2), (2, 2))
@@ -244,16 +239,14 @@ class TestRunLft:
                 ds = random_ms_chsh(rng, denom=6)
             verdict = run_lft(ds)
             p = build_p_vector(ds)
-            assert verdict.feasible == lp_feasible_bruteforce(
-                dense, list(p.values)
-            )
+            assert verdict.feasible == lp_feasible_bruteforce(dense, p)
         # drive at least one infeasible instance through the oracle
         pr_verdict = run_lft(gen_prbox())
         pr = gen_prbox()
         assert not pr_verdict.feasible
         assert not lp_feasible_bruteforce(
             dense_m(pr.design),
-            list(build_p_vector(pr).values),
+            build_p_vector(pr),
         )
 
     def test_verdict_json_schema(self):
@@ -284,7 +277,7 @@ class TestRowBasis:
         return verdict, calls
 
     def _check(self, ds, monkeypatch):
-        p = list(build_p_vector(ds).values)
+        p = build_p_vector(ds)
         m, dense = LftSystem(ds.design), dense_m(ds.design)
         rows = collins_gisin_rows(ds.design)
         reduced, full = solve_equality_feasibility(m, p, rows), solve_equality_feasibility(m, p)
@@ -343,7 +336,7 @@ class TestRowBasis:
         every row.  Returns whether the basis-row solve looked feasible, which
         is when `run_lft` must fall back to every row."""
         assert not check_marginal_selectivity(ds).passed
-        p = list(build_p_vector(ds).values)
+        p = build_p_vector(ds)
         m, dense = LftSystem(ds.design), dense_m(ds.design)
         basis = collins_gisin_rows(ds.design)
         on_basis = solve_equality_feasibility(m, p, basis)
@@ -375,7 +368,7 @@ class TestRowBasis:
         ds = Dataset(design, tables)
         # on the basis rows alone the dropped rows' equations would be lost:
         # that solve is feasible, and only the full-M check catches it
-        p = list(build_p_vector(ds).values)
+        p = build_p_vector(ds)
         wrong = solve_equality_feasibility(LftSystem(design), p, collins_gisin_rows(design))
         dense = dense_m(design)
         assert wrong.feasible and not dense_certifies(dense, p, wrong)
@@ -449,6 +442,14 @@ class TestSi2Model:
         design = make_design((2,), (2,))
         with pytest.raises(ValueError, match="sum"):
             construct_si2(QVector(design, (F(1, 2), F(0), F(0), F(0))), design)
+
+    def test_negative_weight_rejected(self):
+        # sums to 1, so only the sign check refuses it
+        design = make_design((2,), (2,))
+        with pytest.raises(ValueError, match="negative"):
+            construct_si2(QVector(design, (F(3, 2), F(0), F(-1, 2), F(0))), design)
+        with pytest.raises(ValueError, match="different design"):
+            construct_si2(QVector(design, (F(1), F(0), F(0), F(0))), make_design((2,), (3,)))
 
 
 class TestRestrictDesign:
@@ -591,12 +592,12 @@ def _capture_pricer(monkeypatch, system, p, rows):
 def _mixed_p(design, rng):
     """P of a random sparse mixture of assignments, so zero cells (forbidden
     for the pricer) fall at random places but presolve cannot decide, or of
-    independent random tables, full support or not."""
+    independent random tables, full support or not; a list, which callers edit."""
     if rng.random() < 0.6:
         ds = gen_classical(design, seed=rng.randrange(10**9), max_support=rng.randint(1, 4))[0]
     else:
         ds = random_tables_dataset(design, rng, denom=rng.choice([1, 3, 12]))
-    return list(build_p_vector(ds).values)
+    return list(build_p_vector(ds))
 
 
 # factorial, non-factorial, one input (one empty front), an input with k = 1
@@ -707,7 +708,7 @@ class TestDeferredSweeps:
 
     def test_feasible_data_skip_them(self, monkeypatch):
         ds = gen_classical(make_design((4, 4), (3, 3)), seed=3, max_support=3)[0]
-        assert sum(not v for v in build_p_vector(ds).values) == 100
+        assert sum(not v for v in build_p_vector(ds)) == 100
         calls = self._count(monkeypatch)
         assert run_lft(ds).feasible and not calls
 
@@ -725,7 +726,7 @@ class TestDeferredSweeps:
         calls = self._count(monkeypatch)
         verdict = run_lft(ds)
         assert not verdict.feasible and verdict.pivots == 6 and len(calls) == 1
-        fired = LftSystem(design).presolve(list(build_p_vector(ds).values)).fired()
+        fired = LftSystem(design).presolve(build_p_vector(ds)).fired()
         assert fired == (1, 3, 5, 6, 7, 8, 12, 14, 19, 23, 24, 25, 26, 27, 29)
         assert len(calls) == 2
 
@@ -838,7 +839,7 @@ class TestVerificationWithoutM:
         rng = random.Random(7)
         rejected = {"moved": 0, "negative": 0, "flipped": 0}
         for ds, verdict in self._results(200):
-            p = list(build_p_vector(ds).values)
+            p = build_p_vector(ds)
             dense, lft = dense_m(ds.design), LftSystem(ds.design)
             variants = []
             if verdict.feasible:
@@ -886,7 +887,7 @@ def _chain_cases():
             mixture = Dataset(design, mix_tables(F(rng.randint(1, 3), 4), lifted_prbox(design), classical.tables))
             orders = [preset_order(design, "d1"), preset_order(design, "d2"), random_order(design, rng)]
             for ds in (mixture, _shift_mass(mixture, rng), random_tables_dataset(design, rng), classical):
-                cases.append((ds, orders, sequences, run_lft(ds), list(build_p_vector(ds).values), dense))
+                cases.append((ds, orders, sequences, run_lft(ds), build_p_vector(ds), dense))
     return cases
 
 
@@ -963,7 +964,7 @@ class TestChainRoute:
         }
         assert doc["farkas"] == list(map(format_exact, chain_farkas(pr.design, order, record)))
         # y'P is minus the chain's slack
-        p = build_p_vector(pr).values
+        p = build_p_vector(pr)
         assert sum(y * v for y, v in zip(verdict.farkas, p)) == -record.slack
         assert "farkas_source" not in run_lft(pr).to_json_dict()
 

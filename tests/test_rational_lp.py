@@ -111,7 +111,7 @@ class TestSolveBasics:
 
     def test_corrupted_witness_rejected(self):
         ds = gen_classical(make_design((2, 2), (2, 2)), seed=3)[0]
-        lft, p = LftSystem(ds.design), list(build_p_vector(ds).values)
+        lft, p = LftSystem(ds.design), build_p_vector(ds)
         res = solve_equality_feasibility(lft, p)
         assert res.feasible and verify_certificate(lft, p, res)
         a, b = [j for j, v in enumerate(res.witness) if v][:2]
@@ -121,6 +121,13 @@ class TestSolveBasics:
         negative = list(res.witness)
         negative[res.witness.index(0)] = F(-1, 7)
         assert not verify_certificate(lft, p, FeasibilityResult(True, tuple(negative), None, 0))
+        # a P or a certificate of the wrong length is refused, not truncated
+        assert not verify_certificate(lft, p[:-1], res)
+        assert not verify_certificate(lft, p, FeasibilityResult(True, res.witness[:-1], None, 0))
+        pr = build_p_vector(gen_prbox())
+        farkas = run_lft(gen_prbox()).farkas
+        assert verify_certificate(lft, pr, FeasibilityResult(False, None, farkas, 0))
+        assert not verify_certificate(lft, pr, FeasibilityResult(False, None, farkas + (F(0),), 0))
 
     def test_verify_over_common_denominators(self):
         # one input, two values, two outcomes: column (a1, a2) meets rows
@@ -154,7 +161,7 @@ class TestSolveBasics:
         p = [F(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(5)]
         assert _solve(dense, p) == _solve(dense, p)
         ds = gen_classical(make_design((2, 2), (3, 3)), seed=8)[0]
-        p = list(build_p_vector(ds).values)
+        p = build_p_vector(ds)
         assert solve_equality_feasibility(LftSystem(ds.design), p) == (
             solve_equality_feasibility(LftSystem(ds.design), p)
         )
@@ -306,7 +313,7 @@ class TestPinnedPresolve:
         design = make_design((2, 2), (3, 3))
         classical = gen_classical(design, seed=2, max_support=3)[0]
         ds = Dataset(design, mix_tables(F(1, 2), lifted_prbox(design), classical.tables))
-        fired = LftSystem(design).presolve(list(build_p_vector(ds).values)).fired()
+        fired = LftSystem(design).presolve(build_p_vector(ds)).fired()
         assert len(fired) == 15
         verdict = run_lft(ds)
         assert not verdict.feasible and verdict.pivots == 6
@@ -417,7 +424,7 @@ class TestAgainstListKernel:
                 classical = gen_classical(design, seed=seed)[0]
                 for weight in (F(1), F(1, 2), F(1, 5)):
                     ds = Dataset(design, mix_tables(weight, lifted_prbox(design), classical.tables))
-                    p = list(build_p_vector(ds).values)
+                    p = build_p_vector(ds)
                     for rows in (collins_gisin_rows(design), None):
                         solve_equality_feasibility(lft, p, rows)
         assert len(seen) > 60 and sum(pivots for _, pivots in seen) > 2000
