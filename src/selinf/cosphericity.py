@@ -61,8 +61,8 @@ def correlations_from_dataset(
 
     `value_map` may map an input position, or an (input position, value
     index) pair, to an outcome -> real coding; the default codes outcomes by
-    their index.  A zero-variance output under some treatment is an error
-    naming the degenerate (treatment, output).
+    their index.  A zero-variance output under some treatment (one coded
+    value on the table's support) is an error naming the (treatment, output).
     """
     design = dataset.design
     if not design.is_2x2:
@@ -77,7 +77,8 @@ def correlations_from_dataset(
             f1 = _coding(design, value_map, 1, i)
             f2 = _coding(design, value_map, 2, j)
             ex = ey = exy = exx = eyy = 0.0
-            for outcome, p in dataset.table(tr).items():
+            table = dataset.table(tr)
+            for outcome, p in table.items():
                 w = float(p)
                 x = f1[outcome[0]]
                 y = f2[outcome[1]]
@@ -88,10 +89,11 @@ def correlations_from_dataset(
                 eyy += w * y * y
             var_x = exx - ex * ex
             var_y = eyy - ey * ey
-            if var_x <= 0:
-                raise ValueError(f"zero variance for output 1 under treatment {tr}")
-            if var_y <= 0:
-                raise ValueError(f"zero variance for output 2 under treatment {tr}")
+            # rounding can leave a constant output a variance above zero, so
+            # constancy is decided exactly, on the table's support
+            for lam, f, var in ((1, f1, var_x), (2, f2, var_y)):
+                if var <= 0 or len({f[o[lam - 1]] for o in table}) < 2:
+                    raise ValueError(f"zero variance for output {lam} under treatment {tr}")
             rho[(i, j)] = (exy - ex * ey) / math.sqrt(var_x * var_y)
     return CorrelationQuad(rho[(1, 1)], rho[(1, 2)], rho[(2, 1)], rho[(2, 2)])
 

@@ -17,9 +17,11 @@ positions 1 and 2 must co-occur.  In a 4-chain, (1, 3) and (2, 4) are such
 pairs, which makes it an alternating tetrad; three pairwise co-occurring
 points lie in one treatment, so there is no irreducible 3-chain.
 
-`chain_test` sums each (treatment, output pair) distance once, in integers
-over the tables' common denominator, so every slack is an integer sum; the
-`Fraction` records are built only when read.
+`chain_test` reads each chain as indices into the point pairs that a plan,
+compiled once per sequence list, numbers; per order it sums each (treatment,
+output pair) distance once, in integers over the tables' common
+denominator, so every slack is an integer sum; the `Fraction` records are
+built only when read.
 """
 from __future__ import annotations
 
@@ -28,7 +30,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
-from types import MappingProxyType
+from operator import itemgetter
 from typing import Mapping, NamedTuple, Sequence
 
 from .errors import MarginalSelectivityError, SizeGuardError
@@ -88,12 +90,14 @@ class OrderRelation:
         return all((key, a) in self._rank for a in range(1, size + 1))
 
 
+@lru_cache(maxsize=DESIGN_CACHE)
 def preset_order(design: ExperimentDesign, name: str) -> OrderRelation:
     """The two canonical orders.
 
     "d1" ranks outcomes by index across all outputs (1 = 1' < 2 = 2' < ...);
     "d2" does the same for output 1 but reverses the index for every other
-    output (1 = 2' < 2 = 1' on the binary 2-output design).
+    output (1 = 2' < 2 = 1' on the binary 2-output design).  Cached per
+    (design, name): an order is immutable.
     """
     if name not in ("d1", "d2"):
         raise ValueError(f"unknown preset order {name!r}")
@@ -178,19 +182,18 @@ class InputPointSequence:
         return self.points[0], self.points[-1]
 
 
-@lru_cache(maxsize=DESIGN_CACHE)
-def _pair_realizers(design: ExperimentDesign) -> Mapping[tuple[Point, Point], tuple[Treatment, ...]]:
+def _pair_realizers(design: ExperimentDesign) -> dict[tuple[Point, Point], tuple[Treatment, ...]]:
     """Each ordered pair of input points (a point is (input, value)) mapped to
     the treatments containing both, in sorted order.  A point paired with
-    itself is included; a pair that no treatment contains is absent.  Read
-    only: it is cached per design, and reports hold its tuples."""
+    itself is included; a pair that no treatment contains is absent.  Only
+    cached tables read it: the chains and their plans."""
     pairs: dict[tuple[Point, Point], list[Treatment]] = {}
     for tr in design.treatments:
         points = list(enumerate(tr, start=1))
         for a in points:
             for b in points:
                 pairs.setdefault((a, b), []).append(tr)
-    return MappingProxyType({pair: tuple(trs) for pair, trs in pairs.items()})
+    return {pair: tuple(trs) for pair, trs in pairs.items()}
 
 
 def _too_many(sequence_guard: int) -> SizeGuardError:
@@ -330,11 +333,11 @@ class ChainReport(NamedTuple):
         return all(s >= 0 for s in self.slacks)
 
     def failures(self) -> tuple[ChainRecord, ...]:
-        return tuple(self._record(q) for q, s in zip(self.sequences, self.slacks) if s < 0)
+        return tuple(self._record(q, s) for q, s in zip(self.sequences, self.slacks) if s < 0)
 
     @property
     def records(self) -> tuple[ChainRecord, ...]:
-        return tuple(map(self._record, self.sequences))
+        return tuple(map(self._record, self.sequences, self.slacks))
 
     def _link(self, a: Point, b: Point, pick) -> LinkEvaluation:
         trs, ds = self.realizations[a, b]
@@ -342,11 +345,42 @@ class ChainReport(NamedTuple):
         evaluated = tuple((tr, Fraction(d, self.scale)) for tr, d in zip(trs, ds))
         return LinkEvaluation((a, b), evaluated[i][1], trs[i], evaluated)
 
-    def _record(self, seq: InputPointSequence) -> ChainRecord:
+    def _record(self, seq: InputPointSequence, slack: int) -> ChainRecord:
         endpoint = self._link(*seq.endpoints, max)
         links = tuple(self._link(a, b, min) for a, b in seq.links())
-        rhs = sum((lk.distance for lk in links), ZERO)
-        return ChainRecord(seq, endpoint.distance, rhs, rhs - endpoint.distance, endpoint, links)
+        rhs = slack + max(self.realizations[seq.endpoints][1])
+        return ChainRecord(
+            seq, endpoint.distance, Fraction(rhs, self.scale), Fraction(slack, self.scale), endpoint, links
+        )
+
+
+_PLANS: dict[tuple, tuple] = {}
+
+
+def _chain_plan(design: ExperimentDesign, sequences: tuple[InputPointSequence, ...]) -> tuple:
+    """The sequences compiled against the design: the distinct point pairs
+    they read, numbered in first-use order (endpoints first, then links),
+    each pair's realizing treatments (None where none realizes it), and each
+    sequence as (endpoint index, an itemgetter over its link indices).
+
+    `_PLANS` keeps the `DESIGN_CACHE` most recently used plans, keyed on the
+    design and the sequence objects' identities, so finding one hashes no
+    point; each entry holds its sequences, so no other object takes their
+    ids while it is kept."""
+    key = (design, *map(id, sequences))
+    entry = _PLANS.pop(key, None)  # put back below as the most recent
+    if entry is None:
+        index: dict[tuple[Point, Point], int] = {}
+        chains = []
+        for seq in sequences:  # at least three points, so two links: get returns a tuple
+            p = seq.points
+            ends, *links = [index.setdefault(pair, len(index)) for pair in ((p[0], p[-1]), *zip(p, p[1:]))]
+            chains.append((ends, itemgetter(*links)))
+        entry = sequences, (tuple(index), tuple(map(_pair_realizers(design).get, index)), tuple(chains))
+    _PLANS[key] = entry
+    for old in list(_PLANS)[:-DESIGN_CACHE]:  # the least recently used
+        _PLANS.pop(old, None)
+    return entry[1]
 
 
 def chain_test(
@@ -358,52 +392,38 @@ def chain_test(
     right-hand side takes, per link, the realization with the smallest
     distance, and the left-hand side the largest one: the inequality must
     hold for every realization, so this is the tightest necessary condition
-    (under marginal selectivity all realizations coincide).  Each (treatment,
-    output pair) distance is summed once, in integers over the tables' common
-    denominator (`Dataset.integer_tables`), so every slack is an integer sum.
+    (under marginal selectivity all realizations coincide).  Each pair of
+    points is realized once, in the plan's order, in integers over the
+    tables' common denominator (`Dataset.integer_tables`), so every slack is
+    an integer sum.
     """
     sequences = tuple(sequences)
-    pairs = _pair_realizers(dataset.design)
+    pairs, realizers, chains = _chain_plan(dataset.design, sequences)
     scale, tables = dataset.integer_tables
-    rank, sizes = order._rank, dataset.design.outcome_sizes
-    realizations: dict[tuple[Point, Point], tuple[tuple[Treatment, ...], list[int]]] = {}
-    low: dict[tuple[Point, Point], int] = {}
-    high: dict[tuple[Point, Point], int] = {}
-
-    def realize(a: Point, b: Point) -> None:
-        """Pr[output a[0] strictly below output b[0]] times scale, under each
-        treatment that holds both points: a (treatment, output pair) belongs
-        to one pair of points, so each is summed once.  It runs while a
-        KeyError for the pair is handled, so its errors drop that context."""
-        if (a, b) not in pairs:
-            raise ValueError(f"no treatment realizes the pair {a}, {b}") from None
-        trs = pairs[a, b]
-        (l1, _), (l2, _) = a, b
+    # each output's ranks by outcome index, checked once per output: None
+    # where the order leaves an outcome of it out
+    ranks = [
+        [None, *(order._rank[lam, a] for a in range(1, m + 1))] if order.covers(lam, m) else None
+        for lam, m in enumerate(dataset.design.outcome_sizes, start=1)
+    ]
+    realized = []
+    for (a, b), trs in zip(pairs, realizers):
+        # Pr[output a[0] strictly below output b[0]] times scale, under each
+        # treatment that holds both points; 0 for a point paired with itself
+        if trs is None:
+            raise ValueError(f"no treatment realizes the pair {a}, {b}")
+        i, j = a[0] - 1, b[0] - 1
         if a == b:
-            ds = [0] * len(trs)  # Pr[X strictly below X] is 0 for the same input point
-        else:
-            for lam in (l1, l2):
-                if not order.covers(lam, sizes[lam - 1]):
-                    raise ValueError(f"order does not cover all outcomes of output {lam}") from None
-            ds = [
-                sum([v for o, v in tables[tr] if rank[l1, o[l1 - 1]] < rank[l2, o[l2 - 1]]])
-                for tr in trs
-            ]
-        realizations[a, b] = trs, ds
-        low[a, b], high[a, b] = min(ds), max(ds)
-
-    slacks = []
-    for seq in sequences:
-        points = seq.points
-        ends, links = (points[0], points[-1]), [*zip(points, points[1:])]
-        try:
-            slacks.append(sum([low[pair] for pair in links]) - high[ends])
-        except KeyError:  # realize the new pairs in chain order, endpoints first
-            for pair in (ends, *links):
-                if pair not in realizations:
-                    realize(*pair)
-            slacks.append(sum([low[pair] for pair in links]) - high[ends])
-    return ChainReport(order, sequences, tuple(slacks), scale, realizations)
+            realized.append([0] * len(trs))
+            continue
+        for k in (i, j):
+            if ranks[k] is None:
+                raise ValueError(f"order does not cover all outcomes of output {k + 1}")
+        ri, rj = ranks[i], ranks[j]
+        realized.append([sum([v for o, v in tables[tr] if ri[o[i]] < rj[o[j]]]) for tr in trs])
+    low, high = [min(ds) for ds in realized], [max(ds) for ds in realized]
+    slacks = tuple([sum(get(low)) - high[e] for e, get in chains])
+    return ChainReport(order, sequences, slacks, scale, dict(zip(pairs, zip(realizers, realized))))
 
 
 class FineInequality(NamedTuple):

@@ -161,6 +161,15 @@ def random_ms_chsh(rng: random.Random, denom: int = 24) -> Dataset:
     return Dataset(make_design((2, 2), (2, 2)), tables)
 
 
+def constant_output_dataset() -> Dataset:
+    """Output 1 constant under treatment (1, 1), every other table uniform."""
+    design = make_design((2, 2), (3, 3))
+    uniform = {(a, b): F(1, 9) for a in (1, 2, 3) for b in (1, 2, 3)}
+    tables = {tr: dict(uniform) for tr in design.treatments}
+    tables[(1, 1)] = {(3, 1): F(425, 782), (3, 2): F(355, 782), (3, 3): F(2, 782)}
+    return Dataset(design, tables)
+
+
 def random_tables_dataset(design: ExperimentDesign, rng: random.Random, denom: int = 12) -> Dataset:
     """Arbitrary valid dataset: independent random table per treatment (no
     marginal selectivity guarantee)."""

@@ -17,6 +17,8 @@ from selinf.experiment import Dataset, make_design
 from selinf.generators import gen_classical, gen_ghz, gen_prbox
 from selinf.io import dump_dataset, load_dataset
 
+from helpers import constant_output_dataset
+
 F = Fraction
 
 
@@ -206,6 +208,23 @@ class TestTest:
         cos = next(s for s in doc["stages"] if s["name"] == "cosphericity")
         assert cos["status"] == "skip"
         assert "variance" in cos["summary"]
+
+    def test_constant_output_skips_cosphericity(self, tmp_path, capsys):
+        # the float variance of the constant output rounds above zero: the
+        # stage passed with slack 2.0
+        path = write(tmp_path, "constant.json", constant_output_dataset())
+        main(["test", path, "--json"])
+        cos = next(s for s in json.loads(capsys.readouterr().out)["stages"] if s["name"] == "cosphericity")
+        assert (cos["status"], cos["summary"], cos["detail"]) == (
+            "skip", "zero variance for output 1 under treatment (1, 1)", {},
+        )
+
+    def test_preset_orders_in_the_order_asked(self, tmp_path, capsys):
+        path = write(tmp_path, "pr.json", gen_prbox())
+        for orders in ("d2,d1", "d1,d2", "d2"):
+            assert main(["test", path, "--orders", orders, "--json"]) == 1
+            chain = next(s for s in json.loads(capsys.readouterr().out)["stages"] if s["name"] == "chain-tests")
+            assert [o["order"] for o in chain["detail"]["orders"]] == orders.split(",")
 
     def test_custom_orders_file(self, tmp_path, capsys):
         ds, _ = gen_classical(make_design((2, 2), (2, 2)), seed=11)

@@ -12,6 +12,8 @@ from selinf.cosphericity import (
 from selinf.experiment import Dataset, make_design
 from selinf.generators import AngleSpec, gen_classical, gen_prbox, gen_singlet
 
+from helpers import constant_output_dataset
+
 F = Fraction
 
 
@@ -54,6 +56,20 @@ class TestQuadConstruction:
         ds = Dataset(design, {(1, 1): point, (1, 2): mixed, (2, 1): mixed, (2, 2): mixed})
         with pytest.raises(ValueError, match=r"output 1 under treatment \(1, 1\)"):
             correlations_from_dataset(ds)
+
+    def test_constant_output_found_exactly(self):
+        # output 1 is 3 on the whole support of table (1, 1), but its float
+        # variance rounds above zero: it read as a correlation of 0.0
+        ds = constant_output_dataset()
+        assert {o[0] for o in ds.table((1, 1))} == {3} and sum(ds.table((1, 1)).values()) == 1
+        with pytest.raises(ValueError, match=r"^zero variance for output 1 under treatment \(1, 1\)$"):
+            correlations_from_dataset(ds)
+        # a coding that gives two outcomes one value makes an output constant
+        coding = {(1, 1): {1: 0.0, 2: 1.0, 3: 1.0}}
+        tables = {tr: {(2, 1): F(1, 2), (3, 2): F(1, 2)} for tr in ds.design.treatments}
+        with pytest.raises(ValueError, match=r"output 1 under treatment \(1, 1\)"):
+            correlations_from_dataset(Dataset(ds.design, tables), coding)
+        assert correlations_from_dataset(Dataset(ds.design, tables)).as_tuple() == pytest.approx((1, 1, 1, 1))
 
     def test_wrong_shape_rejected(self):
         ds, _ = gen_classical(make_design((2, 2, 2), (2, 2, 2)), seed=0)

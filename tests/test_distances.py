@@ -61,6 +61,16 @@ class TestOrderRelation:
         with pytest.raises(ValueError, match="unknown preset"):
             preset_order(make_design((2, 2), (2, 2)), "d3")
 
+    def test_presets_cached_per_design(self):
+        # a design read again gives the same order; another outcome size,
+        # or the other name, gives another
+        binary, ternary = make_design((2, 2), (2, 2)), make_design((2, 2), (3, 3))
+        for name in ("d1", "d2"):
+            assert preset_order(binary, name) == preset_order(make_design((2, 2), (2, 2)), name)
+            assert preset_order(binary, name) != preset_order(ternary, name)
+            assert preset_order(ternary, name).covers(2, 3) and not preset_order(binary, name).covers(2, 3)
+        assert preset_order(binary, "d1") != preset_order(binary, "d2")
+
 
 class TestOrderDistance:
     def test_d1_on_chsh_is_p12(self):
@@ -414,6 +424,66 @@ class TestChain:
         same = rep.links[0]
         assert same.pair == ((1, 1), (1, 1)) and same.distance == 0
         assert [tr for tr, _ in same.evaluated] == [tr for tr in design.treatments if tr[0] == 1]
+
+
+class TestChainPlan:
+    """`chain_test` compiles a plan per sequence list, found by the identity
+    of its sequence objects: every list it is handed, in one process, must
+    give the report of the `Fraction` reference."""
+
+    @staticmethod
+    def _orders(design, rng):
+        top = max(design.outcome_sizes)
+        custom = OrderRelation(tuple(
+            frozenset((lam, a) for lam, m in enumerate(design.outcome_sizes, start=1) if a <= m)
+            for a in range(top, 0, -1)
+        ), name="custom")
+        return [preset_order(design, "d1"), preset_order(design, "d2"), random_order(design, rng), custom]
+
+    def test_reused_and_new_lists_match_the_reference(self):
+        # the enumeration's list, reversed, sliced and extended by a walk that
+        # repeats its points, each twice; then the list itself, extended
+        # after it was tested
+        rng = random.Random(41)
+        full = make_design((3, 2), (2, 3))
+        for design in (full, make_design((3, 2), (2, 3), treatments=full.treatments[1:])):
+            seqs = enumerate_irreducible_sequences(design)
+            x, y = seqs[0].points[:2]
+            walk = InputPointSequence((x, y, x, y))
+            lists = [seqs, enumerate_irreducible_sequences(design)[::-1], seqs[1::2], seqs[:1], [*seqs, walk]]
+            for ds in (random_tables_dataset(design, rng), gen_classical(design, seed=5)[0]):
+                for order in self._orders(design, rng):
+                    for sequences in lists * 2:
+                        report = chain_test(ds, order, sequences)
+                        assert report.sequences == tuple(sequences)
+                        assert report.records == reference_chain_test(ds, order, sequences)
+                    seqs = enumerate_irreducible_sequences(design)
+                    chain_test(ds, order, seqs)
+                    seqs.append(walk)
+                    assert chain_test(ds, order, seqs).records == reference_chain_test(ds, order, seqs)
+
+    def test_errors_in_the_first_use_order(self):
+        # after a plan of the realizable chains is built, an unrealizable
+        # pair raises where it is first read, before or after a pair that
+        # reads output 2, which the partial order leaves out
+        design = make_design((3, 2), (2, 2), treatments=make_design((3, 2), (2, 2)).treatments[1:])
+        ds = random_tables_dataset(design, random.Random(2))
+        seqs = enumerate_irreducible_sequences(design)
+        d1 = preset_order(design, "d1")
+        assert seqs and chain_test(ds, d1, seqs).records == reference_chain_test(ds, d1, seqs)
+        tetrad = InputPointSequence(((1, 2), (2, 2), (1, 1), (2, 1)))
+        triple = InputPointSequence(((1, 1), (2, 1), (1, 2)))
+        partial = OrderRelation((frozenset({(1, 1)}), frozenset({(1, 2)})))
+        for sequences, order, match in (
+            ([*seqs, tetrad], d1, r"no treatment realizes the pair \(1, 1\), \(2, 1\)"),
+            ([triple, *seqs], partial, r"no treatment realizes the pair \(1, 1\), \(1, 2\)"),
+            ([*seqs, triple], partial, "order does not cover all outcomes of output 2"),
+        ):
+            for _ in range(2):
+                with pytest.raises(ValueError, match=match):
+                    chain_test(ds, order, sequences)
+                with pytest.raises(ValueError, match=match):
+                    reference_chain_test(ds, order, sequences)
 
 
 class TestFine:

@@ -975,14 +975,15 @@ DESIGN_TABLES = (
     lft.q_slot_offsets,
     lft._front_cells,
     lft._collins_gisin_rows,
-    distances._pair_realizers,
     distances._irreducible_sequences,
+    distances.preset_order,
 )
 
 
 def _clear_design_tables():
     for table in DESIGN_TABLES:
         table.cache_clear()
+    distances._PLANS.clear()
 
 
 class TestDesignTables:
@@ -1015,8 +1016,15 @@ class TestDesignTables:
         reports = [self._request(argv, capsys) for _ in range(3)]
         assert reports[0][0] == 0 and reports == reports[:1] * 3
         for table in DESIGN_TABLES:
+            # one entry per design, and per name for the two preset orders
+            built = 2 if table is distances.preset_order else 1
             info = table.cache_info()
-            assert (info.misses, info.currsize) == (1, 1) and info.hits >= 2, (table, info)
+            assert (info.misses, info.currsize) == (built, built) and info.hits >= 2, (table, info)
+        # one chain plan, built by the first request and read by the others
+        (plan,) = distances._PLANS.values()
+        self._request(argv, capsys)
+        (again,) = distances._PLANS.values()
+        assert again is plan
 
     def test_same_shape_different_labels(self, tmp_path, capsys):
         plain = make_design((2, 2), (2, 2))
@@ -1032,7 +1040,7 @@ class TestDesignTables:
         assert [code for code, _, _ in alone] == [0, 1]
         _clear_design_tables()
         assert [self._request(argv, capsys) for argv in argvs * 2] == alone * 2
-        assert distances._pair_realizers.cache_info().currsize == 2
+        assert len(distances._PLANS) == 2
 
     def test_non_factorial_subset_alternating_with_its_parent(self, tmp_path, capsys):
         full = make_design((3, 3), (2, 2))
@@ -1074,9 +1082,12 @@ class TestDesignTables:
         designs = [make_design((k, j), (2, 2)) for k in range(1, 6) for j in range(1, 5)]
         assert len(designs) > DESIGN_CACHE
         first = [(LftSystem(d)._cells, collins_gisin_rows(d), enumerate_irreducible_sequences(d)) for d in designs]
+        for d in designs:
+            distances._chain_plan(d, tuple(enumerate_irreducible_sequences(d)))
         for table in DESIGN_TABLES:
             info = table.cache_info()
             assert info.maxsize == DESIGN_CACHE and info.currsize <= DESIGN_CACHE, (table, info)
+        assert len(distances._PLANS) == DESIGN_CACHE
         # an evicted design's tables are built again, the same
         d = designs[0]
         assert (LftSystem(d)._cells, collins_gisin_rows(d), enumerate_irreducible_sequences(d)) == first[0]
