@@ -29,7 +29,7 @@ from .distances import (
 )
 from .errors import DatasetParseError, MarginalSelectivityError, SizeGuardError
 from .experiment import COMPARISON_GUARD, check_marginal_selectivity, make_design, validate_dataset
-from .io import dump_dataset, format_exact, load_dataset, parse_exact
+from .io import dump_dataset, format_exact, json_text, load_dataset, parse_exact
 from .lft import COLUMN_GUARD, run_lft
 
 SCHEMA_VERSION = "1"
@@ -37,7 +37,7 @@ SCHEMA_VERSION = "1"
 
 def _emit(doc: dict, as_json: bool, lines: list[str]) -> None:
     if as_json:
-        print(json.dumps(doc, indent=2))
+        print(json_text(doc))
     else:
         for line in lines:
             print(line)

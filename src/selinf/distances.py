@@ -28,7 +28,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache, lru_cache
 from itertools import permutations
 from operator import itemgetter
 from typing import Mapping, NamedTuple, Sequence
@@ -333,11 +333,17 @@ class ChainReport(NamedTuple):
         return all(s >= 0 for s in self.slacks)
 
     def failures(self) -> tuple[ChainRecord, ...]:
-        return tuple(self._record(q, s) for q, s in zip(self.sequences, self.slacks) if s < 0)
+        return self._records((q, s) for q, s in zip(self.sequences, self.slacks) if s < 0)
 
     @property
     def records(self) -> tuple[ChainRecord, ...]:
-        return tuple(map(self._record, self.sequences, self.slacks))
+        return self._records(zip(self.sequences, self.slacks))
+
+    def _records(self, chosen) -> tuple[ChainRecord, ...]:
+        # a design has few distinct pairs, read by many chains: each link's
+        # LinkEvaluation is built once per call
+        link = cache(self._link)
+        return tuple(self._record(q, s, link) for q, s in chosen)
 
     def _link(self, a: Point, b: Point, pick) -> LinkEvaluation:
         trs, ds = self.realizations[a, b]
@@ -345,9 +351,9 @@ class ChainReport(NamedTuple):
         evaluated = tuple((tr, Fraction(d, self.scale)) for tr, d in zip(trs, ds))
         return LinkEvaluation((a, b), evaluated[i][1], trs[i], evaluated)
 
-    def _record(self, seq: InputPointSequence, slack: int) -> ChainRecord:
-        endpoint = self._link(*seq.endpoints, max)
-        links = tuple(self._link(a, b, min) for a, b in seq.links())
+    def _record(self, seq: InputPointSequence, slack: int, link) -> ChainRecord:
+        endpoint = link(*seq.endpoints, max)
+        links = tuple(link(a, b, min) for a, b in seq.links())
         rhs = slack + max(self.realizations[seq.endpoints][1])
         return ChainRecord(
             seq, endpoint.distance, Fraction(rhs, self.scale), Fraction(slack, self.scale), endpoint, links

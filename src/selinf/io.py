@@ -12,12 +12,17 @@ Probabilities are strings so they stay exact: either "p/q" or a decimal
 string (parsed as an exact fraction over a power of ten), read by
 `experiment.coerce_prob`, whose refusals become DatasetParseErrors.  Raw
 count tables are converted to exact frequencies count/total.  Outcome keys
-are comma-joined 1-based indices.
+are comma-joined 1-based indices.  Each distinct outcome key and each
+distinct probability string is parsed once per file.
+
+`json_text` is the package's one JSON writer, for dataset files and for
+every `--json` report.
 """
 from __future__ import annotations
 
 import json
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from typing import Any, IO
 
 from .errors import DatasetParseError
@@ -68,11 +73,13 @@ def _parse_count(value, tr: tuple[int, ...]) -> int:
 
 
 def _unique_keys(pairs: list[tuple[str, Any]]) -> dict:
-    doc = {}
-    for key, value in pairs:
-        if key in doc:
-            raise DatasetParseError(f"repeated JSON key {key!r}")
-        doc[key] = value
+    doc = dict(pairs)
+    if len(doc) != len(pairs):  # name the first key that repeats
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise DatasetParseError(f"repeated JSON key {key!r}")
+            seen.add(key)
     return doc
 
 
@@ -97,6 +104,10 @@ def dataset_from_json_dict(doc: dict) -> Dataset:
     n = len(inputs)
     treatments = []
     tables = {}
+    # parsed once per file, and looked up by str only: 1, 1.0 and true hash
+    # alike, and a bool or float key or value must still be refused
+    outcomes: dict[str, tuple[int, ...]] = {}
+    probs: dict[str, Fraction] = {}
     if not isinstance(doc["treatments"], list):
         raise DatasetParseError("section 'treatments' must be a list")
     for rec in doc["treatments"]:
@@ -119,10 +130,21 @@ def dataset_from_json_dict(doc: dict) -> Dataset:
             raise DatasetParseError(f"treatment {tr}: {section!r} must be an object")
         table: dict[tuple[int, ...], Fraction | int] = {}
         for key, val in rec[section].items():
-            outcome = _parse_outcome_key(key, n)
+            text = str(key)
+            outcome = outcomes.get(text)
+            if outcome is None:
+                outcome = outcomes[text] = _parse_outcome_key(key, n)
             if outcome in table:
                 raise DatasetParseError(f"treatment {tr}: outcome key {key!r} repeats {outcome}")
-            table[outcome] = parse_exact(val) if has_p else _parse_count(val, tr)
+            if not has_p:
+                table[outcome] = _parse_count(val, tr)
+            elif type(val) is str:
+                p = probs.get(val)
+                if p is None:
+                    p = probs[val] = parse_exact(val)
+                table[outcome] = p
+            else:
+                table[outcome] = parse_exact(val)
         if has_c:
             total = sum(table.values())
             if total == 0:
@@ -178,11 +200,49 @@ def load_dataset(source: str | IO[str]) -> Dataset:
 
 
 def dump_dataset(dataset: Dataset, dest: str | IO[str]) -> None:
-    doc = dataset_to_json_dict(dataset)
+    text = json_text(dataset_to_json_dict(dataset)) + "\n"
     if hasattr(dest, "write"):
-        json.dump(doc, dest, indent=2)
-        dest.write("\n")
+        dest.write(text)
     else:
         with open(dest, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2)
-            fh.write("\n")
+            fh.write(text)
+
+
+_encode_scalar = json.JSONEncoder().encode  # compact, so the C encoder
+
+
+def json_text(value, pad: str = "\n") -> str:
+    """The text `json.dumps` gives for `value` at an indent of 2, byte for
+    byte; with an indent set, `json.dumps` runs the json module's
+    pure-Python encoder.  Here strings and ints are written by C functions,
+    a list of only strs or only ints by one join, and any other scalar
+    (bool, None, a float, NaN and infinities too) by the compact C encoder.
+    Tuples are written as lists; a dict key that is not a str raises
+    TypeError.  `pad` is a newline and the indentation of the line `value`
+    starts on."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if type(value) is int:
+        return int.__repr__(value)
+    inner = pad + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = []
+        for key, item in value.items():
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            items.append(f"{encode_basestring_ascii(key)}: {json_text(item, inner)}")
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        kinds = set(map(type, value))
+        if kinds == {str}:
+            items = map(encode_basestring_ascii, value)
+        elif kinds == {int}:
+            items = map(int.__repr__, value)
+        else:
+            items = [json_text(item, inner) for item in value]
+        return "[" + inner + ("," + inner).join(items) + pad + "]"
+    return _encode_scalar(value)

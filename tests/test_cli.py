@@ -15,7 +15,7 @@ from selinf import cli, distances, experiment, lft
 from selinf.cli import main
 from selinf.experiment import Dataset, make_design
 from selinf.generators import gen_classical, gen_ghz, gen_prbox
-from selinf.io import dump_dataset, load_dataset
+from selinf.io import dataset_to_json_dict, dump_dataset, json_text, load_dataset
 
 from helpers import constant_output_dataset
 
@@ -357,6 +357,21 @@ class TestGenerate:
             err = capsys.readouterr().err
             assert err.startswith("error: ") and err.count("\n") == 1 and message in err
 
+    def test_every_kind_writes_the_stdlib_indented_json(self, tmp_path, capsys):
+        for kind, extra in (
+            ("classical", ("--inputs", "2,3", "--outcomes", "3,2", "--seed", "5")),
+            ("prbox", ()),
+            ("singlet", ()),
+            ("ghz", ()),
+            ("double-detection", ("--rates", "3/4,1/2,2/3,1/3", "--coupling", "1/2")),
+        ):
+            path = tmp_path / f"{kind}.json"
+            assert main(["generate", kind, *extra, "-o", str(path)]) == 0
+            text = path.read_text(encoding="utf-8")
+            assert text == json.dumps(dataset_to_json_dict(load_dataset(str(path))), indent=2) + "\n"
+            assert main(["generate", kind, *extra]) == 0
+            assert capsys.readouterr().out == text
+
     def test_roundtrip_every_kind_100_seeds(self, tmp_path, capsys):
         # generate -> validate -> test matches the generator's ground truth:
         # classical over 100 random seeds, the fixed kinds once each
@@ -380,6 +395,50 @@ class TestGenerate:
             assert main(["validate", str(path)]) == 0
             assert main(["test", str(path)]) == want
         capsys.readouterr()
+
+
+class TestReportText:
+    def test_each_report_form_is_the_stdlib_indented_json(self, tmp_path, capsys, monkeypatch):
+        # the documents cli._emit is handed, written by json_text and by
+        # json.dumps(indent=2): validate, feasible, infeasible from the
+        # solver, infeasible from a failing chain, and stages skipped with {}
+        docs = []
+
+        def recording(doc):
+            docs.append(doc)
+            return json_text(doc)
+
+        monkeypatch.setattr(cli, "json_text", recording)
+        classical = write(tmp_path, "cl.json", gen_classical(make_design((2, 2), (2, 2)), seed=3)[0])
+        invalid = write(tmp_path, "bad.json", Dataset(make_design((1,), (2,)), {(1,): {(1,): F(99, 100)}}))
+        design = make_design((2, 2), (2, 2))
+        signalling = {
+            tr: {(1, 1): F(1, 3), (2, 2): F(2, 3)} if tr == (1, 2) else {(1, 1): F(1, 2), (2, 2): F(1, 2)}
+            for tr in design.treatments
+        }
+        ms = write(tmp_path, "ms.json", Dataset(design, signalling))
+        constant = write(tmp_path, "constant.json", constant_output_dataset())
+        for argv in (
+            ["validate", classical, "--json"],
+            ["validate", invalid, "--json"],
+            ["test", classical, "--json"],
+            ["test", write(tmp_path, "ghz.json", gen_ghz()), "--json"],
+            ["test", write(tmp_path, "pr.json", gen_prbox()), "--json"],
+            ["test", classical, "--json", "--no-lft"],
+            ["test", ms, "--json"],
+            ["test", constant, "--json"],
+        ):
+            main(argv)
+        out = capsys.readouterr().out
+        assert out == "".join(json.dumps(doc, indent=2) + "\n" for doc in docs)
+        stages = [{s["name"]: s for s in doc["stages"]} for doc in docs[2:]]
+        assert [doc["valid"] for doc in docs[:2]] == [True, False]
+        assert [s["lft"]["detail"].get("verdict") for s in stages] == [
+            "feasible", "infeasible", "infeasible", None, "infeasible", "infeasible",
+        ]
+        assert "farkas_source" in stages[2]["lft"]["detail"]
+        assert stages[3]["lft"]["detail"] == stages[4]["fine-inequalities"]["detail"] == {}
+        assert stages[5]["cosphericity"]["detail"] == {}
 
 
 class TestOneProcess:

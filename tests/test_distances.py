@@ -397,6 +397,28 @@ class TestChain:
                         values += [link.distance, *(d for _, d in link.evaluated)]
                     assert all(type(v) is Fraction for v in values)
 
+    def test_each_link_is_evaluated_once_per_call(self, monkeypatch):
+        # a 4,4/2,2 design has 32 distinct pairs under 288 tetrads: each
+        # (pair, rule) gets one LinkEvaluation per call, shared by the
+        # records that read it
+        from selinf.distances import ChainReport
+
+        ds = random_tables_dataset(make_design((4, 4), (2, 2)), random.Random(5))
+        seqs = enumerate_irreducible_sequences(ds.design)
+        report = chain_test(ds, preset_order(ds.design, "d1"), seqs)
+        records = report.records
+        calls = []
+        link = ChainReport._link
+        monkeypatch.setattr(ChainReport, "_link", lambda self, *args: calls.append(args) or link(self, *args))
+        failures = report.failures()
+        assert failures and failures == tuple(r for r in records if r.slack < 0)
+        assert len(calls) == len(set(calls)) == len(
+            {(*r.sequence.endpoints, max) for r in failures}
+            | {(a, b, min) for r in failures for a, b in r.sequence.links()}
+        )
+        assert len(calls) < 4 * len(failures)
+        assert report.records == records
+
     def test_min_realization_rule_reported(self):
         # non-marginally-selective data: the same link pair has two realizing
         # treatments with different distances; the smaller must be used on the

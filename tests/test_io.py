@@ -1,13 +1,15 @@
 import io
 import json
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from selinf.errors import DatasetParseError
 from selinf.generators import gen_classical, gen_ghz, gen_prbox
 from selinf.experiment import make_design, validate_dataset
-from selinf.io import dataset_from_json_dict, dump_dataset, load_dataset
+from selinf.io import dataset_from_json_dict, dump_dataset, json_text, load_dataset
 
 F = Fraction
 
@@ -129,6 +131,111 @@ def test_both_probabilities_and_counts_rejected():
         doc = edit(doc) or doc
         with pytest.raises(DatasetParseError, match=match):
             dataset_from_json_dict(doc)
+
+
+def test_memos_keep_every_refusal():
+    # the parsed probability strings and outcome keys are shared across a
+    # file's treatments; a value that is not a str is never looked up there
+    def refused(edit, match):
+        doc = json.loads(json.dumps(CHSH_DOC))
+        edit(doc)
+        with pytest.raises(DatasetParseError, match=match):
+            dataset_from_json_dict(doc)
+
+    for first in ("1", 1):  # 1 and True hash alike
+        refused(
+            lambda d: d["treatments"][0].update(probabilities={"1,1": first, "1,2": True}),
+            "not a probability: True",
+        )
+    refused(lambda d: d["treatments"][0].update(probabilities={"1,1": 1, "1,2": 1.0}), "float 1.0")
+    # "1, 1" parsed in an earlier treatment still names the outcome (1, 1)
+    refused(
+        lambda d: d["treatments"][1].update(probabilities={"1, 1": "1/2", "1,1": "1/2"}),
+        r"treatment \(1, 2\): outcome key '1,1' repeats \(1, 1\)",
+    )
+    refused(
+        lambda d: d["treatments"][0].update(probabilities={"1,1": "1/2", "1, 1": "1/2"}),
+        r"treatment \(1, 1\): outcome key '1, 1' repeats \(1, 1\)",
+    )
+    # a library caller's keys need not be str: True is not the 1 before it
+    doc = {
+        "inputs": [{"label": "a", "values": ["1", "2"]}],
+        "outputs": [{"label": "A", "values": ["1"]}],
+        "treatments": [
+            {"treatment": [1], "probabilities": {1: "1"}},
+            {"treatment": [2], "probabilities": {True: "1"}},
+        ],
+    }
+    with pytest.raises(DatasetParseError, match="key True is not a tuple of integers"):
+        dataset_from_json_dict(doc)
+    # one over-long exponent string in two treatments
+    for t in (0, 1):
+        doc = json.loads(json.dumps(CHSH_DOC))
+        for rec in doc["treatments"][:2]:
+            rec["probabilities"]["2,2"] = "1e-10000000"
+        doc["treatments"][t]["probabilities"]["2,2"] = "1/2"
+        with pytest.raises(DatasetParseError, match="exponent"):
+            dataset_from_json_dict(doc)
+
+
+def test_repeated_json_keys_name_the_first_repeat():
+    text = json.dumps(CHSH_DOC).replace(
+        '{"1,1": "1/2", "2,2": "0.5"}', '{"1,1": "1/2", "2,2": "0.5", "2,2": "0", "1,1": "0"}', 1
+    )
+    # "1,1" came first, but "2,2" is the first to repeat
+    with pytest.raises(DatasetParseError, match="repeated JSON key '2,2'"):
+        load_dataset(io.StringIO(text))
+
+
+_STRINGS = st.one_of(
+    st.text(),
+    st.text(st.characters(codec=None, exclude_categories=())),  # lone surrogates too
+    st.sampled_from(['"quoted"', "back\\slash", "\x00\x1f\x7f\n\t", "caf\u00e9 \u2028", "\U0001d11e astral"]),
+)
+_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(-(2**200), 2**200),
+    st.floats(),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 1e-320]),
+    _STRINGS,
+)
+_TREES = st.recursive(
+    _SCALARS,
+    lambda children: st.one_of(
+        st.lists(children, max_size=6),
+        st.lists(children, max_size=6).map(tuple),
+        st.lists(st.integers(), max_size=6),
+        st.lists(_STRINGS, max_size=6),
+        st.dictionaries(_STRINGS, children, max_size=6),
+    ),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_TREES)
+@example({})
+@example([])
+@example(())
+@example({"a": {}, "b": [], "c": [{}, [[]]]})
+@example([1, True])
+@example([True, 1])
+@example([-(10**40), 0, 7])
+@example(["x", "y\u00e9"])
+@example([1.0, 2])
+@example({"k": (1, "a", None, math.nan, -math.inf, -0.0, 1e-320)})
+def test_json_text_is_the_stdlib_indented_json(value):
+    assert json_text(value) == json.dumps(value, indent=2)
+
+
+def test_json_text_refuses_a_key_that_is_not_a_str():
+    for value in ({1: "a"}, {"a": [{"b": {None: 1}}]}, {("a",): 1}):
+        with pytest.raises(TypeError, match="keys must be str"):
+            json_text(value)
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        json_text([{"a": {1, 2}}])
 
 
 def test_inefficient_detector_shape_loads():
