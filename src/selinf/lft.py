@@ -34,8 +34,9 @@ from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import accumulate, product
+from itertools import accumulate, compress, product, repeat
 from math import prod
+from operator import mul
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .errors import MarginalSelectivityError, SizeGuardError
@@ -325,56 +326,143 @@ class LftSystem:
         return row, tuple(i for i, p in enumerate(P) if not p and i < limit and maxkill[i] == i)
 
     def phase_one(self, P, kept_rows, pre):
-        """`simplex` priced by exact min-sum over each front's last slots.
+        """`simplex` priced by exact min-sum over each front's last slots,
+        every live front at once.
 
         Column (f, a) costs sum_w g_w(a_w), g_w(a) summing the duals of the
-        kept rows of cell (w, a), over the free outcomes (`Presolve.free`).
-        Dantzig's lowest-index least column is the first front of least
-        sum_w min g_w, with each slot's smallest argmin.  Bland's first
-        negative column is in the first front whose least sum is negative,
-        with each slot's smallest a that the later slots' minima complete to
-        a negative sum.
+        kept rows of cell (w, a), over the free outcomes (`Presolve.free`); a
+        front is live when each slot has one.  Dantzig's lowest-index least
+        column is the first front of least sum_w min g_w, with each slot's
+        smallest argmin.  Bland's first negative column is in the first front
+        whose least sum is negative, with each slot's smallest a that the
+        later slots' minima complete to a negative sum.
+
+        The live fronts are priced together, as the digits of ints (SIMD
+        within a register): digit i, W bits at bit W*i, is the i-th live
+        front's.  A kept row lies in one cell (w, a), the same in every front
+        that holds it, so one int holds cell (w, a) of every front:
+        G_wa = sum_q dual_q ind_q + S + P dead_wa over the cell's kept rows
+        q, where ind_q has digit 1 where a free cell holds row q and dead_wa
+        digit 1 where the cell is not free.  S = sum |dual| bounds every |g|,
+        so a free cell's digit is g + S, in [0, 2S], and any other's is
+        S + P = 3S + 1 with P = 2S + 1: it never undercuts a free outcome of
+        its slot, which every live front has, so the digitwise minimum over a
+        is min g_w + S.  A cell free in no live front is left out.  No digit
+        carries into the next while every digit and every front's sum of k
+        minima stay below 2**(W-1): W is the least of 64, 128, 256, ... with
+        k (4S + 1) < 2**(W-1), and the ints are laid out wider only when S
+        outgrows W.  The digitwise minimum of X and Y is branch-free, with a
+        guard bit H at the top of each digit: D = (X + H - Y) & H is set
+        where X >= Y, and X ^ ((X ^ Y) & (D - (D >> (W-1)))) takes Y there.
+        The totals, sum_w min g_w + kS per front, are read by bytes in
+        little-endian order, whatever the host's, so the first least total
+        is the first front of least sum and a total below kS a negative sum:
+        the fronts and ties of pricing front by front.  The chosen front's g
+        are its digits of the cell sums less S, exact, and its slots pick
+        their outcomes and the cost as above.
         """
         scale, b = scaled(P[i] for i in kept_rows)
+        design = self.design
+        k, m = design.input_sizes[-1], design.outcome_sizes[-1]
+        free = pre.free
+        per = self.ncols // len(free)  # columns per front
+        live = list(compress(range(len(free)), map(all, free)))
+        count = len(live)
         position = dict(zip(kept_rows, range(len(kept_rows))))
-        tables = []  # (front, per slot (free outcomes, their kept positions))
-        for f, (cells, free) in enumerate(zip(self._cells, pre.free)):
-            if all(free):
-                tables.append((f, [(fw, [[position[r] for r in cw[a] if r in position] for a in fw])
-                                   for cw, fw in zip(cells, free)]))
-        width, m = self.ncols // len(pre.free), self.design.outcome_sizes[-1]  # columns per front, m_n
+        # in 64-bit digits, one per live front: ind[q] is 1 where a free cell
+        # of the front holds kept row q, and dead[w * m + a] where its cell
+        # (w, a) is not free; by_cell[w * m + a] lists the kept rows that
+        # cell (w, a) holds where it is free
+        ind, dead, by_cell = [0] * len(kept_rows), [0] * (k * m), [[] for _ in range(k * m)]
+        units = [1 << 64 * i for i in range(count)]
+        for f, unit in zip(live, units):
+            for w, (cw, fw) in enumerate(zip(self._cells[f], free[f])):
+                c = w * m
+                if len(fw) < m:
+                    for a in range(m):
+                        if a not in fw:
+                            dead[c + a] += unit
+                for a in fw:
+                    for r in cw[a]:
+                        if r in position:
+                            q = position[r]
+                            if not ind[q]:
+                                by_cell[c + a].append(q)
+                            ind[q] += unit
+        every = sum(units)
+
+        def layout(bits):
+            """The ints at W = `bits`, a multiple of 64: (2**(W-1), W, H, per
+            slot its cells (w * m + a, their kept rows, their ind, dead), the
+            int with digits 1, the totals' byte slices, their byte count)."""
+            nb = bits // 8
+            size = count * nb
+            ones = int.from_bytes(b"\x01".ljust(nb, b"\0") * count, "little")
+
+            def wide(x):  # x's 0/1 digits, 64 bits each, at `bits` bits
+                spread = bytearray(size)
+                spread[::nb] = x.to_bytes(count * 8, "little")[::8]
+                return int.from_bytes(spread, "little")
+
+            at, pen = (ind, dead) if nb == 8 else (list(map(wide, ind)), list(map(wide, dead)))
+            # per slot its cells free in some live front: no other is the
+            # slot's minimum in any live front
+            cells = [[(c, by_cell[c], list(map(at.__getitem__, by_cell[c])), pen[c])
+                      for c in range(w * m, w * m + m) if dead[c] != every] for w in range(k)]
+            cuts = list(map(slice, range(0, size, nb), range(nb, size + nb, nb)))
+            return 1 << (bits - 1), bits, ones << (bits - 1), cells, ones, cuts, size
+
+        lay = layout(64)
+        packed = [0] * (k * m)  # the last call's cell sums
 
         def price(dual, bland):
+            nonlocal lay
+            s = sum(map(abs, dual))
+            if k * (4 * s + 1) >= lay[0]:
+                width = 2 * lay[1]
+                while k * (4 * s + 1) >= 1 << (width - 1):
+                    width *= 2
+                lay = layout(width)
+            _, width, guard, cells, ones, cuts, size = lay
             get = dual.__getitem__
-            chosen = None
-            for f, slots in tables:
-                total = sum([min([sum(map(get, ks)) for ks in kss]) for _, kss in slots])
-                if bland and total < 0:
-                    chosen = total, f, slots
-                    break
-                if not bland and (chosen is None or total < chosen[0]):
-                    chosen = total, f, slots
-            if chosen is None or bland and chosen[0] >= 0:
-                return -1, None
-            total, f, slots = chosen
+            start, penalty = s * ones, 2 * s + 1
+            sums = 0
+            for slot in cells:
+                low = None
+                for c, qs, inds, pen in slot:
+                    g = packed[c] = sum(map(mul, map(get, qs), inds), start + penalty * pen)
+                    if low is not None:
+                        d = (g + guard - low) & guard  # guard set where g >= low
+                        g ^= (g ^ low) & (d - (d >> (width - 1)))
+                    low = g
+                sums += low
+            raw = sums.to_bytes(size, "little")
+            totals = list(map(int.from_bytes, map(raw.__getitem__, cuts), repeat("little")))
+            bar = k * s
+            if bland:
+                i = next((i for i, t in enumerate(totals) if t < bar), -1)
+                if i < 0:
+                    return -1, None
+            else:
+                i = totals.index(min(totals))
+            f, shift, mask = live[i], width * i, (1 << width) - 1
+            total = totals[i] - bar
             prefix = last = 0
-            for allowed, kss in slots:
-                g = [sum(map(get, ks)) for ks in kss]
+            for w, allowed in enumerate(free[f]):
+                g = [(packed[w * m + a] >> shift & mask) - s for a in allowed]  # front f's g, exact
                 low = min(g)
                 total -= low  # now the later slots' minima
-                i = next(i for i, v in enumerate(g) if (prefix + v + total < 0 if bland else v == low))
-                prefix += g[i]
-                last = last * m + allowed[i]
-            return f * width + last, prefix
-
-        lookup = dict(tables)
+                j = next(j for j, v in enumerate(g) if prefix + v + total < 0) if bland else g.index(low)
+                prefix += g[j]
+                last = last * m + allowed[j]
+            return f * per + last, prefix
 
         def column(j):
-            f, last = divmod(j, width)
+            f, last = divmod(j, per)
             col = []
-            for allowed, kss in reversed(lookup[f]):
+            for cw in reversed(self._cells[f]):
                 last, a = divmod(last, m)
-                col += [(i, 1) for i in kss[allowed.index(a)]]
+                col += [(position[r], 1) for r in cw[a] if r in position]
             return col
 
         feasible, vec, pivots = simplex(b, self.ncols, price, column)

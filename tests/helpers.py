@@ -484,3 +484,54 @@ def reference_check_marginal_selectivity(
                 if worst != 0:
                     violations.append(MarginalViolation(lam_list, ta, tb, worst))
     return MarginalReport(tuple(violations), total, max(1, n - 1))
+
+
+def reference_front_pricer(system, kept_rows, pre):
+    """`LftSystem.phase_one`'s (price, column), front by front: for each live
+    front, each slot's least g over its free outcomes, summed one cell at a
+    time.  Dantzig's rule takes the first front of least total, Bland's the
+    first whose total is negative; within it each slot takes its smallest
+    argmin, or under Bland's rule the smallest a that the later slots'
+    minima complete to a negative sum."""
+    position = dict(zip(kept_rows, range(len(kept_rows))))
+    tables = []  # (front, per slot (free outcomes, their kept positions))
+    for f, (cells, free) in enumerate(zip(system._cells, pre.free)):
+        if all(free):
+            tables.append((f, [(fw, [[position[r] for r in cw[a] if r in position] for a in fw])
+                               for cw, fw in zip(cells, free)]))
+    width, m = system.ncols // len(pre.free), system.design.outcome_sizes[-1]
+
+    def price(dual, bland):
+        get = dual.__getitem__
+        chosen = None
+        for f, slots in tables:
+            total = sum([min([sum(map(get, ks)) for ks in kss]) for _, kss in slots])
+            if bland and total < 0:
+                chosen = total, f, slots
+                break
+            if not bland and (chosen is None or total < chosen[0]):
+                chosen = total, f, slots
+        if chosen is None or bland and chosen[0] >= 0:
+            return -1, None
+        total, f, slots = chosen
+        prefix = last = 0
+        for allowed, kss in slots:
+            g = [sum(map(get, ks)) for ks in kss]
+            low = min(g)
+            total -= low  # now the later slots' minima
+            i = next(i for i, v in enumerate(g) if (prefix + v + total < 0 if bland else v == low))
+            prefix += g[i]
+            last = last * m + allowed[i]
+        return f * width + last, prefix
+
+    lookup = dict(tables)
+
+    def column(j):
+        f, last = divmod(j, width)
+        col = []
+        for allowed, kss in reversed(lookup[f]):
+            last, a = divmod(last, m)
+            col += [(i, 1) for i in kss[allowed.index(a)]]
+        return col
+
+    return price, column

@@ -56,6 +56,7 @@ from helpers import (
     mix_tables,
     random_small_design,
     random_tables_dataset,
+    reference_front_pricer,
     reference_presolve,
     reference_solve,
 )
@@ -616,6 +617,28 @@ _SYSTEM_DESIGNS = [
 ]
 
 
+def _dual_sequence(rng, k, n):
+    """Duals of length n for one pricer instance, in order: all zero (every
+    front ties); entries in {-1, 0, 1} and single-row duals (fronts tie in
+    classes); magnitudes rising by factors of 8 up to 2**300, with S = sum
+    |dual| just below and above each width's bound k (4S + 1) < 2**(W-1)
+    for W = 64, 128, 256; then shrinking again."""
+    seq = [[0] * n]
+    seq += [[rng.choice((-1, 0, 1)) for _ in range(n)] for _ in range(6)]
+    seq += [[0] * q + [rng.choice((-2, -1, 1))] + [0] * (n - q - 1) for q in range(n)]
+    for e in [*range(0, 301, 3), *range(300, -1, -9)]:
+        seq.append([rng.randint(-4, 4) << e for _ in range(n)])
+        if e in (0, 150, 300):
+            for width in (64, 128, 256):
+                bound = 2 ** (width - 1) // (4 * k)
+                near = (bound * 2 // 3 + 1, bound * 9 // 10, bound - 1, bound, bound + 1)
+                for target in (bound // 2, *near, 2 * bound):
+                    raw = [rng.randint(-4, 4) for _ in range(n)]
+                    if any(raw):
+                        seq.append([v * (target // sum(map(abs, raw))) for v in raw])
+    return seq
+
+
 class TestLftSystem:
     """The structured system against dense references over `build_jdc_matrix`'s
     M: the presolve rule, a dense pricer and a Fraction tableau."""
@@ -650,6 +673,39 @@ class TestLftSystem:
                     if j >= 0:
                         assert sorted(got[3](live[j])) == cols[j]
         assert priced and (masked or design.n == 1 or min(ms) == 1)
+
+    @pytest.mark.parametrize("ks, ms, treatments", [*_SYSTEM_DESIGNS, ((4, 4), (2, 2), None), ((3, 3), (3, 3), None)])
+    def test_packed_pricing_matches_front_by_front(self, ks, ms, treatments, monkeypatch):
+        # one pricer instance per P, fed `_dual_sequence`: its digits widen
+        # past 64, 128 and 256 bits and the duals shrink again, so a stale
+        # width or layout, a misplaced guard bit or a wrong tie shows as a
+        # (column, cost) or a column that differs from the front-by-front loop
+        design = make_design(ks, ms, treatments)
+        lft = LftSystem(design)
+        rng = random.Random(sum(ks) * 100 + sum(ms) * 10 + len(ks) + 1)
+        k = design.input_sizes[-1]
+        draws = [_mixed_p(design, rng) for _ in range(3)]
+        if ks == (3, 3) and ms == (3, 3):  # zero cells: most fronts dead
+            draws = [list(build_p_vector(gen_classical(design, seed=s, max_support=3)[0])) for s in (3, 4)]
+        priced = dead = 0
+        for p in draws:
+            rows = collins_gisin_rows(design) if rng.random() < 0.5 else None
+            got = _capture_pricer(monkeypatch, lft, p, rows)
+            if got is None:
+                continue
+            pre = lft.presolve(p)
+            basis = range(lft.nrows) if rows is None else set(rows)
+            kept = [i for i in range(lft.nrows) if p[i] and i in basis]
+            price, column = reference_front_pricer(lft, kept, pre)
+            dead += any(len(fw) < ms[-1] for fs in pre.free if all(fs) for fw in fs)
+            for dual in _dual_sequence(rng, k, len(kept)):
+                for bland in (False, True):
+                    want = price(dual, bland)
+                    assert got[2](dual, bland) == want
+                    if want[0] >= 0:
+                        priced += 1
+                        assert got[3](want[0]) == column(want[0])
+        assert priced and (dead or ms[-1] == 1)
 
     @pytest.mark.parametrize("ks, ms, treatments", _SYSTEM_DESIGNS)
     def test_presolve_matches_sparse(self, ks, ms, treatments):
