@@ -14,22 +14,17 @@ from .cosphericity import (
     cosphericity_test,
 )
 from .distances import (
-    AxiomReport,
     ChainRecord,
     ChainReport,
     FineInequality,
     FineReport,
     InputPointSequence,
     OrderRelation,
-    canonical_tetrad,
     chain_test,
-    check_pq_metric_axioms,
     enumerate_irreducible_sequences,
     enumerate_tetradic_sequences,
     fine_inequalities,
-    order_distance,
     preset_order,
-    random_order,
 )
 from .errors import DatasetParseError, MarginalSelectivityError, SizeGuardError
 from .experiment import (
@@ -43,8 +38,6 @@ from .experiment import (
     ValidationReport,
     check_marginal_selectivity,
     make_design,
-    marginal,
-    transform_outputs,
     validate_dataset,
 )
 from .io import dataset_from_json_dict, dataset_to_json_dict, dump_dataset, load_dataset
@@ -55,7 +48,6 @@ from .lft import (
     build_jdc_matrix,
     build_p_vector,
     construct_si2,
-    restrict_design,
     run_lft,
 )
 from .rational_lp import (

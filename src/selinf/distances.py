@@ -25,7 +25,6 @@ built only when read.
 """
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, lru_cache
@@ -40,11 +39,8 @@ from .experiment import (
     ExperimentDesign,
     MarginalReport,
     Treatment,
-    ZERO,
     check_marginal_selectivity,
-    coerce_prob,
     parse_index,
-    scaled,
 )
 
 Point = tuple[int, int]  # (input position, value index), 1-based
@@ -115,45 +111,6 @@ def preset_order(design: ExperimentDesign, name: str) -> OrderRelation:
         if cls:
             classes.append(frozenset(cls))
     return OrderRelation(tuple(classes), name=name)
-
-
-def random_order(design: ExperimentDesign, rng: random.Random) -> OrderRelation:
-    """A random ranked partition of all (output, outcome) labels."""
-    pool = [
-        (lam, a)
-        for lam, m in enumerate(design.outcome_sizes, start=1)
-        for a in range(1, m + 1)
-    ]
-    rng.shuffle(pool)
-    classes: list[set[Labeled]] = [set([pool[0]])]
-    for el in pool[1:]:
-        if rng.random() < 0.5:
-            classes.append({el})
-        else:
-            classes[-1].add(el)
-    return OrderRelation(tuple(frozenset(c) for c in classes), name="random")
-
-
-def order_distance(
-    dataset: Dataset, treatment, lam1: int, lam2: int, order: OrderRelation
-) -> Fraction:
-    """Exact Pr[output lam1 strictly below output lam2] under one treatment."""
-    design = dataset.design
-    tr = tuple(treatment)
-    if not design.has_treatment(tr):
-        raise ValueError(f"unknown treatment {tr}")
-    if lam1 == lam2:
-        raise ValueError("order_distance needs two distinct outputs")
-    for lam in (lam1, lam2):
-        if not 1 <= lam <= design.n:
-            raise ValueError(f"output {lam} out of range")
-        if not order.covers(lam, design.outcome_sizes[lam - 1]):
-            raise ValueError(f"order does not cover all outcomes of output {lam}")
-    total = ZERO
-    for outcome, p in dataset.table(tr).items():
-        if order.rank(lam1, outcome[lam1 - 1]) < order.rank(lam2, outcome[lam2 - 1]):
-            total += p
-    return total
 
 
 @dataclass(frozen=True)
@@ -469,8 +426,8 @@ def fine_inequalities(
     needs marginal selectivity (the marginals are otherwise ill-defined): the
     caller's `check_marginal_selectivity` report of it if given, else a fresh
     check.  The family subtracting p(1,1|1,2) comes first; its two bounds are
-    jointly equivalent to the canonical-tetrad chain pair under the two
-    preset orders.
+    jointly equivalent to the inequalities of the chain (1,1), (2,1), (1,2),
+    (2,2) under the two preset orders.
     """
     design = dataset.design
     if not design.is_2x2 or design.outcome_sizes != (2, 2):
@@ -500,70 +457,3 @@ def fine_inequalities(
         records.append(FineInequality(family, f"-1 <= {expr}", value, "lower"))
         records.append(FineInequality(family, f"{expr} <= 0", value, "upper"))
     return FineReport(tuple(records))
-
-
-def canonical_tetrad() -> InputPointSequence:
-    """The chain (1,1), (2,1), (1,2), (2,2) whose inequality pair under the
-    two preset orders matches the first Fine double inequality."""
-    return InputPointSequence(((1, 1), (2, 1), (1, 2), (2, 2)))
-
-
-class AxiomReport(NamedTuple):
-    """Order-distance axiom check on one explicit joint distribution."""
-
-    distances: dict[tuple[int, int], Fraction]
-    violations: tuple[str, ...]
-
-    @property
-    def passed(self) -> bool:
-        return not self.violations
-
-
-def check_pq_metric_axioms(
-    joint: Mapping[Sequence[int], object], order: OrderRelation
-) -> AxiomReport:
-    """Verify nonnegativity, zero self-distance, and every triangle
-    inequality for the order-distance on an explicit joint distribution over
-    at least three variables (keyed 1..v in the outcome tuples), its
-    probabilities read by `coerce_prob`.  The distances are summed, and the
-    triangles compared, in integers over the joint's common denominator."""
-    items = [(tuple(map(parse_index, key)), coerce_prob(p)) for key, p in joint.items()]
-    if not items:
-        raise ValueError("empty joint distribution")
-    v = len(items[0][0])
-    if v < 3:
-        raise ValueError("need a joint over at least three variables")
-    if any(len(key) != v for key, _ in items):
-        raise ValueError("ragged outcome tuples")
-    scale, weights = scaled(p for _, p in items)
-    if min(weights) < 0:
-        raise ValueError("negative probability in joint")
-    if sum(weights) != scale:
-        raise ValueError("joint distribution must sum to 1")
-
-    # ranked variable by variable, so an uncovered label raises for the first
-    # such variable, as a loop over the pairs (i, j) would
-    support = [(key, w) for (key, _), w in zip(items, weights) if w]
-    weights = [w for _, w in support]
-    ranks = [[order.rank(i, key[i - 1]) for key, _ in support] for i in range(1, v + 1)]
-    num = {
-        (i, j): sum([w for a, b, w in zip(ranks[i - 1], ranks[j - 1], weights) if a < b])
-        for i in range(1, v + 1)
-        for j in range(1, v + 1)
-    }
-    dist = {pair: Fraction(d, scale) for pair, d in num.items()}
-
-    violations = []
-    for (i, j), d in dist.items():
-        if d < 0:
-            violations.append(f"d({i},{j}) = {d} < 0")
-        if i == j and d != 0:
-            violations.append(f"d({i},{i}) = {d} != 0")
-    for i in range(1, v + 1):
-        for j in range(1, v + 1):
-            for k in range(1, v + 1):
-                if num[i, k] > num[i, j] + num[j, k]:
-                    violations.append(
-                        f"triangle fails: d({i},{k}) > d({i},{j}) + d({j},{k})"
-                    )
-    return AxiomReport(dist, tuple(violations))

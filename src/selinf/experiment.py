@@ -344,26 +344,6 @@ def validate_dataset(dataset: Dataset) -> ValidationReport:
     return ValidationReport(tuple(breaches))
 
 
-def marginal(dataset: Dataset, treatment, subset: Iterable[int]) -> dict[OutcomeTuple, Fraction]:
-    """Exact marginal of one treatment's table over a nonempty subset of inputs.
-
-    `subset` holds 1-based input positions; keys of the result are outcome
-    sub-tuples ordered by ascending input position.
-    """
-    tr = tuple(treatment)
-    if not dataset.design.has_treatment(tr):
-        raise ValueError(f"unknown treatment {tr}")
-    lam_list = sorted(set(parse_index(l) for l in subset))
-    if not lam_list:
-        raise ValueError("subset must be nonempty")
-    if lam_list[0] < 1 or lam_list[-1] > dataset.design.n:
-        raise ValueError(f"subset {lam_list} out of range")
-    out: dict[OutcomeTuple, Fraction] = defaultdict(lambda: ZERO)
-    for outcome, p in dataset.table(tr).items():
-        out[tuple([outcome[lam - 1] for lam in lam_list])] += p
-    return {k: v for k, v in out.items() if v != 0}
-
-
 def marginal_discrepancy(
     ma: Mapping[OutcomeTuple, Fraction], mb: Mapping[OutcomeTuple, Fraction]
 ) -> Fraction:
@@ -392,31 +372,6 @@ class MarginalReport(NamedTuple):
         return not self.violations
 
 
-def compare_marginals(
-    dataset: Dataset, lam_list: tuple[int, ...], group, pairs
-) -> tuple[dict[Treatment, dict[OutcomeTuple, int]], list[MarginalViolation]]:
-    """The marginal over the sorted inputs `lam_list` of each treatment of
-    `group`, summed once in the dataset's `integer_tables`, zeros dropped;
-    and a violation for each of `pairs` whose marginals differ, the only
-    place a Fraction is built.  A treatment without a table raises
-    ValueError."""
-    scale, tables = dataset.integer_tables
-    margs = {}
-    for tr in group:
-        dataset.table(tr)  # refuses a missing table
-        out: dict[OutcomeTuple, int] = defaultdict(int)
-        for outcome, v in tables[tr]:
-            out[tuple([outcome[lam - 1] for lam in lam_list])] += v
-        margs[tr] = {key: v for key, v in out.items() if v}
-    return margs, [
-        MarginalViolation(
-            lam_list, ta, tb, Fraction(marginal_discrepancy(margs[ta], margs[tb]), scale)
-        )
-        for ta, tb in pairs
-        if margs[ta] != margs[tb]
-    ]
-
-
 def check_marginal_selectivity(
     dataset: Dataset, comparison_guard: int = COMPARISON_GUARD
 ) -> MarginalReport:
@@ -425,7 +380,9 @@ def check_marginal_selectivity(
 
     If the number of (subset, pair) comparisons exceeds `comparison_guard`,
     raises SizeGuardError before any table is read.  The marginals are
-    compared in integers, by `compare_marginals`.
+    compared in integers: each treatment's is summed once in the dataset's
+    `integer_tables`, zeros dropped, and a `Fraction` is built only for a
+    violation.  A treatment without a table raises ValueError.
     """
     design = dataset.design
     n = design.n
@@ -445,56 +402,22 @@ def check_marginal_selectivity(
             f"(CLI: --marginal-guard) to run anyway"
         )
 
+    scale, tables = dataset.integer_tables
     violations: list[MarginalViolation] = []
     for lam_list, groups in groups_per_subset:
         for g in groups:
-            violations += compare_marginals(dataset, lam_list, g, combinations(g, 2))[1]
-    return MarginalReport(tuple(violations), total, max(1, n - 1))
-
-
-def transform_outputs(
-    dataset: Dataset,
-    maps: Mapping[tuple[int, int], Mapping[int, int]],
-    new_outputs: Sequence[Output] | None = None,
-) -> Dataset:
-    """Push every table forward through input-value-specific outcome maps.
-
-    `maps[(lam, w)]` recodes outcomes of output lam when input lam has value w;
-    it must be total on 1..m_lam.  Missing (lam, w) keys mean identity.  Under
-    treatment phi the map applied to coordinate lam is maps[(lam, phi(lam))].
-    Probabilities are preserved exactly by summing over preimages.
-    """
-    design = dataset.design
-    out_sizes = design.outcome_sizes
-    new_out = tuple(new_outputs) if new_outputs is not None else design.outputs
-    if len(new_out) != design.n:
-        raise ValueError("need one output per input")
-    new_sizes = tuple(o.size for o in new_out)
-
-    for (lam, w), mp in maps.items():
-        if not 1 <= lam <= design.n or not 1 <= w <= design.inputs[lam - 1].size:
-            raise ValueError(f"map key ({lam}, {w}) outside design")
-        dom = set(mp)
-        if dom != set(range(1, out_sizes[lam - 1] + 1)):
-            raise ValueError(
-                f"map for input {lam} value {w} must be total on 1..{out_sizes[lam - 1]}"
-            )
-        for tgt in mp.values():
-            if not 1 <= int(tgt) <= new_sizes[lam - 1]:
-                raise ValueError(
-                    f"map for input {lam} value {w} sends an outcome to {tgt}, "
-                    f"outside 1..{new_sizes[lam - 1]}; pass new_outputs to enlarge"
+            margs = {}
+            for tr in g:
+                dataset.table(tr)  # refuses a missing table
+                out: dict[OutcomeTuple, int] = defaultdict(int)
+                for outcome, v in tables[tr]:
+                    out[tuple([outcome[lam - 1] for lam in lam_list])] += v
+                margs[tr] = {key: v for key, v in out.items() if v}
+            violations += [
+                MarginalViolation(
+                    lam_list, ta, tb, Fraction(marginal_discrepancy(margs[ta], margs[tb]), scale)
                 )
-
-    new_tables: dict[Treatment, dict[OutcomeTuple, Fraction]] = {}
-    for tr, table in dataset.tables.items():
-        per_coord = [maps.get((lam, tr[lam - 1])) for lam in range(1, design.n + 1)]
-        row: dict[OutcomeTuple, Fraction] = defaultdict(lambda: ZERO)
-        for outcome, p in table.items():
-            image = tuple(
-                mp[a] if mp is not None else a for mp, a in zip(per_coord, outcome)
-            )
-            row[image] += p
-        new_tables[tr] = dict(row)
-    new_design = ExperimentDesign(design.inputs, new_out, design.treatments)
-    return Dataset(new_design, new_tables)
+                for ta, tb in combinations(g, 2)
+                if margs[ta] != margs[tb]
+            ]
+    return MarginalReport(tuple(violations), total, max(1, n - 1))

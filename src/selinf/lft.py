@@ -13,7 +13,8 @@ per treatment.
 `run_lft` never builds M: the solver reads `LftSystem`, derived from the
 design.  `build_jdc_matrix` builds M's rows as the columns of their 1s, row
 (t, o) as the Kronecker product of the rows (t_i, o_i) of per-input matrices
-M_i, for checks by plain arithmetic; no solver and no request reaches it.
+M_i, for the tests' checks by plain arithmetic and the benchmark's M span;
+no solver and no request reaches it.
 
 Phase one uses only the rows that `collins_gisin_rows` picks, which span M;
 presolve and certificate verification cover every row.
@@ -39,20 +40,17 @@ from math import prod
 from operator import mul
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
-from .errors import MarginalSelectivityError, SizeGuardError
+from .errors import SizeGuardError
 from .experiment import (
     DESIGN_CACHE,
     ONE,
     ZERO,
     Dataset,
     ExperimentDesign,
-    MarginalReport,
     OutcomeTuple,
     Treatment,
     ValidationReport,
     coerce_prob,
-    compare_marginals,
-    parse_index,
     scaled,
     validate_dataset,
 )
@@ -96,20 +94,11 @@ def p_length(design: ExperimentDesign) -> int:
     return prod(design.outcome_sizes) * len(design.treatments)
 
 
-def mixed_radix_index(digits: Sequence[int], bases: Sequence[int]) -> int:
-    """Index of 1-based digits in mixed radix `bases`, the first most significant."""
-    if len(digits) != len(bases):
-        raise ValueError(f"{tuple(digits)} has {len(digits)} digits, expected {len(bases)}")
-    idx = 0
-    for d, base in zip(digits, bases):
-        if not 1 <= d <= base:
-            raise ValueError(f"{tuple(digits)} out of range")
-        idx = idx * base + (d - 1)
-    return idx
-
-
 def mixed_radix_digits(idx: int, bases: Sequence[int]) -> tuple[int, ...]:
-    """The 1-based digits of `idx` in mixed radix `bases`: `mixed_radix_index`'s inverse."""
+    """The 1-based digits of `idx` in mixed radix `bases`, the first most
+    significant: Q's one index map, read by `QVector.assignment_at` and
+    `LftSystem.reproduces`.  An index outside 0..prod(bases) - 1 raises
+    ValueError."""
     if not 0 <= idx < prod(bases):
         raise ValueError("index out of range")
     digits = []
@@ -121,7 +110,7 @@ def mixed_radix_digits(idx: int, bases: Sequence[int]) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class QVector:
-    """Flat vector over deterministic assignments with its index maps.
+    """Flat vector over deterministic assignments with its index map.
 
     An assignment lists one outcome per (input, value) slot, slots ordered
     input 1 value 1, input 1 value 2, ..., input n value k_n.  The flat index
@@ -142,9 +131,6 @@ class QVector:
         if len(values) != q_length(self.design):
             raise ValueError(f"Q has length {len(values)}, design needs {q_length(self.design)}")
         object.__setattr__(self, "values", values)
-
-    def index_of(self, assignment: Sequence[int]) -> int:
-        return mixed_radix_index(assignment, slot_bases(self.design))
 
     def assignment_at(self, flat: int) -> Assignment:
         return mixed_radix_digits(flat, slot_bases(self.design))
@@ -733,40 +719,3 @@ def construct_si2(q: QVector, design: ExperimentDesign) -> Si2Model:
     if sum(weights) != 1:
         raise ValueError("Q does not sum to 1")
     return Si2Model(design, tuple(q.support()))
-
-
-def restrict_design(dataset: Dataset, subset) -> Dataset:
-    """Project the experiment onto a subset of inputs.
-
-    Treatments are projected (duplicates merged) and tables replaced by the
-    subset marginals, which is well defined only when marginal selectivity
-    holds on the subset; violations raise MarginalSelectivityError carrying
-    the offending comparisons.
-    """
-    design = dataset.design
-    lam_list = tuple(sorted(set(parse_index(l) for l in subset)))
-    if not lam_list:
-        raise ValueError("subset must be nonempty")
-    if lam_list[0] < 1 or lam_list[-1] > design.n:
-        raise ValueError(f"subset {lam_list} out of range")
-
-    groups = design.treatment_groups(lam_list)
-    scale = dataset.integer_tables[0]
-    margs, violations = {}, []
-    for proj, (ref, *others) in groups.items():
-        found, broken = compare_marginals(dataset, lam_list, (ref, *others), [(ref, tr) for tr in others])
-        margs[proj] = {o: Fraction(v, scale) for o, v in found[ref].items()}
-        violations += broken
-    if violations:
-        comparisons = sum(len(members) - 1 for members in groups.values())
-        report = MarginalReport(tuple(violations), comparisons, len(lam_list))
-        raise MarginalSelectivityError(
-            f"marginal selectivity fails on inputs {lam_list}", report
-        )
-
-    new_design = ExperimentDesign(
-        tuple(design.inputs[l - 1] for l in lam_list),
-        tuple(design.outputs[l - 1] for l in lam_list),
-        tuple(groups.keys()),
-    )
-    return Dataset(new_design, margs)

@@ -1,17 +1,23 @@
 """Shared test utilities: independent LP feasibility oracles and references,
 and random dataset samplers.  The oracles and references never call the
-solver under test."""
+solver under test.
+
+The exact `Fraction` forms that no `selinf` request calls live here, as the
+oracles of the tests of the paper's claims: `marginal`, `transform_outputs`,
+`order_distance`, `random_order` and `check_pq_metric_axioms`."""
 from __future__ import annotations
 
 import random
+from collections import defaultdict
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import comb, lcm
 from operator import mul
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from selinf import rational_lp
-from selinf.distances import ChainRecord, LinkEvaluation, order_distance
+from selinf.distances import ChainRecord, Labeled, LinkEvaluation, OrderRelation
 from selinf.errors import SizeGuardError
 from selinf.experiment import (
     ONE,
@@ -19,15 +25,203 @@ from selinf.experiment import (
     ExperimentDesign,
     MarginalReport,
     MarginalViolation,
+    OutcomeTuple,
+    Output,
+    Treatment,
+    coerce_prob,
     make_design,
-    marginal,
     marginal_discrepancy,
+    parse_index,
+    scaled,
 )
 from selinf.lft import build_jdc_matrix, q_length
 from selinf.rational_lp import FeasibilityResult
 
 F = Fraction
 ZERO = F(0)
+
+
+def marginal(dataset: Dataset, treatment, subset: Iterable[int]) -> dict[OutcomeTuple, Fraction]:
+    """Exact marginal of one treatment's table over a nonempty subset of inputs.
+
+    `subset` holds 1-based input positions; keys of the result are outcome
+    sub-tuples ordered by ascending input position.
+    """
+    tr = tuple(treatment)
+    if not dataset.design.has_treatment(tr):
+        raise ValueError(f"unknown treatment {tr}")
+    lam_list = sorted(set(parse_index(l) for l in subset))
+    if not lam_list:
+        raise ValueError("subset must be nonempty")
+    if lam_list[0] < 1 or lam_list[-1] > dataset.design.n:
+        raise ValueError(f"subset {lam_list} out of range")
+    out: dict[OutcomeTuple, Fraction] = defaultdict(lambda: ZERO)
+    for outcome, p in dataset.table(tr).items():
+        out[tuple([outcome[lam - 1] for lam in lam_list])] += p
+    return {k: v for k, v in out.items() if v != 0}
+
+
+def project(dataset: Dataset, subset: Sequence[int]) -> Dataset:
+    """The dataset on the inputs `subset`, sorted 1-based positions: each
+    treatment's values on them, and its table's `marginal` over them, taken
+    from the first treatment of each group; under marginal selectivity every
+    treatment of the group has that marginal."""
+    design = dataset.design
+    groups = design.treatment_groups(subset)
+    sub = ExperimentDesign(
+        tuple(design.inputs[l - 1] for l in subset),
+        tuple(design.outputs[l - 1] for l in subset),
+        tuple(groups),
+    )
+    return Dataset(sub, {proj: marginal(dataset, trs[0], subset) for proj, trs in groups.items()})
+
+
+def transform_outputs(
+    dataset: Dataset,
+    maps: Mapping[tuple[int, int], Mapping[int, int]],
+    new_outputs: Sequence[Output] | None = None,
+) -> Dataset:
+    """Push every table forward through input-value-specific outcome maps.
+
+    `maps[(lam, w)]` recodes outcomes of output lam when input lam has value w;
+    it must be total on 1..m_lam.  Missing (lam, w) keys mean identity.  Under
+    treatment phi the map applied to coordinate lam is maps[(lam, phi(lam))].
+    Probabilities are preserved exactly by summing over preimages.
+    """
+    design = dataset.design
+    out_sizes = design.outcome_sizes
+    new_out = tuple(new_outputs) if new_outputs is not None else design.outputs
+    if len(new_out) != design.n:
+        raise ValueError("need one output per input")
+    new_sizes = tuple(o.size for o in new_out)
+
+    for (lam, w), mp in maps.items():
+        if not 1 <= lam <= design.n or not 1 <= w <= design.inputs[lam - 1].size:
+            raise ValueError(f"map key ({lam}, {w}) outside design")
+        dom = set(mp)
+        if dom != set(range(1, out_sizes[lam - 1] + 1)):
+            raise ValueError(
+                f"map for input {lam} value {w} must be total on 1..{out_sizes[lam - 1]}"
+            )
+        for tgt in mp.values():
+            if not 1 <= int(tgt) <= new_sizes[lam - 1]:
+                raise ValueError(
+                    f"map for input {lam} value {w} sends an outcome to {tgt}, "
+                    f"outside 1..{new_sizes[lam - 1]}; pass new_outputs to enlarge"
+                )
+
+    new_tables: dict[Treatment, dict[OutcomeTuple, Fraction]] = {}
+    for tr, table in dataset.tables.items():
+        per_coord = [maps.get((lam, tr[lam - 1])) for lam in range(1, design.n + 1)]
+        row: dict[OutcomeTuple, Fraction] = defaultdict(lambda: ZERO)
+        for outcome, p in table.items():
+            image = tuple(
+                mp[a] if mp is not None else a for mp, a in zip(per_coord, outcome)
+            )
+            row[image] += p
+        new_tables[tr] = dict(row)
+    new_design = ExperimentDesign(design.inputs, new_out, design.treatments)
+    return Dataset(new_design, new_tables)
+
+
+def random_order(design: ExperimentDesign, rng: random.Random) -> OrderRelation:
+    """A random ranked partition of all (output, outcome) labels."""
+    pool = [
+        (lam, a)
+        for lam, m in enumerate(design.outcome_sizes, start=1)
+        for a in range(1, m + 1)
+    ]
+    rng.shuffle(pool)
+    classes: list[set[Labeled]] = [set([pool[0]])]
+    for el in pool[1:]:
+        if rng.random() < 0.5:
+            classes.append({el})
+        else:
+            classes[-1].add(el)
+    return OrderRelation(tuple(frozenset(c) for c in classes), name="random")
+
+
+def order_distance(
+    dataset: Dataset, treatment, lam1: int, lam2: int, order: OrderRelation
+) -> Fraction:
+    """Exact Pr[output lam1 strictly below output lam2] under one treatment."""
+    design = dataset.design
+    tr = tuple(treatment)
+    if not design.has_treatment(tr):
+        raise ValueError(f"unknown treatment {tr}")
+    if lam1 == lam2:
+        raise ValueError("order_distance needs two distinct outputs")
+    for lam in (lam1, lam2):
+        if not 1 <= lam <= design.n:
+            raise ValueError(f"output {lam} out of range")
+        if not order.covers(lam, design.outcome_sizes[lam - 1]):
+            raise ValueError(f"order does not cover all outcomes of output {lam}")
+    total = ZERO
+    for outcome, p in dataset.table(tr).items():
+        if order.rank(lam1, outcome[lam1 - 1]) < order.rank(lam2, outcome[lam2 - 1]):
+            total += p
+    return total
+
+
+class AxiomReport(NamedTuple):
+    """Order-distance axiom check on one explicit joint distribution."""
+
+    distances: dict[tuple[int, int], Fraction]
+    violations: tuple[str, ...]
+
+    @property
+    def passed(self) -> bool:
+        return not self.violations
+
+
+def check_pq_metric_axioms(
+    joint: Mapping[Sequence[int], object], order: OrderRelation
+) -> AxiomReport:
+    """Verify nonnegativity, zero self-distance, and every triangle
+    inequality for the order-distance on an explicit joint distribution over
+    at least three variables (keyed 1..v in the outcome tuples), its
+    probabilities read by `coerce_prob`.  The distances are summed, and the
+    triangles compared, in integers over the joint's common denominator."""
+    items = [(tuple(map(parse_index, key)), coerce_prob(p)) for key, p in joint.items()]
+    if not items:
+        raise ValueError("empty joint distribution")
+    v = len(items[0][0])
+    if v < 3:
+        raise ValueError("need a joint over at least three variables")
+    if any(len(key) != v for key, _ in items):
+        raise ValueError("ragged outcome tuples")
+    scale, weights = scaled(p for _, p in items)
+    if min(weights) < 0:
+        raise ValueError("negative probability in joint")
+    if sum(weights) != scale:
+        raise ValueError("joint distribution must sum to 1")
+
+    # ranked variable by variable, so an uncovered label raises for the first
+    # such variable, as a loop over the pairs (i, j) would
+    support = [(key, w) for (key, _), w in zip(items, weights) if w]
+    weights = [w for _, w in support]
+    ranks = [[order.rank(i, key[i - 1]) for key, _ in support] for i in range(1, v + 1)]
+    num = {
+        (i, j): sum([w for a, b, w in zip(ranks[i - 1], ranks[j - 1], weights) if a < b])
+        for i in range(1, v + 1)
+        for j in range(1, v + 1)
+    }
+    dist = {pair: Fraction(d, scale) for pair, d in num.items()}
+
+    violations = []
+    for (i, j), d in dist.items():
+        if d < 0:
+            violations.append(f"d({i},{j}) = {d} < 0")
+        if i == j and d != 0:
+            violations.append(f"d({i},{i}) = {d} != 0")
+    for i in range(1, v + 1):
+        for j in range(1, v + 1):
+            for k in range(1, v + 1):
+                if num[i, k] > num[i, j] + num[j, k]:
+                    violations.append(
+                        f"triangle fails: d({i},{k}) > d({i},{j}) + d({j},{k})"
+                    )
+    return AxiomReport(dist, tuple(violations))
 
 
 def matrix_rank(rows: list[list[Fraction]]) -> int:

@@ -17,20 +17,25 @@ from selinf.cosphericity import CorrelationQuad, correlations_from_dataset, cosp
 from selinf.distances import (
     InputPointSequence,
     OrderRelation,
-    canonical_tetrad,
     chain_test,
-    check_pq_metric_axioms,
     enumerate_irreducible_sequences,
     fine_inequalities,
     preset_order,
-    random_order,
 )
 from selinf.experiment import Dataset, check_marginal_selectivity, make_design, validate_dataset
 from selinf.generators import AngleSpec, gen_classical, gen_ghz, gen_prbox, gen_singlet
 from selinf.lft import build_p_vector, construct_si2, run_lft
 from selinf.rational_lp import FeasibilityResult
 
-from helpers import dense_certifies, dense_m, lifted_prbox, mix_tables, random_ms_chsh
+from helpers import (
+    check_pq_metric_axioms,
+    dense_certifies,
+    dense_m,
+    lifted_prbox,
+    mix_tables,
+    random_ms_chsh,
+    random_order,
+)
 
 F = Fraction
 CHSH = make_design((2, 2), (2, 2))
@@ -352,7 +357,7 @@ def test_criterion_07_chain_pair_equals_first_fine():
     rng = random.Random(707)
     d1 = preset_order(CHSH, "d1")
     d2 = preset_order(CHSH, "d2")
-    tetrad = canonical_tetrad()
+    tetrad = InputPointSequence(((1, 1), (2, 1), (1, 2), (2, 2)))
     disagreements = []
     for trial in range(1000):
         if trial % 3 == 0:

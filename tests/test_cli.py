@@ -103,6 +103,16 @@ class TestTest:
         assert main(["test", path]) == 1
         out = capsys.readouterr().out
         assert "first failing test: marginal-selectivity" in out
+        # output 1's marginal is 1/2 at (1, 1) and 1/3 at (1, 2)
+        assert main(["test", path, "--json"]) == 1
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["first_failure"] == "marginal-selectivity"
+        stage = doc["stages"][0]
+        assert (stage["name"], stage["status"]) == ("marginal-selectivity", "fail")
+        assert stage["detail"] == {
+            "comparisons": 4,
+            "violations": [{"subset": [1], "treatments": [[1, 1], [1, 2]], "discrepancy": "1/6"}],
+        }
 
     def test_json_report_schema(self, tmp_path, capsys):
         path = write(tmp_path, "pr.json", gen_prbox())

@@ -8,27 +8,30 @@ import pytest
 from selinf.distances import (
     InputPointSequence,
     OrderRelation,
-    canonical_tetrad,
     chain_test,
-    check_pq_metric_axioms,
     enumerate_irreducible_sequences,
     enumerate_tetradic_sequences,
     fine_inequalities,
-    order_distance,
     preset_order,
-    random_order,
 )
 from selinf.errors import MarginalSelectivityError, SizeGuardError
-from selinf.experiment import Dataset, check_marginal_selectivity, make_design, transform_outputs
+from selinf.experiment import Dataset, check_marginal_selectivity, make_design
 from selinf.generators import gen_classical, gen_prbox
 
 from helpers import (
+    check_pq_metric_axioms,
+    order_distance,
     random_ms_chsh,
+    random_order,
     random_tables_dataset,
     reference_chain_test,
+    transform_outputs,
 )
 
 F = Fraction
+# the chain whose inequality pair under the two preset orders matches the
+# first Fine double inequality
+TETRAD = InputPointSequence(((1, 1), (2, 1), (1, 2), (2, 2)))
 
 
 def uniform_chsh() -> Dataset:
@@ -159,6 +162,7 @@ class TestEnumeration:
         tet = enumerate_tetradic_sequences(design)
         assert brute_force_irreducible(design, 6) == sorted(s.points for s in tet)
         assert len(tet) == 8
+        assert [len(s) for s in tet] == [4] * 8
 
     def test_single_treatment_design_has_none(self):
         design = make_design((2, 2), (2, 2), treatments=[(1, 1)])
@@ -280,7 +284,7 @@ class TestChain:
         for _ in range(30):
             ds = random_ms_chsh(rng)
             d1 = preset_order(ds.design, "d1")
-            rec = chain_test(ds, d1, [canonical_tetrad()]).records[0]
+            rec = chain_test(ds, d1, [TETRAD]).records[0]
             assert rec.lhs == ds.prob((1, 2), (1, 2))
             expected_rhs = (
                 ds.prob((1, 1), (1, 2)) + ds.prob((2, 1), (2, 1)) + ds.prob((2, 2), (1, 2))
@@ -293,13 +297,13 @@ class TestChain:
         neq = {(1, 2): F(1, 2), (2, 1): F(1, 2)}
         ds = Dataset(design, {(1, 1): eq, (2, 1): eq, (2, 2): eq, (1, 2): neq})
         d1 = preset_order(design, "d1")
-        rec = chain_test(ds, d1, [canonical_tetrad()]).records[0]
+        rec = chain_test(ds, d1, [TETRAD]).records[0]
         assert rec.lhs == F(1, 2)
         assert rec.rhs == F(0)
         assert not rec.passed
         # matches the Fine verdict reproduced through the D1/D2 chain pair
         d2 = preset_order(design, "d2")
-        q2 = chain_test(ds, d2, [canonical_tetrad()]).records[0].passed
+        q2 = chain_test(ds, d2, [TETRAD]).records[0].passed
         fine = fine_inequalities(ds)
         first_ok = all(r.satisfied for r in fine.records if r.family == "p11|12")
         assert (rec.passed and q2) == first_ok

@@ -4,7 +4,7 @@ from itertools import product
 
 import pytest
 
-from selinf.distances import check_pq_metric_axioms, preset_order
+from selinf.distances import preset_order
 from selinf.errors import SizeGuardError
 from selinf.experiment import (
     Dataset,
@@ -14,10 +14,8 @@ from selinf.experiment import (
     check_marginal_selectivity,
     coerce_prob,
     make_design,
-    marginal,
     marginal_discrepancy,
     scaled,
-    transform_outputs,
     validate_dataset,
 )
 from selinf.generators import gen_classical, gen_double_detection, gen_prbox
@@ -25,9 +23,12 @@ from selinf.lft import LftSystem, QVector, build_p_vector, run_lft
 from selinf.rational_lp import FeasibilityResult, solve_equality_feasibility, verify_certificate
 
 from helpers import (
+    check_pq_metric_axioms,
+    marginal,
     random_small_design,
     random_tables_dataset,
     reference_check_marginal_selectivity,
+    transform_outputs,
 )
 
 F = Fraction

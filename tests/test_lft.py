@@ -6,12 +6,11 @@ from itertools import product
 from math import lcm
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from selinf import distances, lft
 from selinf.cli import main
-from selinf.distances import chain_test, enumerate_irreducible_sequences, preset_order, random_order
-from selinf.errors import MarginalSelectivityError, SizeGuardError
+from selinf.distances import chain_test, enumerate_irreducible_sequences, preset_order
+from selinf.errors import SizeGuardError
 from selinf.experiment import (
     DESIGN_CACHE,
     Dataset,
@@ -19,7 +18,6 @@ from selinf.experiment import (
     Input,
     check_marginal_selectivity,
     make_design,
-    transform_outputs,
     validate_dataset,
 )
 from selinf.generators import gen_classical, gen_ghz, gen_prbox
@@ -37,8 +35,8 @@ from selinf.lft import (
     p_length,
     q_length,
     q_slot_offsets,
-    restrict_design,
     run_lft,
+    slot_bases,
 )
 from selinf.io import dump_dataset, format_exact
 from selinf.rational_lp import (
@@ -54,11 +52,14 @@ from helpers import (
     lifted_prbox,
     matrix_rank,
     mix_tables,
+    project,
+    random_order,
     random_small_design,
     random_tables_dataset,
     reference_front_pricer,
     reference_presolve,
     reference_solve,
+    transform_outputs,
 )
 
 F = Fraction
@@ -81,20 +82,21 @@ class TestIndexing:
         p = build_p_vector(ds)
         assert type(p) is tuple and p == (F(1, 3), F(2, 3))
 
-    def test_wrong_length_outcome_rejected(self):
-        # zip would truncate (2,) and (1, 2, 2, 1, 2) to a prefix of (1, 2, 2, 1)
-        q = QVector(gen_prbox().design, (F(0),) * 16)
-        for assignment in ((2,), (1, 2, 2, 1, 2)):
-            with pytest.raises(ValueError, match="expected 4"):
-                q.index_of(assignment)
-        with pytest.raises(ValueError, match="out of range"):
-            q.index_of((1, 1, 1, 3))
-
-    def test_q_roundtrip(self):
-        design = make_design((2, 2), (2, 3))
+    @pytest.mark.parametrize(
+        "sizes",
+        [((2, 2), (2, 2)), ((1, 2), (3, 2)), ((2, 2, 2), (2, 2, 2)), ((2,), (3,))],
+        ids=lambda sizes: "-".join(",".join(map(str, s)) for s in sizes),
+    )
+    def test_assignment_at_lists_every_assignment(self, sizes):
+        # the flat index is mixed radix over the slots, the first most
+        # significant: index order is the product's order
+        design = make_design(*sizes)
         q = QVector(design, (F(0),) * q_length(design))
-        for flat in range(q_length(design)):
-            assert q.index_of(q.assignment_at(flat)) == flat
+        every = product(*(range(1, base + 1) for base in slot_bases(design)))
+        assert [q.assignment_at(i) for i in range(q_length(design))] == list(every)
+        for flat in (-1, q_length(design)):
+            with pytest.raises(ValueError, match="out of range"):
+                q.assignment_at(flat)
 
     def test_values_convert_to_exact_fractions(self):
         # Fractions are kept as given; ints and strings from library callers
@@ -109,20 +111,6 @@ class TestIndexing:
         assert q.values[0] != 0.1  # exact, not the float nearest 1/10
         with pytest.raises(ValueError):
             QVector(design, ("half", 0))
-
-    @settings(max_examples=60, deadline=None, derandomize=True)
-    @given(st.integers(0, 10**6), st.integers(0, 3))
-    def test_q_roundtrip_property(self, flat, pick):
-        designs = [
-            make_design((2, 2), (2, 2)),
-            make_design((1, 2), (3, 2)),
-            make_design((2, 2, 2), (2, 2, 2)),
-            make_design((2,), (3,)),
-        ]
-        design = designs[pick]
-        flat %= q_length(design)
-        q = QVector(design, (F(0),) * q_length(design))
-        assert q.index_of(q.assignment_at(flat)) == flat
 
 
 class TestJdcMatrix:
@@ -454,32 +442,11 @@ class TestSi2Model:
 
 
 class TestRestrictDesign:
-    def test_full_subset_identity(self):
-        pr = gen_prbox()
-        assert restrict_design(pr, {1, 2}) == pr
-
-    def test_chsh_restricted_to_first_input(self):
-        pr = gen_prbox()
-        with pytest.raises(ValueError, match="not an integer"):
-            restrict_design(pr, [1.5])  # int() would truncate it to input 1
-        sub = restrict_design(pr, {1})
-        assert sub.design.n == 1
-        assert sub.design.treatments == ((1,), (2,))
-        assert sub.table((1,)) == {(1,): F(1, 2), (2,): F(1, 2)}
-
-    def test_violation_raises_with_report(self):
-        design = make_design((2, 2), (2, 2))
-        tables = {}
-        for i, j in design.treatments:
-            p1 = F(1, 2) if (i, j) != (1, 2) else F(1, 3)
-            tables[(i, j)] = {(1, 1): p1 * F(1, 2), (1, 2): p1 * F(1, 2),
-                              (2, 1): (1 - p1) * F(1, 2), (2, 2): (1 - p1) * F(1, 2)}
-        with pytest.raises(MarginalSelectivityError) as exc:
-            restrict_design(Dataset(design, tables), {1})
-        assert exc.value.report.violations
-        assert exc.value.report.comparisons == 2
+    """A dataset restricted to a subset of its inputs, by `helpers.project`."""
 
     def test_nestedness(self):
+        # selective influences on all inputs imply them on every subset: the
+        # projection is well defined under marginal selectivity, checked first
         rng = random.Random(31)
         for _ in range(12):
             design = random_small_design(rng, max_n=3, max_m=2, factorial=True)
@@ -487,7 +454,8 @@ class TestRestrictDesign:
             assert run_lft(ds).feasible
             n = design.n
             subset = sorted(rng.sample(range(1, n + 1), rng.randint(1, n)))
-            sub = restrict_design(ds, subset)
+            assert check_marginal_selectivity(ds).passed
+            sub = project(ds, subset)
             assert run_lft(sub).feasible
 
 

@@ -7,7 +7,6 @@ import pytest
 
 from selinf.cosphericity import CosphericityResult
 from selinf.distances import (
-    AxiomReport,
     ChainRecord,
     ChainReport,
     FineInequality,
@@ -34,7 +33,6 @@ RECORDS = [
     ChainReport,
     FineInequality,
     FineReport,
-    AxiomReport,
     FeasibilityResult,
     LftVerdict,
     Si2Model,
