@@ -22,7 +22,6 @@ from .distances import (
     OrderRelation,
     chain_test,
     enumerate_irreducible_sequences,
-    enumerate_tetradic_sequences,
     fine_inequalities,
     preset_order,
 )

@@ -15,7 +15,8 @@ two values of one input.  In a chain of length 5 or more, (1, 3), (1, 4)
 and (2, 4) are such pairs, which puts positions 1 to 4 on one input, yet
 positions 1 and 2 must co-occur.  In a 4-chain, (1, 3) and (2, 4) are such
 pairs, which makes it an alternating tetrad; three pairwise co-occurring
-points lie in one treatment, so there is no irreducible 3-chain.
+points lie in one treatment, so there is no irreducible 3-chain.  A test
+checks the one search, which serves every design, against these tetrads.
 
 `chain_test` reads each chain as indices into the point pairs that a plan,
 compiled once per sequence list, numbers; per order it sums each (treatment,
@@ -25,10 +26,10 @@ built only when read.
 """
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, lru_cache
-from itertools import permutations
 from operator import itemgetter
 from typing import Mapping, NamedTuple, Sequence
 
@@ -139,25 +140,21 @@ class InputPointSequence:
         return self.points[0], self.points[-1]
 
 
+@lru_cache(maxsize=DESIGN_CACHE)
 def _pair_realizers(design: ExperimentDesign) -> dict[tuple[Point, Point], tuple[Treatment, ...]]:
     """Each ordered pair of input points (a point is (input, value)) mapped to
     the treatments containing both, in sorted order.  A point paired with
-    itself is included; a pair that no treatment contains is absent.  Only
-    cached tables read it: the chains and their plans."""
-    pairs: dict[tuple[Point, Point], list[Treatment]] = {}
-    for tr in design.treatments:
-        points = list(enumerate(tr, start=1))
-        for a in points:
-            for b in points:
-                pairs.setdefault((a, b), []).append(tr)
-    return {pair: tuple(trs) for pair, trs in pairs.items()}
-
-
-def _too_many(sequence_guard: int) -> SizeGuardError:
-    return SizeGuardError(
-        f"more than {sequence_guard} irreducible sequences; raise "
-        f"sequence_guard (CLI: --sequence-guard) to enumerate them all"
-    )
+    itself is included; a pair that no treatment contains is absent.  Built
+    once per design: the chains and their plans read it."""
+    treatments, pairs = design.treatments, {}
+    for i in range(design.n):
+        for j in range(i, design.n):
+            groups = defaultdict(list)  # by their values on inputs i and j
+            for values, tr in zip(map(itemgetter(i, j), treatments), treatments):
+                groups[values].append(tr)
+            for (v, w), trs in groups.items():
+                pairs[(i + 1, v), (j + 1, w)] = pairs[(j + 1, w), (i + 1, v)] = tuple(trs)
+    return pairs
 
 
 def enumerate_irreducible_sequences(
@@ -171,11 +168,10 @@ def enumerate_irreducible_sequences(
     chains (the distance is asymmetric), so both are returned.  Output is
     deterministic: ordered by length, then lexicographically.
 
-    On a full-factorial design these are `enumerate_tetradic_sequences`,
-    counted against `sequence_guard` before any is built; any other
-    treatment set is searched depth first.  The chains are found once per
-    (design, max_len, sequence_guard) per process and returned in a new
-    list; a breached guard raises on every call.
+    One depth-first search serves every treatment set and counts each chain
+    against `sequence_guard` as it finds it (on factorial designs it finds the
+    tetrads, as a test checks).  Found once per (design, max_len, guard) per
+    process, the chains come in a new list; a breached guard raises each call.
     """
     return list(_irreducible_sequences(design, max_len, sequence_guard))
 
@@ -186,65 +182,45 @@ def _irreducible_sequences(
 ) -> tuple[InputPointSequence, ...]:
     if max_len < 3:
         raise ValueError("max_len must be >= 3")
-    if design.is_factorial:
-        if max_len < 4:
-            return ()
-        per_input = [k * (k - 1) for k in design.input_sizes]
-        if sum(per_input) ** 2 - sum(c * c for c in per_input) > sequence_guard:
-            raise _too_many(sequence_guard)
-        return tuple(enumerate_tetradic_sequences(design))
     points = design.input_points()
     pairs = _pair_realizers(design)
-    results: list[InputPointSequence] = []
+    # each point's co-occurring points, itself among them: in point order, and as a set
+    near = {p: [q for q in points if (p, q) in pairs] for p in points}
+    meets = {p: set(qs) for p, qs in near.items()}
+    results: list[tuple[Point, ...]] = []
 
-    def extend(seq: list[Point], target: int) -> None:
-        last = len(seq) + 1 == target
-        for cand in points:
-            # cand must co-occur with the point before it and differ from it
-            # (adjacent duplicates are always reducible), and co-occur with
-            # no earlier point but the other endpoint, which must co-occur
-            if cand == seq[-1] or (seq[-1], cand) not in pairs:
+    def extend(seq: list[Point], blocked: set[Point]) -> None:
+        # seq: two points or more.  blocked: the points that co-occur with an interior point
+        # (seq[1:-1]), those among them, so no point repeats and no path outgrows the point count
+        first, last = seq[0], seq[-1]
+        if len(seq) == 2:  # each input's values in the treatments holding both
+            columns = list(zip(*pairs[first, last]))
+        for cand in near[last]:
+            if cand in blocked:
                 continue
-            if any((p, cand) in pairs for p in seq[last:-1]):
-                continue
-            if not last:
+            if cand in meets[first]:
+                # cand closes a chain, unless it is the first point or makes
+                # a 3-chain inside one treatment (both reducible)
+                if cand != first and not (len(seq) == 2 and cand[1] in columns[cand[0] - 1]):
+                    if len(results) >= sequence_guard:
+                        raise SizeGuardError(
+                            f"more than {sequence_guard} irreducible sequences; raise "
+                            f"sequence_guard (CLI: --sequence-guard) to enumerate them all"
+                        )
+                    results.append((*seq, cand))
+            elif len(seq) + 1 < max_len:
                 seq.append(cand)
-                extend(seq, target)
+                extend(seq, blocked | meets[last])
                 seq.pop()
-            elif seq[0] != cand and (seq[0], cand) in pairs and not (
-                # a 3-chain inside one treatment is reducible
-                target == 3 and any(tr[cand[0] - 1] == cand[1] for tr in pairs[seq[0], seq[1]])
-            ):
-                if len(results) >= sequence_guard:
-                    raise _too_many(sequence_guard)
-                results.append(InputPointSequence((*seq, cand)))
 
-    # an irreducible chain repeats no point: two equal points co-occur, so
-    # they would have to be designated, and an adjacent repeat makes a
-    # reducible triple; so no chain is longer than the point count
-    for target in range(3, min(max_len, len(points)) + 1):
-        for start in points:
-            extend([start], target)
-    return tuple(results)
-
-
-def enumerate_tetradic_sequences(design: ExperimentDesign) -> list[InputPointSequence]:
-    """All alternating tetrads x, y, s, t (x, s on one input, y, t on another,
-    x != s, y != t) for a full-factorial treatment set; both input orientations
-    are produced since reversed chains are distinct tests."""
-    if not design.is_factorial:
-        raise ValueError(
-            "tetradic enumeration needs the full factorial treatment set; "
-            "use enumerate_irreducible_sequences for restricted treatment sets"
-        )
-    k = design.input_sizes
-    tetrads = sorted(
-        ((l1, x), (l2, y), (l1, s), (l2, t))
-        for l1, l2 in permutations(range(1, design.n + 1), 2)
-        for x, s in permutations(range(1, k[l1 - 1] + 1), 2)
-        for y, t in permutations(range(1, k[l2 - 1] + 1), 2)
-    )
-    return list(map(InputPointSequence, tetrads))
+    for first in points:
+        for second in near[first]:
+            if second != first:
+                extend([first, second], set())
+    # extend calls itself (a cycle): freed with its tables before the cached chains are built.
+    # Depth first is lexicographic within each length, and sorted() is stable
+    del extend, near, meets
+    return tuple(map(InputPointSequence, sorted(results, key=len)))
 
 
 class LinkEvaluation(NamedTuple):

@@ -4,20 +4,22 @@ solver under test.
 
 The exact `Fraction` forms that no `selinf` request calls live here, as the
 oracles of the tests of the paper's claims: `marginal`, `transform_outputs`,
-`order_distance`, `random_order` and `check_pq_metric_axioms`."""
+`order_distance`, `random_order` and `check_pq_metric_axioms`; so does
+the closed form of the irreducible chains on a full-factorial design,
+`enumerate_tetradic_sequences`."""
 from __future__ import annotations
 
 import random
 from collections import defaultdict
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, permutations
 from math import comb, lcm
 from operator import mul
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from selinf import rational_lp
-from selinf.distances import ChainRecord, Labeled, LinkEvaluation, OrderRelation
+from selinf.distances import ChainRecord, InputPointSequence, Labeled, LinkEvaluation, OrderRelation
 from selinf.errors import SizeGuardError
 from selinf.experiment import (
     ONE,
@@ -222,6 +224,25 @@ def check_pq_metric_axioms(
                         f"triangle fails: d({i},{k}) > d({i},{j}) + d({j},{k})"
                     )
     return AxiomReport(dist, tuple(violations))
+
+
+def enumerate_tetradic_sequences(design: ExperimentDesign) -> list[InputPointSequence]:
+    """All alternating tetrads x, y, s, t (x, s on one input, y, t on another,
+    x != s, y != t) for a full-factorial treatment set; both input orientations
+    are produced since reversed chains are distinct tests."""
+    if not design.is_factorial:
+        raise ValueError(
+            "tetradic enumeration needs the full factorial treatment set; "
+            "use enumerate_irreducible_sequences for restricted treatment sets"
+        )
+    k = design.input_sizes
+    tetrads = sorted(
+        ((l1, x), (l2, y), (l1, s), (l2, t))
+        for l1, l2 in permutations(range(1, design.n + 1), 2)
+        for x, s in permutations(range(1, k[l1 - 1] + 1), 2)
+        for y, t in permutations(range(1, k[l2 - 1] + 1), 2)
+    )
+    return list(map(InputPointSequence, tetrads))
 
 
 def matrix_rank(rows: list[list[Fraction]]) -> int:

@@ -10,7 +10,6 @@ from selinf.distances import (
     OrderRelation,
     chain_test,
     enumerate_irreducible_sequences,
-    enumerate_tetradic_sequences,
     fine_inequalities,
     preset_order,
 )
@@ -20,6 +19,7 @@ from selinf.generators import gen_classical, gen_prbox
 
 from helpers import (
     check_pq_metric_axioms,
+    enumerate_tetradic_sequences,
     order_distance,
     random_ms_chsh,
     random_order,
@@ -154,10 +154,45 @@ def brute_force_irreducible(design, max_len):
     return sorted(found)
 
 
+def small_designs():
+    """Small binary-output designs, two of them with two treatments dropped
+    at random (seeded), each with its (input sizes, factorial) tag."""
+    rng = random.Random(2)
+    shapes = [
+        ((2, 2), True), ((2, 2), False), ((2, 3), True), ((2, 2, 2), True), ((3, 2), False),
+        ((3, 3), True), ((2, 3, 2), True), ((4, 2), True),
+    ]
+    for k, factorial in shapes:
+        m = tuple(2 for _ in k)
+        design = make_design(k, m)
+        if not factorial:
+            full = list(design.treatments)
+            design = make_design(k, m, treatments=rng.sample(full, max(2, len(full) - 2)))
+        yield (k, factorial), design
+
+
+# a restricted design with irreducible chains of 3, 4, 5 and 6 points
+LONG_CHAINS = make_design(
+    (3, 3, 2), (2, 2, 2), treatments=[(1, 1, 1), (1, 2, 1), (2, 2, 2), (2, 3, 1), (3, 1, 1), (3, 3, 2)]
+)
+TETRAD_DESIGNS = [(2, 2), (3, 3), (4, 4), (2, 1), (1, 1), (2, 2, 2), (3, 2, 2), (2, 3, 3), (2, 2, 2, 2)]
+
+
 class TestEnumeration:
+    @pytest.mark.parametrize("sizes", TETRAD_DESIGNS, ids=lambda k: ",".join(map(str, k)))
+    def test_search_finds_the_tetrads_on_factorial_designs(self, sizes):
+        # the paper's reduction: on a full-factorial design the irreducible
+        # chains are the alternating tetrads, in the closed form's order, at
+        # every max_len from 4 up; no irreducible 3-chain exists
+        design = make_design(sizes, (2,) * len(sizes))
+        tetrads = enumerate_tetradic_sequences(design)
+        for max_len in (4, 6, 8, 10**9):
+            assert enumerate_irreducible_sequences(design, max_len=max_len) == tetrads, max_len
+        assert enumerate_irreducible_sequences(design, max_len=3) == []
+
     def test_chsh_irreducible_equals_tetrads(self):
         # the definition, applied by the oracle up to 6 points, gives the
-        # closed-form tetrads (which the enumeration returns on this design)
+        # closed-form tetrads
         design = make_design((2, 2), (2, 2))
         tet = enumerate_tetradic_sequences(design)
         assert brute_force_irreducible(design, 6) == sorted(s.points for s in tet)
@@ -169,20 +204,32 @@ class TestEnumeration:
         assert enumerate_irreducible_sequences(design, max_len=5) == []
 
     def test_matches_brute_force_on_small_designs(self):
-        rng = random.Random(2)
-        shapes = [
-            ((2, 2), True), ((2, 2), False), ((2, 3), True), ((2, 2, 2), True), ((3, 2), False),
-            ((3, 3), True), ((2, 3, 2), True), ((4, 2), True),
-        ]
-        for k, factorial in shapes:
-            m = tuple(2 for _ in k)
-            design = make_design(k, m)
-            if not factorial:
-                full = list(design.treatments)
-                design = make_design(k, m, treatments=rng.sample(full, max(2, len(full) - 2)))
+        for (k, factorial), design in small_designs():
             got = sorted(s.points for s in enumerate_irreducible_sequences(design, max_len=5))
             want = brute_force_irreducible(design, 5)
             assert got == want, (k, factorial)
+        # the random restricted designs above hold no chain; this one holds
+        # chains of 3 to 5 points up to max_len 5
+        got = sorted(s.points for s in enumerate_irreducible_sequences(LONG_CHAINS, max_len=5))
+        assert got == brute_force_irreducible(LONG_CHAINS, 5) and {len(p) for p in got} == {3, 4, 5}
+
+    def test_order_is_by_length_then_lexicographic(self):
+        # the order sets the order of the failure records and which chain
+        # the LFT's chain route certifies.  The random non-factorial designs
+        # of the brute-force test above hold no chain, so two restricted
+        # designs with chains of several lengths join them: 3 and 4 points,
+        # and 3 to 6 points
+        designs = [design for (_, factorial), design in small_designs() if not factorial]
+        designs += [
+            make_design((2, 2, 2), (2, 2, 2), treatments=[(1, 1, 1), (2, 1, 2), (1, 2, 2), (2, 2, 1)]),
+            LONG_CHAINS,
+        ]
+        lengths = []
+        for design in designs:
+            got = enumerate_irreducible_sequences(design, max_len=6)
+            assert got == sorted(got, key=lambda s: (len(s), s.points)), design.treatments
+            lengths.append(sorted({len(s) for s in got}))
+        assert lengths[-2:] == [[3, 4], [3, 4, 5, 6]]
 
     def test_matches_brute_force_up_to_length_six(self):
         # exhaustive up to the default cap on the smallest interesting designs,
@@ -221,7 +268,7 @@ class TestEnumeration:
 
     def test_sequence_guard_boundary(self):
         # a count equal to the guard is accepted and one more is refused, on
-        # the tetrads' closed form and on the search alike
+        # a factorial and a restricted treatment set
         factorial = make_design((3, 2, 2), (2, 2, 2))
         restricted = make_design((3, 2, 2), (2, 2, 2), treatments=factorial.treatments[1:])
         for design in (factorial, restricted):

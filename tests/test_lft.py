@@ -1007,6 +1007,7 @@ DESIGN_TABLES = (
 def _clear_design_tables():
     for table in DESIGN_TABLES:
         table.cache_clear()
+    distances._pair_realizers.cache_clear()
     distances._PLANS.clear()
 
 
@@ -1044,6 +1045,9 @@ class TestDesignTables:
             built = 2 if table is distances.preset_order else 1
             info = table.cache_info()
             assert (info.misses, info.currsize) == (built, built) and info.hits >= 2, (table, info)
+        # the pair table: built by the first request's enumeration, read by its plan
+        info = distances._pair_realizers.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 1, 1), info
         # one chain plan, built by the first request and read by the others
         (plan,) = distances._PLANS.values()
         self._request(argv, capsys)
@@ -1108,7 +1112,7 @@ class TestDesignTables:
         first = [(LftSystem(d)._cells, collins_gisin_rows(d), enumerate_irreducible_sequences(d)) for d in designs]
         for d in designs:
             distances._chain_plan(d, tuple(enumerate_irreducible_sequences(d)))
-        for table in DESIGN_TABLES:
+        for table in (*DESIGN_TABLES, distances._pair_realizers):
             info = table.cache_info()
             assert info.maxsize == DESIGN_CACHE and info.currsize <= DESIGN_CACHE, (table, info)
         assert len(distances._PLANS) == DESIGN_CACHE
