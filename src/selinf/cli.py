@@ -270,7 +270,7 @@ def cmd_generate(args) -> int:
     elif args.kind == "prbox":
         dataset = gen_prbox()
     elif args.kind == "singlet":
-        tokens = [t for t in args.angles.split(",") if t.strip()]
+        tokens = args.angles.split(",")
         if len(tokens) != 4:
             raise ValueError("--angles needs four comma-separated values: a1,a2,b1,b2")
         fr = [parse_angle(t) for t in tokens]

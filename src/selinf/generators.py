@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .experiment import Dataset, ExperimentDesign, Input, Output, ZERO, coerce_prob, make_design
+from .experiment import Dataset, ExperimentDesign, Input, Output, coerce_prob, make_design
 from .errors import SizeGuardError
 from .lft import COLUMN_GUARD, QVector, construct_si2, q_length
 
@@ -46,28 +46,23 @@ class AngleSpec:
 def parse_angle(token: str) -> Fraction:
     """Parse an angle token into a rational multiple of pi.
 
-    Accepts "pi/2", "3pi/4", "-pi", "0", and bare rationals (interpreted as
-    multiples of pi, so "1/4" means pi/4).  The number is read by
+    An angle is a bare rational r, read as a multiple of pi ("1/4" means
+    pi/4), or [r][*]pi[/q], where an empty r, "+" or "-" means 1, 1 or -1:
+    "pi/2", "3pi/4", "2*pi/3", "-pi", "1/2pi".  Nothing but "/q" may follow
+    "pi", so "3pi4", "pipi" and "pi*3" are refused.  The number is read by
     `coerce_prob`, which refuses a decimal exponent beyond `MAX_EXPONENT`.
     """
-    token = token.strip().lower()
-    if not token:
+    text = token.strip().lower()
+    if not text:
         raise ValueError("empty angle")
-    if "pi" in token:
-        token = token.replace("pi", "")
-        if token in ("", "+"):
-            token = "1"
-        elif token == "-":
-            token = "-1"
-        elif token.startswith("/"):
-            token = "1" + token
-        elif token.startswith("-/"):
-            token = "-1" + token[1:]
-        elif token.endswith("*"):
-            token = token[:-1]
-        token = token.replace("*", "")
+    head, pi, tail = text.partition("pi")
+    if tail[:1] not in ("", "/"):
+        raise ValueError(f"malformed angle {token!r}")
+    if pi:
+        head = head.removesuffix("*")
+        head = {"": "1", "+": "1", "-": "-1"}.get(head, head)
     try:
-        return coerce_prob(token)
+        return coerce_prob(head + tail)
     except (ValueError, ZeroDivisionError):
         raise ValueError(f"malformed angle {token!r}") from None
 
@@ -135,11 +130,14 @@ def gen_singlet(angles: AngleSpec | Sequence, precision: int = 12) -> Dataset:
     side: p(k, l | i, j) = (1 + s_k s_l E_ij) / 4 with s_1 = +1, s_2 = -1 and
     E_ij = -cos(a_i - b_j).
 
-    Each probability is rounded to `precision` decimal digits and the table
-    rebuilt around averaged margins, so marginal selectivity holds exactly
-    after rationalization.  Precision below 6 digits is rejected, and so is
-    precision above `sys.float_info.max_10_exp` (308), where 10**precision
-    overflows a float.
+    The law gives p(1, 1) = p(2, 2) and p(1, 2) = p(2, 1).  Per treatment,
+    a = (1 + E)/4 and b = (1 - E)/4 are rounded to `precision` decimal
+    digits, p(1, 1) = p(2, 2) = a / (2(a + b)) and p(1, 2) = p(2, 1) =
+    1/2 - p(1, 1).  Each row and column then sums to exactly 1/2, so every
+    single marginal is 1/2 under every treatment and marginal selectivity
+    holds exactly after rationalization.  Precision below 6 digits is
+    rejected, and so is precision above `sys.float_info.max_10_exp` (308),
+    where 10**precision overflows a float.
     """
     if precision < 6:
         raise ValueError("precision below 6 digits makes verdicts unreliable")
@@ -152,45 +150,16 @@ def gen_singlet(angles: AngleSpec | Sequence, precision: int = 12) -> Dataset:
     if len(angles.per_input) != 2 or any(len(a) != 2 for a in angles.per_input):
         raise ValueError("singlet needs two inputs with two angles each")
 
-    design = make_design((2, 2), (2, 2))
-    sign = {1: 1, 2: -1}
-
-    rounded: dict[tuple[int, int], dict[tuple[int, int], Fraction]] = {}
-    for i in (1, 2):
-        for j in (1, 2):
-            e = -math.cos(angles.radians(1, i) - angles.radians(2, j))
-            table = {
-                (k, l): _round_fraction((1 + sign[k] * sign[l] * e) / 4, precision)
-                for k in (1, 2)
-                for l in (1, 2)
-            }
-            total = sum(table.values())
-            rounded[(i, j)] = {kl: p / total for kl, p in table.items()}
-
-    # averaged margins keep marginal selectivity exact after rounding
-    row_marg = {
-        i: sum(rounded[(i, j)][(1, 1)] + rounded[(i, j)][(1, 2)] for j in (1, 2)) / 2
-        for i in (1, 2)
-    }
-    col_marg = {
-        j: sum(rounded[(i, j)][(1, 1)] + rounded[(i, j)][(2, 1)] for i in (1, 2)) / 2
-        for j in (1, 2)
-    }
-
+    # tables and outcomes in design order: cosphericity sums floats in it
     tables = {}
     for i in (1, 2):
         for j in (1, 2):
-            r, c = row_marg[i], col_marg[j]
-            lo = max(ZERO, r + c - 1)
-            hi = min(r, c)
-            p11 = min(max(rounded[(i, j)][(1, 1)], lo), hi)
-            tables[(i, j)] = {
-                (1, 1): p11,
-                (1, 2): r - p11,
-                (2, 1): c - p11,
-                (2, 2): 1 - r - c + p11,
-            }
-    return Dataset(design, tables)
+            e = -math.cos(angles.radians(1, i) - angles.radians(2, j))
+            a = _round_fraction((1 + e) / 4, precision)
+            b = _round_fraction((1 - e) / 4, precision)
+            p11 = a / (2 * (a + b))
+            tables[(i, j)] = {(1, 1): p11, (1, 2): HALF - p11, (2, 1): HALF - p11, (2, 2): p11}
+    return Dataset(make_design((2, 2), (2, 2)), tables)
 
 
 # Exact fixture for the three-particle parity experiment: inputs choose the

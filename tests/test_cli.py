@@ -352,8 +352,8 @@ class TestGenerate:
         assert main(["generate", "classical", *big, "-o", str(tmp_path / "x.json")]) == 2
         capsys.readouterr()
         # a zero denominator, a huge exponent, a precision past the float
-        # range, a bad size list or a short rate list is one error line, not
-        # a traceback
+        # range, a bad size list, a short rate list, an empty angle field or
+        # a malformed angle is one error line, not a traceback
         for kind, *extra, message in (
             ("double-detection", "--rates", "1/2,1/2,1/2,1/0", "probability"),
             ("double-detection", "--coupling", "1/0", "probability"),
@@ -362,6 +362,9 @@ class TestGenerate:
             ("classical", "--inputs", "2,x", "bad size list '2,x'"),
             ("classical", "--inputs", "0", "bad size list '0'"),
             ("double-detection", "--rates", "1/2,1/2", "needs four values"),
+            ("singlet", "--angles", "0,,pi/2,pi/4,3pi/4", "needs four comma-separated values"),
+            ("singlet", "--angles", "0, ,pi/2,pi/4", "empty angle"),
+            ("singlet", "--angles", "3pi4,0,0,0", "malformed angle '3pi4'"),
         ):
             assert main(["generate", kind, *extra, "-o", str(tmp_path / "x.json")]) == 2
             err = capsys.readouterr().err

@@ -232,8 +232,11 @@ class TestEnumeration:
         assert lengths[-2:] == [[3, 4], [3, 4, 5, 6]]
 
     def test_matches_brute_force_up_to_length_six(self):
-        # exhaustive up to the default cap on the smallest interesting designs,
-        # including a restricted treatment set with genuinely long chains
+        # exhaustive up to the default cap on the smallest interesting designs:
+        # CHSH (8 four-point chains), a restricted (2,2) with no chain and a
+        # restricted (2,2,2) with 3- and 4-point chains.  LONG_CHAINS meets
+        # the oracle at 6 points in the CI step "Six-point chains against the
+        # brute-force oracle", which takes seconds
         for design in (
             make_design((2, 2), (2, 2)),
             make_design((2, 2), (2, 2), treatments=[(1, 1), (1, 2), (2, 2)]),

@@ -1,5 +1,8 @@
+import hashlib
+import io
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -16,9 +19,19 @@ from selinf.generators import (
     gen_singlet,
     parse_angle,
 )
+from selinf.io import dump_dataset
 from selinf.lft import COLUMN_GUARD, construct_si2, q_length, run_lft
 
 F = Fraction
+
+
+def singlet_sweep(seed=30, precisions=(6, 7, 9, 12)):
+    """300 seeded singlet datasets: two random rational angles per side
+    (multiples of pi in [-48, 48]) at a precision drawn from `precisions`."""
+    rng = random.Random(seed)
+    for _ in range(300):
+        angles = tuple(tuple(F(rng.randint(-48, 48), rng.randint(1, 24)) for _ in range(2)) for _ in range(2))
+        yield gen_singlet(angles, rng.choice(precisions))
 
 
 class TestClassical:
@@ -106,11 +119,36 @@ class TestSinglet:
         assert check_marginal_selectivity(ds).passed
 
     def test_all_single_marginals_exactly_half(self):
-        ds = gen_singlet(AngleSpec(((F(0), F(1, 2)), (F(1, 4), F(3, 4)))), 12)
-        for tr in ds.design.treatments:
-            for lam in (1, 2):
-                up = sum(p for o, p in ds.table(tr).items() if o[lam - 1] == 1)
-                assert up == F(1, 2)
+        optimal = gen_singlet(AngleSpec(((F(0), F(1, 2)), (F(1, 4), F(3, 4)))), 12)
+        for ds in (optimal, *singlet_sweep(), *singlet_sweep(31, (15, 16, 17, 20))):
+            for tr in ds.design.treatments:
+                for lam in (1, 2):
+                    up = sum(p for o, p in ds.table(tr).items() if o[lam - 1] == 1)
+                    assert up == F(1, 2)
+
+    @pytest.mark.parametrize(
+        "seed, precisions, pinned",
+        [
+            (30, (6, 7, 9, 12), "24db5f6eeba58e682ba89a77c27e11d7643589538a32a122ef535b31f244dae2"),
+            # from about 15 digits on, a float's own error makes the rounded
+            # pair miss 1/2 in some tables: these need the division by 2(a + b)
+            (31, (15, 16, 17, 20), "496f5813dacfbc819534e56f4158b0776f368544c76f07ff34e5527e3e129d8b"),
+        ],
+        ids=["6-12-digits", "15-20-digits"],
+    )
+    def test_seeded_sweep_pinned(self, seed, precisions, pinned):
+        # every dataset file byte for byte as the rounding-and-margin rebuild
+        # wrote it before the closed form replaced it; each table is
+        # symmetric under swapping both outcomes
+        digest = hashlib.sha256()
+        for ds in singlet_sweep(seed, precisions):
+            for tr in ds.design.treatments:
+                assert ds.prob(tr, (1, 1)) == ds.prob(tr, (2, 2))
+                assert ds.prob(tr, (1, 2)) == ds.prob(tr, (2, 1))
+            out = io.StringIO()
+            dump_dataset(ds, out)
+            digest.update(out.getvalue().encode())
+        assert digest.hexdigest() == pinned
 
     def test_low_precision_rejected(self):
         with pytest.raises(ValueError, match="precision"):
@@ -130,9 +168,15 @@ class TestSinglet:
         assert parse_angle("0") == F(0)
         assert parse_angle("1/4") == F(1, 4)
         assert parse_angle("1e-1000pi") == F(1, 10**1000)
-        # Fraction("1e-3000000") would build a 10-million-bit denominator
-        for token in ("about tau", "1e-3000000", "1E+3000000pi", "-1e-1001"):
-            with pytest.raises(ValueError):
+        for token, angle in (("2*pi/3", F(2, 3)), ("-pi/2", F(-1, 2)), ("+pi", F(1)), ("1/2pi", F(1, 2))):
+            assert parse_angle(token) == angle
+        # Fraction("1e-3000000") would build a 10-million-bit denominator,
+        # and nothing but "/q" may follow "pi"
+        for token in (
+            "about tau", "1e-3000000", "1E+3000000pi", "-1e-1001",
+            "3pi4", "pipi", "pi2", "2pi*", "pi*3",
+        ):
+            with pytest.raises(ValueError, match=re.escape(f"malformed angle {token!r}")):
                 parse_angle(token)
         # AngleSpec reads each angle as parse_angle reads its number: its
         # Fractions pass unchanged, a huge exponent and a float are refused
