@@ -73,8 +73,9 @@ def scaled(values: Iterable[Fraction]) -> tuple[int, list[int]]:
     """The lcm of the denominators of `values`, and each value times it, as
     ints in the same order."""
     values = list(values)
-    scale = lcm(*(v.denominator for v in values))
-    return scale, [v.numerator * (scale // v.denominator) for v in values]
+    denominators = [v.denominator for v in values]
+    scale = lcm(*denominators)
+    return scale, [v.numerator * (scale // d) for v, d in zip(values, denominators)]
 
 
 @dataclass(frozen=True)

@@ -50,7 +50,8 @@ def parse_angle(token: str) -> Fraction:
     pi/4), or [r][*]pi[/q], where an empty r, "+" or "-" means 1, 1 or -1:
     "pi/2", "3pi/4", "2*pi/3", "-pi", "1/2pi".  Nothing but "/q" may follow
     "pi", so "3pi4", "pipi" and "pi*3" are refused.  The number is read by
-    `coerce_prob`, which refuses a decimal exponent beyond `MAX_EXPONENT`.
+    `coerce_prob`, which refuses a decimal exponent beyond `MAX_EXPONENT`;
+    its reason follows the token in the error.
     """
     text = token.strip().lower()
     if not text:
@@ -63,8 +64,8 @@ def parse_angle(token: str) -> Fraction:
         head = {"": "1", "+": "1", "-": "-1"}.get(head, head)
     try:
         return coerce_prob(head + tail)
-    except (ValueError, ZeroDivisionError):
-        raise ValueError(f"malformed angle {token!r}") from None
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"malformed angle {token!r}: {exc}") from None
 
 
 def gen_classical(

@@ -34,11 +34,11 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
-from itertools import accumulate, compress, product, repeat
+from functools import cached_property, lru_cache, reduce
+from itertools import accumulate, chain, compress, product, repeat
 from math import prod
-from operator import mul
-from typing import TYPE_CHECKING, NamedTuple, Sequence
+from operator import and_, itemgetter, mul, not_, or_
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import SizeGuardError
 from .experiment import (
@@ -70,6 +70,7 @@ if TYPE_CHECKING:
 Assignment = tuple[int, ...]
 # default bound on the assignment count, the columns of M
 COLUMN_GUARD = 10**6
+FARKAS_BLOCK = 1 << 12  # assignments per block of the Farkas check
 
 
 @lru_cache(maxsize=DESIGN_CACHE)
@@ -144,11 +145,24 @@ class QVector:
         return tuple((v, self.assignment_at(i)) for i, v in self.values.support)
 
 
-def assignment_outcome(
-    assignment: Assignment, treatment: Treatment, offsets: tuple[int, ...]
-) -> OutcomeTuple:
-    """Outcome tuple the assignment produces under the treatment."""
-    return tuple(assignment[off + j - 1] for off, j in zip(offsets, treatment))
+@lru_cache(maxsize=DESIGN_CACHE)
+def _slot_readers(design: ExperimentDesign):
+    """Each slot's stride, and per treatment t its row base less its strides,
+    an `itemgetter` over its slots and a pad slot, and its (slot, stride)
+    pairs: outcomes times strides, padded with 0, summed onto it: t's row."""
+    sizes, offsets = design.outcome_sizes, q_slot_offsets(design)
+    strides = [prod(sizes[i + 1:]) for i in range(design.n)]
+    slots = tuple(s for s, k in zip(strides, design.input_sizes) for _ in range(k))
+    reads = [tuple((off + w - 1, s) for off, w, s in zip(offsets, tr, strides)) for tr in design.treatments]
+    return slots, tuple((t * prod(sizes) - sum(strides), itemgetter(*(s for s, _ in rd), len(slots)), rd)
+                        for t, rd in enumerate(reads))
+
+
+def _rows_met(design: ExperimentDesign, assignments: Iterable[Assignment]) -> Iterator[Iterator[int]]:
+    """Per treatment, the row each assignment (slot outcomes) meets under it."""
+    strides, readers = _slot_readers(design)
+    spread = [[*map(mul, h, strides), 0] for h in assignments]
+    return (map(sum, map(getter, spread), repeat(base)) for base, getter, _ in readers)
 
 
 def build_p_vector(
@@ -226,6 +240,19 @@ def _front_cells(design: ExperimentDesign) -> tuple[tuple[tuple[tuple[int, ...],
     return tuple(fronts)
 
 
+@lru_cache(maxsize=DESIGN_CACHE)
+def _cell_masks(design: ExperimentDesign) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+    """Per cell (w, a), c = w * m + a: its rows, and per row r the int F(r)
+    with bit f set iff front f's cell (w, a) holds r (rows keep their cell)."""
+    k, m = design.input_sizes[-1], design.outcome_sizes[-1]
+    masks = [defaultdict(int) for _ in range(k * m)]
+    for f, cells in enumerate(_front_cells(design)):
+        for held, rows in zip(masks, chain.from_iterable(cells)):
+            for r in rows:
+                held[r] |= 1 << f
+    return tuple((tuple(held), tuple(held.values())) for held in masks)
+
+
 class LftSystem:
     """The LFT's M as its design describes it, never built.
 
@@ -235,14 +262,13 @@ class LftSystem:
     yields o under t: the front's outcomes under t, then a_{t_n}.  Once the
     front is fixed the last slots are independent: the rows h meets are the
     union over w of cell (w, a_w), the rows (t, front under t, a_w) with
-    t_n = w.  Pricing, presolve and the Farkas bound read these cells,
-    |fronts| x T x m_n rows, not M's T x |columns| entries.  Verification
-    reads neither: it simulates a witness's atoms and enumerates the
-    assignments against a Farkas vector.
+    t_n = w.  Pricing, presolve (as front bits, `_cell_masks`) and the
+    Farkas bound read these cells, |fronts| x T x m_n rows, not M's
+    T x |columns| entries.  Verification reads only `_slot_readers`.
 
     The cells depend on the design alone.  They are built on first use,
-    once per design per process (`_front_cells`, a bounded cache keyed on
-    the design), so the chain route, which only verifies, builds none.
+    once per design per process (bounded caches keyed on the design), so
+    the chain route, which only verifies, builds none.
     """
 
     def __init__(self, design: ExperimentDesign, column_guard: int = COLUMN_GUARD):
@@ -254,7 +280,7 @@ class LftSystem:
     def _cells(self) -> tuple[tuple[tuple[tuple[int, ...], ...], ...], ...]:
         return _front_cells(self.design)
 
-    def presolve(self, P: list[Fraction]) -> Presolve:
+    def presolve(self, P: Sequence) -> Presolve:
         """Decide the zero rows before phase one, by this rule: sweep the rows
         in order twice, skipping settled ones.  A row that meets no live
         column (one not forced to zero) is settled if its P-component is 0,
@@ -263,20 +289,29 @@ class LftSystem:
         to zero and it is settled.  Unless presolve ends first, the first
         sweep settles every zero row, so the forced columns are those that
         meet a zero row, and the second sweep finds the positive rows that
-        this emptied.
+        this emptied.  P is read by sign only.
 
-        Some row proves infeasibility iff no column made of free outcomes
-        (`Presolve.free`) meets some row with P > 0: one pass over the cells
-        tells.  Only then does `_sweeps` run here; otherwise `fired()` runs it.
+        On the front bits F(r) of row r in cell c (`_cell_masks`): zero rows OR
+        F(r) into dead[c]; front f is live if each w has an a with bit f clear
+        in dead[w * m + a]; positive row r meets a live column iff F(r) & live
+        & ~dead[c] != 0.  Only if one does not does `_sweeps` run here.
         """
-        if any(p < 0 for p in P):
+        if min(P) < 0:
             raise ValueError("P has a negative entry")
-        zero = frozenset(i for i, p in enumerate(P) if not p)
-        free = [[[a for a, rows in enumerate(cw) if zero.isdisjoint(rows)] for cw in cells]
-                for cells in self._cells]
-        met = set().union(*[cw[a] for cells, fs in zip(self._cells, free) if all(fs)
-                            for cw, fw in zip(cells, fs) for a in fw]) if zero else range(self.nrows)
-        if len(met) + len(zero) == self.nrows:
+        k, m = self.design.input_sizes[-1], self.design.outcome_sizes[-1]
+        fronts = self.ncols // m**k
+        if 0 not in P:
+            return Presolve(-1, [[list(range(m))] * k] * fronts, lambda: ())
+        cells, zero = _cell_masks(self.design), list(map(not_, P))
+        dead = [reduce(or_, compress(masks, map(zero.__getitem__, rows)), 0) for rows, masks in cells]
+        live = (1 << fronts) - 1
+        for c in range(0, k * m, m):
+            live &= ~reduce(and_, dead[c:c + m])
+        free = [[[]] * k] * fronts
+        for f in compress(range(fronts), map("1".__eq__, bin(live)[:1:-1])):  # the live fronts
+            free[f] = [[a for a in range(m) if not dead[c + a] >> f & 1] for c in range(0, k * m, m)]
+        if all(all(map(and_, compress(masks, map(P.__getitem__, rows)), repeat(live & ~d)))
+               for (rows, masks), d in zip(cells, dead)):
             return Presolve(-1, free, lambda: self._sweeps(P)[1])
         row, fired = self._sweeps(P)
         return Presolve(row, free, lambda: fired)
@@ -311,9 +346,9 @@ class LftSystem:
             limit = end
         return row, tuple(i for i, p in enumerate(P) if not p and i < limit and maxkill[i] == i)
 
-    def phase_one(self, P, kept_rows, pre):
-        """`simplex` priced by exact min-sum over each front's last slots,
-        every live front at once.
+    def phase_one(self, scale, P, kept_rows, pre):
+        """`simplex` on the kept rows of P, ints over `scale`, priced by exact
+        min-sum over each front's last slots, every live front at once.
 
         Column (f, a) costs sum_w g_w(a_w), g_w(a) summing the duals of the
         kept rows of cell (w, a), over the free outcomes (`Presolve.free`); a
@@ -347,7 +382,7 @@ class LftSystem:
         are its digits of the cell sums less S, exact, and its slots pick
         their outcomes and the cost as above.
         """
-        scale, b = scaled(P[i] for i in kept_rows)
+        b = list(map(P.__getitem__, kept_rows))
         design = self.design
         k, m = design.input_sizes[-1], design.outcome_sizes[-1]
         free = pre.free
@@ -474,7 +509,7 @@ class LftSystem:
         is the largest of 1 and y'M_h over the fired rows h meets, over the
         forced h with y'M_h > 0; h meets at least one, since the first zero
         row h meets found h live and fired.  The one place that enumerates
-        the forced columns."""
+        the forced columns, with an outcome outside `free`: all of a dead front's."""
         scale, ints = scaled(kept_y.values())
         y = dict(zip(kept_y, ints))
         fired = set(fired)
@@ -493,37 +528,37 @@ class LftSystem:
                         top, under = num, den
         return Fraction(top, under * scale)
 
-    def reproduces(self, q, P):
-        """The witness's atoms, simulated, give P."""
-        design = self.design
-        bases = slot_bases(design)
-        atoms = tuple((v, mixed_radix_digits(j, bases)) for j, v in sorted(q.items()))
-        scale, sums = Si2Model(design, atoms).sums()
-        made = (sums[tr].get(o, 0) for tr in design.treatments for o in design.all_outcomes())
-        return all(v * p.denominator == p.numerator * scale for v, p in zip(made, P))
+    def reproduces(self, q: dict[int, int], unit: int, scale: int, P: Sequence[int]) -> bool:
+        """MQ = P, q's weights over `unit` by column and P's over `scale`: each
+        atom's weight summed at the row it meets, compared cross-multiplied."""
+        bases, made, weights = slot_bases(self.design), [0] * self.nrows, list(q.values())
+        for rows in _rows_met(self.design, [mixed_radix_digits(j, bases) for j in q]):
+            for r, v in zip(rows, weights):
+                made[r] += v
+        return list(map(mul, made, repeat(scale))) == list(map(mul, P, repeat(unit)))
 
-    def bounded(self, y):
-        """sum_t y[t, h(t)] <= 0 for every assignment h, enumerated over the
-        slots that the treatments with a nonzero y block read, in integers."""
-        design = self.design
-        block = prod(design.outcome_sizes)
-        c = [0] * self.nrows
-        for i, v in zip(y, scaled(y.values())[1]):
-            c[i] = v
-        offsets = q_slot_offsets(design)
-        strides = [prod(design.outcome_sizes[i + 1:]) for i in range(design.n)]
-        reads = [
-            (t * block, [(off + w - 1, s) for off, w, s in zip(offsets, design.treatments[t], strides)])
-            for t in sorted({i // block for i in y})
-        ]
-        slots = sorted({slot for _, rd in reads for slot, _ in rd})
-        where = {slot: pos for pos, slot in enumerate(slots)}
-        reads = [(base, [(where[slot], s) for slot, s in rd]) for base, rd in reads]
-        bases = slot_bases(design)
-        for h in product(*(range(bases[slot]) for slot in slots)):
-            if sum([c[base + sum([h[pos] * s for pos, s in rd])] for base, rd in reads]) > 0:
-                return False
-        return True
+    def bounded(self, y: dict[int, int]) -> bool:
+        """sum_t y[t, h(t)] <= 0, y integer, for every h of the slots read by
+        treatments with nonzero y: the last (one at least) within FARKAS_BLOCK
+        as row lists per treatment, shifted per block by the other slots'."""
+        get = [y.get(i, 0) for i in range(self.nrows)].__getitem__
+        block, bases = prod(self.design.outcome_sizes), slot_bases(self.design)
+        readers = _slot_readers(self.design)[1]
+        reads = [readers[t] for t in sorted({i // block for i in y})]
+        outer = sorted({slot for _, _, rd in reads for slot, _ in rd})
+        inner, size = [], 1
+        while outer and (not inner or size * bases[outer[-1]] <= FARKAS_BLOCK):
+            size *= bases[outer[-1]]
+            inner.insert(0, outer.pop())
+        plans = []
+        for base, _, rd in reads:
+            rows, stride = [base], dict(rd)
+            for slot in inner:
+                rows = [r + a * stride.get(slot, 0) for r in rows for a in range(1, bases[slot] + 1)]
+            plans.append((rows, [(outer.index(slot), s) for slot, s in rd if slot in outer]))
+        return all(max(map(sum, zip(*[map(get, map(sum([h[pos] * s for pos, s in out]).__add__, rows))
+                                      for rows, out in plans])), default=0) <= 0
+                   for h in product(*(range(1, bases[slot] + 1) for slot in outer)))
 
 
 class LftVerdict(NamedTuple):
@@ -693,13 +728,13 @@ class Si2Model(NamedTuple):
     def sums(self) -> tuple[int, dict[Treatment, dict[OutcomeTuple, int]]]:
         """The weights' common denominator, and per treatment each outcome's
         probability times it, summed in integers over the atoms."""
-        offsets = q_slot_offsets(self.design)
         scale, weights = scaled(w for w, _ in self.atoms)
+        outcomes, treatments = list(self.design.all_outcomes()), self.design.treatments
         sums: dict[Treatment, dict[OutcomeTuple, int]] = {}
-        for tr in self.design.treatments:
-            row = sums[tr] = defaultdict(int)
-            for weight, (_, assignment) in zip(weights, self.atoms):
-                row[assignment_outcome(assignment, tr, offsets)] += weight
+        for t, rows in enumerate(_rows_met(self.design, [h for _, h in self.atoms])):
+            row = sums[treatments[t]] = defaultdict(int)
+            for r, weight in zip(rows, weights):
+                row[outcomes[r - t * len(outcomes)]] += weight
         return scale, sums
 
     def simulate(self) -> Dataset:

@@ -29,7 +29,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence
 
-from .experiment import ONE, ZERO, coerce_prob
+from .experiment import ONE, ZERO, coerce_prob, scaled
 
 if TYPE_CHECKING:
     from .lft import LftSystem
@@ -74,9 +74,9 @@ class Presolve(NamedTuple):
     column that meets one is forced to zero.  `infeasible_row` is a row with
     P-component nonzero that meets no live column, which proves
     infeasibility alone, or -1.  `free[f][w]` lists the outcomes a whose
-    cell (w, a) of front f (see `lft.LftSystem`) holds no zero row: the live
-    columns are made of them.  `fired()` computes, when called, the zero
-    rows that still met a live column when presolve reached them.
+    cell (w, a) of front f (see `lft.LftSystem`) holds no zero row, none on
+    a dead front: the live columns are made of them.  `fired()` computes,
+    when called, the zero rows that still met a live column then.
     """
 
     infeasible_row: int
@@ -264,19 +264,20 @@ def solve_equality_feasibility(
 ) -> FeasibilityResult:
     """Decide MQ = P, Q >= 0 exactly.
 
-    Presolve (`M.presolve`) covers every row in one pass over the cells; the
-    sweeps of its rule run only for a row with P > 0 that no column free of
-    zero rows meets, or for the fired rows that a Farkas vector needs.
+    P is read once, by `coerce_prob`, as ints over its common denominator,
+    which change no sign, ratio or tie.  Presolve (`M.presolve`) decides the
+    zero rows on per-cell front masks; the sweeps of its rule run only for a
+    row with P > 0 that no column free of zero rows meets, or for the fired
+    rows that a Farkas vector needs.
     Phase one runs on the rows of `row_basis` (all rows if None) with
     P-component nonzero, and its Farkas vector, zero on the rows it skipped,
     certifies the whole system.  A feasible result solves the whole system
     when the basis rows span every row and P obeys the same linear
     relations (a zero row meets no live column, so they still hold among the
     other rows); otherwise its witness may fail the skipped rows, which
-    `verify_certificate` against the full M rejects.  P's entries are read
-    by `coerce_prob`.
+    `verify_certificate` against the full M rejects.
     """
-    P = list(map(coerce_prob, P))
+    scale, P = scaled(map(coerce_prob, P))
     if len(P) != M.nrows:
         raise ValueError(f"P has length {len(P)}, matrix has {M.nrows} rows")
 
@@ -286,7 +287,7 @@ def solve_equality_feasibility(
 
     basis = range(M.nrows) if row_basis is None else set(row_basis)
     kept_rows = [i for i in range(M.nrows) if P[i] and i in basis]
-    feasible, vec, pivots = M.phase_one(P, kept_rows, pre)
+    feasible, vec, pivots = M.phase_one(scale, P, kept_rows, pre)
     if feasible:
         return FeasibilityResult(True, vec, None, pivots)
     return FeasibilityResult(False, None, M.farkas(vec, pre), pivots)
@@ -294,8 +295,8 @@ def solve_equality_feasibility(
 
 def verify_certificate(M: LftSystem, P: Sequence, result: FeasibilityResult) -> bool:
     """Re-check the certificate by direct exact arithmetic, independent of the
-    solver: MQ = P with Q >= 0, or y'M <= 0 with y'P > 0.  The entries of P
-    and of the certificate are read by `coerce_prob`."""
+    solver's tables: MQ = P with Q >= 0, or y'M <= 0 with y'P > 0, in ints.
+    The entries of P and of the certificate are read by `coerce_prob`."""
     P = list(map(coerce_prob, P))
     if len(P) != M.nrows:
         return False
@@ -304,6 +305,8 @@ def verify_certificate(M: LftSystem, P: Sequence, result: FeasibilityResult) -> 
         return False
     pairs = cert.support if isinstance(cert, Witness) else enumerate(cert)
     nonzero = {i: coerce_prob(v) for i, v in pairs if v}
+    unit, ints = scaled(nonzero.values())
+    exact = dict(zip(nonzero, ints))
     if result.feasible:
-        return all(v > 0 for v in nonzero.values()) and M.reproduces(nonzero, P)
-    return sum([v * P[i] for i, v in nonzero.items()]) > 0 and M.bounded(nonzero)
+        return min(ints, default=1) > 0 and M.reproduces(exact, unit, *scaled(P))
+    return sum(v * p for v, p in zip(ints, scaled(P[i] for i in exact)[1])) > 0 and M.bounded(exact)

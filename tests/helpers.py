@@ -6,15 +6,17 @@ The exact `Fraction` forms that no `selinf` request calls live here, as the
 oracles of the tests of the paper's claims: `marginal`, `transform_outputs`,
 `order_distance`, `random_order` and `check_pq_metric_axioms`; so does
 the closed form of the irreducible chains on a full-factorial design,
-`enumerate_tetradic_sequences`."""
+`enumerate_tetradic_sequences`, and the certificate checks as they were
+before they read `lft._slot_readers`: `assignment_outcome`,
+`reference_reproduces`, `reference_bounded` and `reference_verify`."""
 from __future__ import annotations
 
 import random
 from collections import defaultdict
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, permutations
-from math import comb, lcm
+from itertools import combinations, permutations, product
+from math import comb, lcm, prod
 from operator import mul
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -36,8 +38,8 @@ from selinf.experiment import (
     parse_index,
     scaled,
 )
-from selinf.lft import build_jdc_matrix, q_length
-from selinf.rational_lp import FeasibilityResult
+from selinf.lft import build_jdc_matrix, mixed_radix_digits, q_length, q_slot_offsets, slot_bases
+from selinf.rational_lp import FeasibilityResult, Witness
 
 F = Fraction
 ZERO = F(0)
@@ -750,3 +752,64 @@ def reference_front_pricer(system, kept_rows, pre):
         return col
 
     return price, column
+
+
+def assignment_outcome(assignment, treatment: Treatment, offsets: tuple[int, ...]) -> OutcomeTuple:
+    """Outcome tuple the assignment produces under the treatment."""
+    return tuple(assignment[off + j - 1] for off, j in zip(offsets, treatment))
+
+
+def reference_reproduces(system, q: Mapping[int, Fraction], P) -> bool:
+    """The witness's atoms, q's nonzero entries by column, simulated one
+    outcome tuple per (atom, treatment) in integers over their common
+    denominator, give P, Fractions."""
+    design = system.design
+    bases, offsets = slot_bases(design), q_slot_offsets(design)
+    atoms = [(v, mixed_radix_digits(j, bases)) for j, v in sorted(q.items())]
+    scale, weights = scaled(v for v, _ in atoms)
+    made = []
+    for tr in design.treatments:
+        row = defaultdict(int)
+        for weight, (_, assignment) in zip(weights, atoms):
+            row[assignment_outcome(assignment, tr, offsets)] += weight
+        made += [row.get(o, 0) for o in design.all_outcomes()]
+    return all(v * p.denominator == p.numerator * scale for v, p in zip(made, P))
+
+
+def reference_bounded(system, y: Mapping[int, Fraction]) -> bool:
+    """sum_t y[t, h(t)] <= 0 for every assignment h, enumerated one at a
+    time over the slots that the treatments with a nonzero y block read, in
+    integers."""
+    design = system.design
+    block = prod(design.outcome_sizes)
+    c = [0] * system.nrows
+    for i, v in zip(y, scaled(y.values())[1]):
+        c[i] = v
+    offsets = q_slot_offsets(design)
+    strides = [prod(design.outcome_sizes[i + 1:]) for i in range(design.n)]
+    reads = [
+        (t * block, [(off + w - 1, s) for off, w, s in zip(offsets, design.treatments[t], strides)])
+        for t in sorted({i // block for i in y})
+    ]
+    slots = sorted({slot for _, rd in reads for slot, _ in rd})
+    where = {slot: pos for pos, slot in enumerate(slots)}
+    reads = [(base, [(where[slot], s) for slot, s in rd]) for base, rd in reads]
+    bases = slot_bases(design)
+    for h in product(*(range(bases[slot]) for slot in slots)):
+        if sum([c[base + sum([h[pos] * s for pos, s in rd])] for base, rd in reads]) > 0:
+            return False
+    return True
+
+
+def reference_verify(system, P, result: FeasibilityResult) -> bool:
+    """`verify_certificate` in `Fraction`s through `reference_reproduces`
+    and `reference_bounded`."""
+    P = list(map(coerce_prob, P))
+    cert = result.witness if result.feasible else result.farkas
+    if len(P) != system.nrows or cert is None or len(cert) != (system.ncols if result.feasible else system.nrows):
+        return False
+    pairs = cert.support if isinstance(cert, Witness) else enumerate(cert)
+    nonzero = {i: coerce_prob(v) for i, v in pairs if v}
+    if result.feasible:
+        return all(v > 0 for v in nonzero.values()) and reference_reproduces(system, nonzero, P)
+    return sum([v * P[i] for i, v in nonzero.items()]) > 0 and reference_bounded(system, nonzero)

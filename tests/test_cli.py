@@ -365,6 +365,7 @@ class TestGenerate:
             ("singlet", "--angles", "0,,pi/2,pi/4,3pi/4", "needs four comma-separated values"),
             ("singlet", "--angles", "0, ,pi/2,pi/4", "empty angle"),
             ("singlet", "--angles", "3pi4,0,0,0", "malformed angle '3pi4'"),
+            ("singlet", "--angles", "1E+3000000pi,0,0,0", "malformed angle '1E+3000000pi': decimal exponent beyond"),
         ):
             assert main(["generate", kind, *extra, "-o", str(tmp_path / "x.json")]) == 2
             err = capsys.readouterr().err

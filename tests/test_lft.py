@@ -1,9 +1,10 @@
 import hashlib
 import random
+from collections import defaultdict
 from fractions import Fraction
 from functools import cache
 from itertools import product
-from math import lcm
+from math import lcm, prod
 
 import pytest
 
@@ -25,7 +26,6 @@ from selinf.lft import (
     LftSystem,
     LftVerdict,
     QVector,
-    assignment_outcome,
     build_jdc_matrix,
     build_p_vector,
     chain_farkas,
@@ -46,6 +46,7 @@ from selinf.rational_lp import (
 )
 
 from helpers import (
+    assignment_outcome,
     dense_certifies,
     dense_m,
     dense_pricer,
@@ -59,6 +60,7 @@ from helpers import (
     reference_front_pricer,
     reference_presolve,
     reference_solve,
+    reference_verify,
     transform_outputs,
 )
 
@@ -584,6 +586,9 @@ _SYSTEM_DESIGNS = [
     ((2, 2), (3, 1), None),
 ]
 
+# 3-atom classical data on these leave most fronts dead
+_THREE_ATOM_DESIGNS = [((2, 2, 2), (3, 3, 3), None), ((2, 2, 2, 2), (2, 2, 2, 2), None)]
+
 
 def _dual_sequence(rng, k, n):
     """Duals of length n for one pricer instance, in order: all zero (every
@@ -675,12 +680,16 @@ class TestLftSystem:
                         assert got[3](want[0]) == column(want[0])
         assert priced and (dead or ms[-1] == 1)
 
-    @pytest.mark.parametrize("ks, ms, treatments", _SYSTEM_DESIGNS)
+    @pytest.mark.parametrize("ks, ms, treatments", _SYSTEM_DESIGNS + _THREE_ATOM_DESIGNS)
     def test_presolve_matches_sparse(self, ks, ms, treatments):
         design = make_design(ks, ms, treatments)
         dense, lft = dense_m(design), LftSystem(design)
-        decided = 0
-        for p in _presolve_draws(design):
+        decided = dead = seen = 0
+        if (ks, ms, treatments) in _THREE_ATOM_DESIGNS:  # most fronts dead
+            draws = _presolve_draws(design, 8, lambda d, rng: list(build_p_vector(_three_atoms(d, rng))))
+        else:
+            draws = _presolve_draws(design)
+        for p in draws:
             row, settled, fired, forced = reference_presolve(dense, p)
             got = lft.presolve(p)
             assert got.infeasible_row == row and got.fired() == fired
@@ -694,8 +703,18 @@ class TestLftSystem:
                     a - 1 in fw for a, fw in zip(mixed_radix_digits(j % width, slots), got.free[j // width])
                 )}
                 assert live == set(range(lft.ncols)) - forced
+                # `free` exactly: per live front, slot by slot, the outcomes
+                # of its live columns; an empty list per slot on a dead front
+                want = [[set() for _ in slots] for _ in got.free]
+                for j in live:
+                    for w, a in enumerate(mixed_radix_digits(j % width, slots)):
+                        want[j // width][w].add(a - 1)
+                assert got.free == [[sorted(fw) for fw in front] for front in want]
+                dead += sum(not front[0] for front in want)
+                seen += len(want)
             assert solve_equality_feasibility(lft, p) == reference_solve(dense, p)
         assert decided or design.n == 1 or min(ms) == 1
+        assert 2 * dead > seen or (ks, ms, treatments) not in _THREE_ATOM_DESIGNS
         with pytest.raises(ValueError, match="negative"):
             lft.presolve([F(-1)] + p[1:])
 
@@ -755,12 +774,13 @@ class TestDeferredSweeps:
         assert len(calls) == 2
 
 
-def _presolve_draws(design):
-    """25 P vectors of `_mixed_p`, some with a positive cell zeroed and its
-    mass put on another cell of its table; seeded by the design's sizes."""
+def _presolve_draws(design, count=25, sample=None):
+    """`count` P vectors of `sample(design, rng)` (`_mixed_p` if None), some
+    with a positive cell zeroed and its mass put on another cell of its
+    table; seeded by the design's sizes."""
     rng = random.Random(sum(design.input_sizes) * 100 + sum(design.outcome_sizes))
-    for _ in range(25):
-        p = _mixed_p(design, rng)
+    for _ in range(count):
+        p = (sample or _mixed_p)(design, rng)
         if rng.random() < 0.3:
             block = len(p) // len(design.treatments)
             i = rng.choice([i for i, v in enumerate(p) if v])
@@ -893,6 +913,121 @@ class TestVerificationWithoutM:
         assert rejected["good"] == 0 and all(rejected[k] > 10 for k in ("moved", "negative", "flipped"))
 
 
+class TestChecksAgainstOracles:
+    """`verify_certificate`, whose checks read the design's slot readers,
+    against the checks it replaced, which simulate one outcome tuple per
+    atom and treatment and enumerate one assignment at a time
+    (`helpers.reference_verify`): on the solver's certificates and on
+    planted defects that both must reject."""
+
+    @staticmethod
+    def _agree(lft, p, result):
+        ok = verify_certificate(lft, p, result)
+        assert ok == reference_verify(lft, p, result)
+        return ok
+
+    def _check(self, lft, p, result, rng, planted):
+        """The certificate verifies, and each defect planted in it or in P
+        fails both checks; the kinds planted are counted in `planted`."""
+        assert self._agree(lft, p, result)
+        if not result.feasible:
+            y = list(result.farkas)
+            k = max(range(len(y)), key=lambda i: abs(y[i]))
+            y[k] = -y[k]
+            self._agree(lft, p, FeasibilityResult(False, None, tuple(y), 0))
+            return
+        q = list(result.witness)
+        support = [j for j, v in enumerate(q) if v]
+        if len(support) > 1:
+            a, b = rng.sample(support, 2)
+            moved = list(q)
+            moved[a], moved[b] = q[a] / 2, q[b] + q[a] / 2
+            assert not self._agree(lft, p, FeasibilityResult(True, tuple(moved), None, 0))
+            planted["moved weight"] += 1
+        m = lft.design.outcome_sizes[-1]
+        if m > 1:
+            # the atom's last slot one outcome over
+            j = rng.choice(support)
+            near = list(q)
+            near[j + 1 if j % m < m - 1 else j - 1] += near[j]
+            near[j] = F(0)
+            assert not self._agree(lft, p, FeasibilityResult(True, tuple(near), None, 0))
+            planted["moved atom"] += 1
+        # one treatment's block of P moved by 1/scale between two of its rows
+        scale, block = lcm(*(v.denominator for v in p)), len(p) // len(lft.design.treatments)
+        i = rng.choice([i for i, v in enumerate(p) if v])
+        other = i - i % block + (i % block + rng.randrange(1, block)) % block if block > 1 else None
+        if other is not None:
+            bad = list(p)
+            bad[i] -= F(1, scale)
+            bad[other] += F(1, scale)
+            assert not self._agree(lft, bad, result)
+            planted["P moved"] += 1
+
+    def test_system_designs(self):
+        rng = random.Random(31)
+        planted = defaultdict(int)
+        for ks, ms, treatments in _SYSTEM_DESIGNS:
+            lft = LftSystem(make_design(ks, ms, treatments))
+            for p in _presolve_draws(lft.design):
+                for rows in (None, collins_gisin_rows(lft.design)):
+                    result = solve_equality_feasibility(lft, p, rows)
+                    if rows is None:
+                        self._check(lft, p, result, rng, planted)
+                    else:
+                        self._agree(lft, p, result)
+        assert min(planted.values()) > 50 and len(planted) == 3, planted
+
+    @pytest.mark.parametrize("ks, ms", [((3, 3), (3, 3)), ((3, 3, 3), (2, 2, 2)), ((4, 4), (3, 3)), ((2, 2, 2, 2), (2, 2, 2, 2))])
+    def test_dense_ladder_and_signalling_data(self, ks, ms):
+        rng = random.Random(sum(ks) + 10 * sum(ms))
+        planted = defaultdict(int)
+        design = make_design(ks, ms)
+        lft = LftSystem(design)
+        classical = gen_classical(design, seed=3)[0]
+        verdicts = set()
+        for ds in (classical, _shift_mass(classical, rng), _shift_mass(_three_atoms(design, rng), rng)):
+            verdict = run_lft(ds)
+            verdicts.add(verdict.feasible)
+            witness = verdict.witness.values if verdict.feasible else None
+            self._check(lft, build_p_vector(ds), FeasibilityResult(verdict.feasible, witness, verdict.farkas, 0), rng, planted)
+        assert verdicts == {True, False} and len(planted) == 3, planted
+
+    def test_uniform_witness_over_a_finer_scale(self):
+        # four atoms of weight 1/4 give P = 1/2 everywhere: the sums, in
+        # quarters, equal P, in halves, only cross-multiplied.  Atoms (1, 1)
+        # and (2, 2) at 1/2 give it too; (1, 1) and (1, 2) do not
+        lft = LftSystem(make_design((2,), (2,)))
+        p = [F(1, 2)] * 4
+        assert self._agree(lft, p, FeasibilityResult(True, (F(1, 4),) * 4, None, 0))
+        assert self._agree(lft, p, FeasibilityResult(True, (F(1, 2), F(0), F(0), F(1, 2)), None, 0))
+        assert not self._agree(lft, p, FeasibilityResult(True, (F(1, 2), F(1, 2), F(0), F(0)), None, 0))
+
+    @pytest.mark.parametrize("block", [lft.FARKAS_BLOCK, 4])
+    def test_farkas_check_reaches_the_last_block(self, block, monkeypatch):
+        # y is -1 on every row except those of the last assignment h*, all
+        # outcomes m: 0 there, and +1/2 on h*'s row of the first treatment.
+        # Only h* has y'M > 0, and h* is the last assignment the check
+        # enumerates; P is h*'s own tables, so y'P = 1/2.  Without the
+        # +1/2, y'M <= 0 everywhere and y'P = 0: no certificate either
+        monkeypatch.setattr(lft, "FARKAS_BLOCK", block)
+        for ks, ms in [((4, 4), (3, 3)), ((2, 2), (2, 2)), ((2, 2, 2), (2, 2, 2)), ((3,), (3,))]:
+            design = make_design(ks, ms)
+            system = LftSystem(design)
+            assert q_length(design) > block or block == lft.FARKAS_BLOCK
+            last = prod(design.outcome_sizes) - 1  # the row of outcomes (m_1, ..., m_n)
+            block_size = prod(design.outcome_sizes)
+            y = [F(0) if i % block_size == last else F(-1) for i in range(p_length(design))]
+            p = [F(int(i % block_size == last)) for i in range(p_length(design))]
+            y[last] = F(1, 2)
+            result = FeasibilityResult(False, None, tuple(y), 0)
+            assert not self._agree(system, p, result)
+            assert sum(v * w for v, w in zip(y, p)) > 0 and not system.bounded({i: int(2 * v) for i, v in enumerate(y) if v})
+            y[last] = F(0)
+            assert not self._agree(system, p, FeasibilityResult(False, None, tuple(y), 0))
+            assert sum(v * w for v, w in zip(y, p)) == 0 and system.bounded({i: int(v) for i, v in enumerate(y) if v})
+
+
 @cache
 def _chain_cases():
     """(dataset, its order relations, its irreducible sequences, phase one's
@@ -998,6 +1133,8 @@ DESIGN_TABLES = (
     lft.slot_bases,
     lft.q_slot_offsets,
     lft._front_cells,
+    lft._cell_masks,
+    lft._slot_readers,
     lft._collins_gisin_rows,
     distances._irreducible_sequences,
     distances.preset_order,
@@ -1035,16 +1172,24 @@ class TestDesignTables:
         return reports
 
     def test_each_table_built_once_per_design(self, tmp_path, capsys):
-        ds = gen_classical(make_design((3, 3), (2, 2)), seed=5)[0]
-        argv = self._write(tmp_path, "classical.json", ds)
+        # full-support data, whose presolve reads no cell masks, and 3-atom
+        # data on the same design, whose presolve does
+        design = make_design((3, 3), (2, 2))
+        argv = self._write(tmp_path, "classical.json", gen_classical(design, seed=5)[0])
+        sparse = self._write(tmp_path, "sparse.json", gen_classical(design, seed=5, max_support=3)[0])
         _clear_design_tables()
         reports = [self._request(argv, capsys) for _ in range(3)]
+        assert reports[0][0] == 0 and reports == reports[:1] * 3
+        reports = [self._request(sparse, capsys) for _ in range(3)]
         assert reports[0][0] == 0 and reports == reports[:1] * 3
         for table in DESIGN_TABLES:
             # one entry per design, and per name for the two preset orders
             built = 2 if table is distances.preset_order else 1
             info = table.cache_info()
-            assert (info.misses, info.currsize) == (built, built) and info.hits >= 2, (table, info)
+            assert (info.misses, info.currsize) == (built, built), (table, info)
+            # the slot offsets are read once each by the builds of the front
+            # cells and of the slot readers, which hold the per-request reads
+            assert info.hits == 1 if table is lft.q_slot_offsets else info.hits >= 2, (table, info)
         # the pair table: built by the first request's enumeration, read by its plan
         info = distances._pair_realizers.cache_info()
         assert (info.misses, info.hits, info.currsize) == (1, 1, 1), info
