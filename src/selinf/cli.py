@@ -29,7 +29,7 @@ from .distances import (
 )
 from .errors import DatasetParseError, MarginalSelectivityError, SizeGuardError
 from .experiment import COMPARISON_GUARD, check_marginal_selectivity, make_design, validate_dataset
-from .io import dump_dataset, format_exact, json_text, load_dataset, parse_exact
+from .io import _unique_keys, dump_dataset, format_exact, json_text, load_dataset, parse_exact
 from .lft import COLUMN_GUARD, run_lft
 
 SCHEMA_VERSION = "1"
@@ -65,7 +65,7 @@ def _parse_orders(args, design) -> list[OrderRelation]:
     if args.orders_file:
         try:
             with open(args.orders_file, "r", encoding="utf-8") as fh:
-                doc = json.load(fh)
+                doc = json.load(fh, object_pairs_hook=_unique_keys)
             orders = []
             for rec in doc["orders"]:
                 orders.append(OrderRelation(rec["classes"], name=str(rec.get("name", "custom"))))

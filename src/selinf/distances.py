@@ -30,7 +30,8 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, lru_cache
-from operator import itemgetter
+from itertools import compress, repeat
+from operator import itemgetter, lt
 from typing import Mapping, NamedTuple, Sequence
 
 from .errors import MarginalSelectivityError, SizeGuardError
@@ -263,10 +264,10 @@ class ChainReport(NamedTuple):
 
     @property
     def passed(self) -> bool:
-        return all(s >= 0 for s in self.slacks)
+        return min(self.slacks, default=0) >= 0
 
     def failures(self) -> tuple[ChainRecord, ...]:
-        return self._records((q, s) for q, s in zip(self.sequences, self.slacks) if s < 0)
+        return self._records(compress(zip(self.sequences, self.slacks), map(lt, self.slacks, repeat(0))))
 
     @property
     def records(self) -> tuple[ChainRecord, ...]:

@@ -18,7 +18,7 @@ import re
 from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import combinations, product
 from math import comb, lcm, prod
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
@@ -54,10 +54,14 @@ def coerce_prob(value) -> Fraction:
     """A probability or weight as an exact Fraction: a Fraction, an int, or a
     "p/q" or decimal string.  A float, a bool or any other type raises
     TypeError, to keep every verdict exact; a decimal exponent beyond
-    `MAX_EXPONENT` raises ValueError before Fraction expands it."""
+    `MAX_EXPONENT` raises ValueError before Fraction expands it.  "p/q" in
+    decimal digits is read by `int`, with `Fraction(str)`'s value and refusals."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, str):
+        num, slash, den = value.partition("/")
+        if slash and num.isdecimal() and den.isdecimal():
+            return Fraction(int(num), int(den))
         exponent = _EXPONENT.search(value)
         if exponent and abs(int(exponent.group(1))) > MAX_EXPONENT:
             raise ValueError(f"decimal exponent beyond {MAX_EXPONENT}")
@@ -231,23 +235,22 @@ class Dataset:
 
     Tables are normalized on construction: keys become int tuples, values
     exact Fractions, zero entries are dropped (absent keys mean probability
-    zero).  No validity checking happens here; `validate_dataset` reports
-    breaches without ever aborting.
+    zero), each value read by `coerce_prob` before its key, parsed only for a
+    nonzero value.  No validity checking happens here; `validate_dataset`
+    reports breaches without ever aborting.
     """
 
     design: ExperimentDesign
     tables: Mapping[Treatment, Mapping[OutcomeTuple, Fraction]]
 
     def __post_init__(self):
-        norm: dict[Treatment, dict[OutcomeTuple, Fraction]] = {}
-        for tr, table in self.tables.items():
-            key = tuple(parse_index(j) for j in tr)
-            row: dict[OutcomeTuple, Fraction] = {}
-            for outcome, p in table.items():
-                p = coerce_prob(p)
-                if p != 0:
-                    row[tuple(parse_index(a) for a in outcome)] = p
-            norm[key] = row
+        norm = {
+            tuple(map(parse_index, tr)): {
+                tuple(map(parse_index, outcome)): p
+                for outcome, p in zip(table, map(coerce_prob, table.values())) if p
+            }
+            for tr, table in self.tables.items()
+        }
         object.__setattr__(self, "tables", norm)
 
     def table(self, treatment) -> Mapping[OutcomeTuple, Fraction]:
@@ -373,6 +376,20 @@ class MarginalReport(NamedTuple):
         return not self.violations
 
 
+@lru_cache(maxsize=DESIGN_CACHE)
+def _marginal_groups(design: ExperimentDesign) -> tuple[tuple, int]:
+    """The design's part of `check_marginal_selectivity`: per proper input
+    subset, its groups of more than one treatment (if any), and their pair count."""
+    groups_per_subset, total = [], 0
+    for size in range(1, design.n):
+        for lam_list in combinations(range(1, design.n + 1), size):
+            multi = tuple(tuple(g) for g in design.treatment_groups(lam_list).values() if len(g) > 1)
+            total += sum(comb(len(g), 2) for g in multi)
+            if multi:
+                groups_per_subset.append((lam_list, multi))
+    return tuple(groups_per_subset), total
+
+
 def check_marginal_selectivity(
     dataset: Dataset, comparison_guard: int = COMPARISON_GUARD
 ) -> MarginalReport:
@@ -385,17 +402,7 @@ def check_marginal_selectivity(
     `integer_tables`, zeros dropped, and a `Fraction` is built only for a
     violation.  A treatment without a table raises ValueError.
     """
-    design = dataset.design
-    n = design.n
-
-    groups_per_subset: list[tuple[tuple[int, ...], list[list[Treatment]]]] = []
-    total = 0
-    for size in range(1, n):
-        for lam_list in combinations(range(1, n + 1), size):
-            multi = [g for g in design.treatment_groups(lam_list).values() if len(g) > 1]
-            total += sum(comb(len(g), 2) for g in multi)
-            if multi:
-                groups_per_subset.append((lam_list, multi))
+    groups_per_subset, total = _marginal_groups(dataset.design)
     if total > comparison_guard:
         raise SizeGuardError(
             f"marginal-selectivity check needs {total} comparisons "
@@ -421,4 +428,4 @@ def check_marginal_selectivity(
                 for ta, tb in combinations(g, 2)
                 if margs[ta] != margs[tb]
             ]
-    return MarginalReport(tuple(violations), total, max(1, n - 1))
+    return MarginalReport(tuple(violations), total, max(1, dataset.design.n - 1))

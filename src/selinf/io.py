@@ -216,7 +216,9 @@ def json_text(value, pad: str = "\n") -> str:
     byte; with an indent set, `json.dumps` runs the json module's
     pure-Python encoder.  Here strings and ints are written by C functions,
     a list of only strs or only ints by one join, and any other scalar
-    (bool, None, a float, NaN and infinities too) by the compact C encoder.
+    (bool, None, a float, NaN and infinities too) by the compact C encoder;
+    strs (a subclass as its str, as `json.dumps` writes it) that need no
+    escape, printable ASCII without `"` or `\\`, are quoted in that join.
     Tuples are written as lists; a dict key that is not a str raises
     TypeError.  `pad` is a newline and the indentation of the line `value`
     starts on."""
@@ -237,10 +239,15 @@ def json_text(value, pad: str = "\n") -> str:
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
-        kinds = set(map(type, value))
-        if kinds == {str}:
+        try:  # join refuses an item that is not a str
+            text = "".join(value) if isinstance(value[0], str) else None
+        except TypeError:
+            text = None
+        if text is not None:
+            if text.isascii() and text.isprintable() and '"' not in text and "\\" not in text:
+                return "[" + inner + '"' + ('",' + inner + '"').join(value) + '"' + pad + "]"
             items = map(encode_basestring_ascii, value)
-        elif kinds == {int}:
+        elif set(map(type, value)) == {int}:
             items = map(int.__repr__, value)
         else:
             items = [json_text(item, inner) for item in value]

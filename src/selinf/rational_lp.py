@@ -40,6 +40,7 @@ DEGENERATE_RUN = 50
 
 # price(dual, bland) -> (column, its reduced cost) or (-1, None); see `simplex`
 Pricer = Callable[[list[int], bool], tuple[int, int | None]]
+_last_p: tuple = ((), 1, [])  # see `_scaled_p`
 
 
 class FeasibilityResult(NamedTuple):
@@ -259,16 +260,29 @@ def simplex(
     return False, [ONE - Fraction(art[k], d) for k in range(m)], pivots
 
 
+def _scaled_p(P: Sequence) -> tuple[int, list[int]]:
+    """`scaled` over P's entries by `coerce_prob`; the last tuple read stays
+    in `_last_p` as (P, scale, ints), reused while it is the object given.
+    Any other P is read on every call; no caller changes the ints."""
+    global _last_p
+    last = _last_p
+    if P is not last[0]:
+        last = (P, *scaled(map(coerce_prob, P)))
+        if type(P) is tuple:
+            _last_p = last
+    return last[1:]
+
+
 def solve_equality_feasibility(
     M: LftSystem, P: Sequence, row_basis: Iterable[int] | None = None
 ) -> FeasibilityResult:
     """Decide MQ = P, Q >= 0 exactly.
 
-    P is read once, by `coerce_prob`, as ints over its common denominator,
-    which change no sign, ratio or tie.  Presolve (`M.presolve`) decides the
-    zero rows on per-cell front masks; the sweeps of its rule run only for a
-    row with P > 0 that no column free of zero rows meets, or for the fired
-    rows that a Farkas vector needs.
+    P is read once per tuple (`_scaled_p`), as ints over its common
+    denominator, which change no sign, ratio or tie.  Presolve
+    (`M.presolve`) decides the zero rows on per-cell front masks; the sweeps
+    of its rule run only for a row with P > 0 that no column free of zero
+    rows meets, or for the fired rows that a Farkas vector needs.
     Phase one runs on the rows of `row_basis` (all rows if None) with
     P-component nonzero, and its Farkas vector, zero on the rows it skipped,
     certifies the whole system.  A feasible result solves the whole system
@@ -277,7 +291,7 @@ def solve_equality_feasibility(
     other rows); otherwise its witness may fail the skipped rows, which
     `verify_certificate` against the full M rejects.
     """
-    scale, P = scaled(map(coerce_prob, P))
+    scale, P = _scaled_p(P)
     if len(P) != M.nrows:
         raise ValueError(f"P has length {len(P)}, matrix has {M.nrows} rows")
 
@@ -296,8 +310,9 @@ def solve_equality_feasibility(
 def verify_certificate(M: LftSystem, P: Sequence, result: FeasibilityResult) -> bool:
     """Re-check the certificate by direct exact arithmetic, independent of the
     solver's tables: MQ = P with Q >= 0, or y'M <= 0 with y'P > 0, in ints.
-    The entries of P and of the certificate are read by `coerce_prob`."""
-    P = list(map(coerce_prob, P))
+    The entries of P and of the certificate are read by `coerce_prob`, P's
+    only if it is not the tuple object last solved or checked."""
+    scale, P = _scaled_p(P)
     if len(P) != M.nrows:
         return False
     cert = result.witness if result.feasible else result.farkas
@@ -308,5 +323,5 @@ def verify_certificate(M: LftSystem, P: Sequence, result: FeasibilityResult) -> 
     unit, ints = scaled(nonzero.values())
     exact = dict(zip(nonzero, ints))
     if result.feasible:
-        return min(ints, default=1) > 0 and M.reproduces(exact, unit, *scaled(P))
-    return sum(v * p for v, p in zip(ints, scaled(P[i] for i in exact)[1])) > 0 and M.bounded(exact)
+        return min(ints, default=1) > 0 and M.reproduces(exact, unit, scale, P)
+    return sum(v * P[i] for i, v in zip(exact, ints)) > 0 and M.bounded(exact)

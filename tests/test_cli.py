@@ -269,6 +269,21 @@ class TestTest:
         assert main(["test", path, "--orders", ","]) == 2
         assert "no order" in capsys.readouterr().err
 
+    def test_orders_file_refuses_a_repeated_key(self, tmp_path, capsys):
+        # json.load alone keeps the last of two equal keys: the empty list
+        # here, refused as naming no order, or the second name of an order
+        path = write(tmp_path, "cl.json", gen_classical(make_design((2, 2), (2, 2)), seed=11)[0])
+        opath = tmp_path / "orders.json"
+        classes = "[[[1, 1], [2, 2]], [[1, 2], [2, 1]]]"
+        for text, key in (
+            (f'{{"orders": [{{"name": "mine", "classes": {classes}}}], "orders": []}}', "orders"),
+            (f'{{"orders": [{{"name": "a", "classes": {classes}, "name": "b"}}]}}', "name"),
+        ):
+            opath.write_text(text)
+            assert main(["test", path, "--orders-file", str(opath), "--no-lft"]) == 2
+            err = capsys.readouterr().err
+            assert err == f"error: orders file {opath}: repeated JSON key {key!r}\n"
+
 
 class TestGenerate:
     def test_generators_load_on_first_use(self):

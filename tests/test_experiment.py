@@ -3,9 +3,11 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from selinf.distances import preset_order
 from selinf.errors import SizeGuardError
+from selinf import experiment
 from selinf.experiment import (
     Dataset,
     ExperimentDesign,
@@ -74,6 +76,39 @@ ENTRY_POINTS = {
 }
 
 
+def _fraction_of_str(text: str) -> Fraction:
+    """`coerce_prob` on a string without its "p/q" fast path: the exponent
+    guard, then Fraction(str)."""
+    exponent = experiment._EXPONENT.search(text)
+    if exponent and abs(int(exponent.group(1))) > experiment.MAX_EXPONENT:
+        raise ValueError(f"decimal exponent beyond {experiment.MAX_EXPONENT}")
+    return Fraction(text)
+
+
+# decimal digits in several scripts (ASCII, Arabic-Indic, fullwidth,
+# mathematical bold, NKo), numerals that are not decimal, underscores and
+# runs past int's 4300-digit limit
+_DIGITS = "0123456789\u0660\u0663\u0669\uff10\uff15\U0001d7ce\U0001d7d7\u07c0\u07c9"
+_NUMERALS = st.one_of(
+    st.text(st.sampled_from(_DIGITS), max_size=6),
+    st.text(st.sampled_from(_DIGITS + "_"), max_size=6),
+    st.sampled_from(["", "0", "00", "1_000", "_1", "1_", "1__0", "\u00b2", "\u00bd", "\u216b",
+                     "9" * 4301, "1" * 5000]),
+)
+_PROB_STRINGS = st.one_of(
+    st.builds(
+        lambda lead, sign, num, sep, den, trail: lead + sign + num + sep + den + trail,
+        st.sampled_from(["", "", " ", "\t", "\u2003"]),
+        st.sampled_from(["", "", "+", "-"]),
+        _NUMERALS,
+        st.sampled_from(["/", "/", "/", ".", "e", "E-", "e+", ".5e", " /", "/ ", "//", ""]),
+        _NUMERALS,
+        st.sampled_from(["", "", " ", "\n", "\x85"]),
+    ),
+    st.text(st.sampled_from(_DIGITS + "/._eE+- "), max_size=10),
+)
+
+
 class TestExactNumbers:
     @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
     def test_inexact_numbers_refused(self, entry):
@@ -92,6 +127,37 @@ class TestExactNumbers:
             assert coerce_prob(value) == exact
         ds, _ = gen_classical(CHSH, q=[F(1, 10)] * 10 + [0] * 6)
         assert sum(ds.table((1, 1)).values()) == 1
+
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(_PROB_STRINGS)
+    @example("1/0")
+    @example("\u0663/0")
+    @example("1_0/0")
+    @example("9" * 4301 + "/1")
+    @example("1/" + "9" * 4301)
+    @example("9" * 4301 + "/0")
+    @example(" 1/2")
+    @example("1/2\n")
+    @example("+1/2")
+    @example("-1/2")
+    @example("1 / 2")
+    @example("1/2/3")
+    @example("/2")
+    @example("1/")
+    @example("\u00b2/3")
+    @example("0.25")
+    @example("25e-2")
+    def test_strings_read_as_fraction_reads_them(self, text):
+        # "p/q" in decimal digits is read by int, any other string by
+        # Fraction(str): the value, or the refusal's type and message, is
+        # the one Fraction(str) gives behind the exponent guard
+        def outcome(read):
+            try:
+                return read(text)
+            except (ValueError, ZeroDivisionError) as exc:
+                return type(exc), str(exc)
+
+        assert outcome(coerce_prob) == outcome(_fraction_of_str)
 
     def test_scaled(self):
         assert scaled([F(1, 2), F(-1, 3), F(0), F(5)]) == (6, [3, -2, 0, 30])
@@ -199,6 +265,22 @@ class TestValidate:
             Dataset(ds.design, {(True, 2): ds.tables[(1, 2)]})
         with pytest.raises(ValueError, match="not an integer"):
             Dataset(ds.design, {(1, 1): {(1, 2.5): F(1)}})
+
+    def test_entries_read_value_first(self):
+        # a table's treatment is read first, then each entry's value, and
+        # its outcome only if the value is nonzero
+        for tables, error, message in (
+            ({("x", 1): {(1, 1): "one"}}, ValueError, "invalid literal for int() with base 10: 'x'"),
+            ({(1, 1): {("x", 1): "one"}}, ValueError, "Invalid literal for Fraction: 'one'"),
+            ({(1, 1): {("x", 1): "1/2"}}, ValueError, "invalid literal for int() with base 10: 'x'"),
+            ({(1, 1): {("x", 1): "1/0"}}, ZeroDivisionError, "Fraction(1, 0)"),
+            ({(1, 1): {(1, 1): 0.5}}, TypeError, "probabilities must be Fraction, int or exact string, got float"),
+        ):
+            with pytest.raises(error) as refused:
+                Dataset(CHSH, tables)
+            assert str(refused.value) == message
+        ds = Dataset(CHSH, {(1, 1): {("x", 1): "0", (2, 2): "0/7", (1, 2): "\u0663/\u0663"}})
+        assert ds.tables == {(1, 1): {(1, 2): F(1)}}
 
     def test_mass_deficit_reported(self):
         design = make_design((1,), (2,))

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 from selinf.errors import DatasetParseError
 from selinf.generators import gen_classical, gen_ghz, gen_prbox
 from selinf.experiment import make_design, validate_dataset
-from selinf.io import dataset_from_json_dict, dump_dataset, json_text, load_dataset
+from selinf.io import dataset_from_json_dict, dump_dataset, json_text, load_dataset, parse_exact
 
 F = Fraction
 
@@ -65,6 +65,42 @@ def test_malformed_probability_string():
     for text, value in (("0.25", F(1, 4)), ("1/4", F(1, 4)), ("2.5e-1", F(1, 4))):
         doc["treatments"][0]["probabilities"]["1,1"] = text
         assert dataset_from_json_dict(doc).prob((1, 1), (1, 1)) == value
+
+
+def test_probability_refusals_keep_their_messages():
+    # "p/q" in decimal digits is read by int, any other string by
+    # Fraction(str); each refusal reads as Fraction(str)'s did
+    limit = ""
+    try:
+        int("9" * 4301)
+    except ValueError as exc:
+        limit = str(exc)
+    long = "9" * 4301 + "/1"
+    for text, reason in (
+        ("1/0", "Fraction(1, 0)"),
+        ("0010/00", "Fraction(10, 0)"),
+        ("\u0663/0", "Fraction(3, 0)"),
+        ("1_0/0", "Fraction(10, 0)"),
+        (" 1/0 ", "Fraction(1, 0)"),
+        ("1/", "Invalid literal for Fraction: '1/'"),
+        ("/2", "Invalid literal for Fraction: '/2'"),
+        ("1/2/3", "Invalid literal for Fraction: '1/2/3'"),
+        ("\u00b2/3", "Invalid literal for Fraction: '\u00b2/3'"),
+        ("1/-2", "Invalid literal for Fraction: '1/-2'"),
+        (long, limit),
+        ("1e-1001", "decimal exponent beyond 1000"),
+    ):
+        message = f"malformed probability string {text!r}: {reason}"
+        with pytest.raises(DatasetParseError) as parse_error:
+            parse_exact(text)
+        assert str(parse_error.value) == message
+        doc = json.loads(json.dumps(CHSH_DOC))
+        doc["treatments"][0]["probabilities"]["1,1"] = text
+        with pytest.raises(DatasetParseError) as load_error:
+            load_dataset(io.StringIO(json.dumps(doc)))
+        assert str(load_error.value) == message
+    for text, value in (("\u0663/\u0664", F(3, 4)), ("06/08", F(3, 4)), ("-1/2", F(-1, 2)), (" 1/2", F(1, 2))):
+        assert parse_exact(text) == value
 
 
 def test_float_probability_rejected():
@@ -192,6 +228,14 @@ _STRINGS = st.one_of(
     st.text(st.characters(codec=None, exclude_categories=())),  # lone surrogates too
     st.sampled_from(['"quoted"', "back\\slash", "\x00\x1f\x7f\n\t", "caf\u00e9 \u2028", "\U0001d11e astral"]),
 )
+# strings that need no escape, which a list of only strs writes in one join
+_PLAIN = st.text(st.characters(min_codepoint=0x20, max_codepoint=0x7E), max_size=8)
+
+
+class _Str(str):
+    pass
+
+
 _SCALARS = st.one_of(
     st.none(),
     st.booleans(),
@@ -208,6 +252,11 @@ _TREES = st.recursive(
         st.lists(children, max_size=6).map(tuple),
         st.lists(st.integers(), max_size=6),
         st.lists(_STRINGS, max_size=6),
+        st.lists(_PLAIN, max_size=8),
+        st.lists(_PLAIN, max_size=8),
+        # one string that needs an escape, or a str subclass, among plain ones
+        st.builds(lambda plain, odd, i: plain[:i] + [odd] + plain[i:], st.lists(_PLAIN, max_size=6),
+                  st.one_of(_STRINGS, _PLAIN.map(_Str)), st.integers(0, 6)),
         st.dictionaries(_STRINGS, children, max_size=6),
     ),
     max_leaves=40,
@@ -225,6 +274,16 @@ _TREES = st.recursive(
 @example([-(10**40), 0, 7])
 @example(["x", "y\u00e9"])
 @example([1.0, 2])
+@example(["plain", "", "a b", "~ !"])
+@example(["plain", '"'])
+@example(["plain", "\\"])
+@example(["plain", "\x7f"])
+@example(["plain", "\x1f"])
+@example(["plain", "caf\u00e9"])
+@example(["plain", "\ud800"])
+@example(["", ""])
+@example(["plain", _Str("sub")])
+@example([_Str('"')])
 @example({"k": (1, "a", None, math.nan, -math.inf, -0.0, 1e-320)})
 def test_json_text_is_the_stdlib_indented_json(value):
     assert json_text(value) == json.dumps(value, indent=2)

@@ -8,7 +8,7 @@ from math import lcm, prod
 
 import pytest
 
-from selinf import distances, lft
+from selinf import distances, experiment, lft
 from selinf.cli import main
 from selinf.distances import chain_test, enumerate_irreducible_sequences, preset_order
 from selinf.errors import SizeGuardError
@@ -1138,6 +1138,7 @@ DESIGN_TABLES = (
     lft._collins_gisin_rows,
     distances._irreducible_sequences,
     distances.preset_order,
+    experiment._marginal_groups,
 )
 
 

@@ -231,6 +231,49 @@ class TestSolveBasics:
         assert res.witness == (F(1, 2),) * 4
 
 
+class TestPReadOnce:
+    """A tuple P is scaled once per solve, and a check of the same tuple
+    object reads those ints; any other P is read on every call."""
+
+    @staticmethod
+    def _solved(seed: int):
+        ds = gen_classical(make_design((2, 2), (2, 2)), seed=seed)[0]
+        lft, p = LftSystem(ds.design), build_p_vector(ds)
+        return lft, p, solve_equality_feasibility(lft, p)
+
+    def test_a_list_changed_after_the_solve_is_read_again(self):
+        lft, p, _ = self._solved(3)
+        q = list(p)
+        res = solve_equality_feasibility(lft, q)
+        assert res.feasible and verify_certificate(lft, q, res)
+        i = next(i for i in range(len(q) - 1) if q[i] and q[i + 1])
+        q[i], q[i + 1] = q[i] / 2, q[i + 1] + q[i] / 2
+        assert not verify_certificate(lft, q, res)
+        assert verify_certificate(lft, p, res)
+
+    def test_equal_tuples_each_verify(self):
+        lft, p, res = self._solved(3)
+        twin = tuple(list(p))  # tuple(p) would be p itself
+        assert twin == p and twin is not p
+        assert verify_certificate(lft, twin, res) and verify_certificate(lft, p, res)
+        # another P on the same design, read after p, is not taken for it
+        other = build_p_vector(gen_classical(make_design((2, 2), (2, 2)), seed=4)[0])
+        assert other != p and not verify_certificate(lft, other, res)
+        assert verify_certificate(lft, p, res)
+
+    def test_planted_certificates_still_fail(self):
+        lft, p, res = self._solved(3)
+        a, b = [j for j, v in enumerate(res.witness) if v][:2]
+        moved = list(res.witness)
+        moved[a], moved[b] = moved[a] / 2, moved[b] + moved[a] / 2
+        assert not verify_certificate(lft, p, FeasibilityResult(True, tuple(moved), None, 0))
+        pr = build_p_vector(gen_prbox())
+        res = solve_equality_feasibility(lft, pr)
+        assert not res.feasible and verify_certificate(lft, pr, res)
+        negated = tuple(-y for y in res.farkas)
+        assert not verify_certificate(lft, pr, FeasibilityResult(False, None, negated, 0))
+
+
 def _random_system(rng: random.Random, max_rows: int, max_cols: int):
     m = rng.randint(1, max_rows)
     n = rng.randint(1, max_cols)
