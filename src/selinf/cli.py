@@ -66,9 +66,16 @@ def _parse_orders(args, design) -> list[OrderRelation]:
         try:
             with open(args.orders_file, "r", encoding="utf-8") as fh:
                 doc = json.load(fh, object_pairs_hook=_unique_keys)
+            if not isinstance(doc, dict) or not isinstance(doc["orders"], list):
+                raise ValueError("the top level must be an object and its 'orders' a list")
             orders = []
             for rec in doc["orders"]:
-                orders.append(OrderRelation(rec["classes"], name=str(rec.get("name", "custom"))))
+                if not isinstance(rec, dict):
+                    raise ValueError(f"order record {rec!r} is not an object")
+                name = rec.get("name", "custom")
+                if not isinstance(name, str):
+                    raise ValueError(f"order record {rec!r}: 'name' must be a string")
+                orders.append(OrderRelation(rec["classes"], name=name))
         except KeyError as exc:
             raise ValueError(f"orders file {args.orders_file}: missing key {exc}") from None
         except (TypeError, ValueError, RecursionError) as exc:

@@ -38,7 +38,7 @@ from functools import cached_property, lru_cache, reduce
 from itertools import accumulate, chain, compress, product, repeat
 from math import prod
 from operator import and_, itemgetter, mul, not_, or_
-from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import SizeGuardError
 from .experiment import (
@@ -57,7 +57,6 @@ from .experiment import (
 from .io import format_exact
 from .rational_lp import (
     FeasibilityResult,
-    Presolve,
     Witness,
     simplex,
     solve_equality_feasibility,
@@ -253,6 +252,21 @@ def _cell_masks(design: ExperimentDesign) -> tuple[tuple[tuple[int, ...], tuple[
     return tuple((tuple(held), tuple(held.values())) for held in masks)
 
 
+class Presolve(NamedTuple):
+    """What presolve decided before phase one.
+
+    `infeasible_row` is a row with P > 0 whose columns are all forced to
+    zero, which proves infeasibility alone, or -1.  `free[f][w]` lists the
+    outcomes a whose cell (w, a) of front f holds no zero row, none on a
+    dead front: the live columns are made of them.  `fired()` computes,
+    when called, the zero rows that still met a live column then.
+    """
+
+    infeasible_row: int
+    free: list[list[list[int]]]
+    fired: Callable[[], tuple[int, ...]]
+
+
 class LftSystem:
     """The LFT's M as its design describes it, never built.
 
@@ -262,8 +276,8 @@ class LftSystem:
     yields o under t: the front's outcomes under t, then a_{t_n}.  Once the
     front is fixed the last slots are independent: the rows h meets are the
     union over w of cell (w, a_w), the rows (t, front under t, a_w) with
-    t_n = w.  Pricing, presolve (as front bits, `_cell_masks`) and the
-    Farkas bound read these cells, |fronts| x T x m_n rows, not M's
+    t_n = w.  Pricing and the Farkas bound read these cells, |fronts| x T x
+    m_n rows, and presolve their front bits (`_cell_masks`), not M's
     T x |columns| entries.  Verification reads only `_slot_readers`.
 
     The cells depend on the design alone.  They are built on first use,
@@ -291,10 +305,11 @@ class LftSystem:
         meet a zero row, and the second sweep finds the positive rows that
         this emptied.  P is read by sign only.
 
-        On the front bits F(r) of row r in cell c (`_cell_masks`): zero rows OR
-        F(r) into dead[c]; front f is live if each w has an a with bit f clear
-        in dead[w * m + a]; positive row r meets a live column iff F(r) & live
-        & ~dead[c] != 0.  Only if one does not does `_sweeps` run here.
+        On the front bits F(r) of row r in cell c (`_cell_masks`): zero rows
+        OR F(r) into dead[c]; front f is live if each w has an a with bit f
+        clear in dead[w * m + a]; row r meets a live column iff F(r) & live &
+        ~dead[c] != 0.  Over every zero row this tests the positive rows at
+        once, and only if one fails does `_sweeps` run here.
         """
         if min(P) < 0:
             raise ValueError("P has a negative entry")
@@ -317,34 +332,29 @@ class LftSystem:
         return Presolve(row, free, lambda: fired)
 
     def _sweeps(self, P) -> tuple[int, tuple[int, ...]]:
-        """`presolve`'s rule: (the row that proves infeasibility or -1, the
-        fired rows).  Row (t, o) with P = 0 forbids every h with h(t) = o.
-        Let kill(h) be the first zero row h meets (nrows if none) and
-        maxkill(r) the largest kill(h) over the h that meet row r.  A row with
-        P > 0 has no live column when the first sweep reaches it iff
-        maxkill(r) < r, and in the second sweep iff maxkill(r) < nrows.  A
-        zero row fires iff maxkill(r) = r: some h of it meets no earlier zero
-        row.  maxkill separates per front: the max over a of a min over the
-        last slots is the min over the slots of each slot's max."""
-        end = self.nrows
-        kill = [end if p else i for i, p in enumerate(P)]
-        maxkill = [-1] * end
-        for cells in self._cells:
-            first = [[min([kill[r] for r in rows], default=end) for rows in cw] for cw in cells]
-            most = [max(fw) for fw in first]
-            for w, cw in enumerate(cells):
-                rest = min(most[:w] + most[w + 1:], default=end)
-                for rows, v in zip(cw, first[w]):
-                    v = min(v, rest)
-                    for r in rows:
-                        maxkill[r] = max(maxkill[r], v)
-        positive = [i for i, p in enumerate(P) if p]
-        row = next((i for i in positive if maxkill[i] < i), -1)
-        limit = row  # the first sweep stopped here
-        if row < 0:
-            row = next((i for i in positive if maxkill[i] < end), -1)
-            limit = end
-        return row, tuple(i for i, p in enumerate(P) if not p and i < limit and maxkill[i] == i)
+        """`presolve`'s rule, row by row in P's order: (the row that proves
+        infeasibility or -1, the fired rows).  Before row r, dead and live
+        hold the bits of the zero rows before r, so `presolve`'s test tells
+        whether r meets a live column.  A zero row that does fires; its F(r)
+        then joins dead[c], which narrows live on its slot.  A positive row
+        that does not ends the first sweep; the second tests the positive
+        rows on the final bits, those of every zero row."""
+        k, m = self.design.input_sizes[-1], self.design.outcome_sizes[-1]
+        at = sorted((r, c, mask) for c, cell in enumerate(_cell_masks(self.design)) for r, mask in zip(*cell))
+        dead, live, fired = [0] * (k * m), (1 << self.ncols // m**k) - 1, []
+        for r, c, mask in at:
+            meets = mask & live & ~dead[c]
+            if P[r]:
+                if not meets:
+                    return r, tuple(fired)
+                continue
+            if meets:
+                fired.append(r)
+            dead[c] |= mask
+            w = c - c % m
+            live &= ~reduce(and_, dead[w:w + m])
+        row = next((r for r, c, mask in at if P[r] and not mask & live & ~dead[c]), -1)
+        return row, tuple(fired)
 
     def phase_one(self, scale, P, kept_rows, pre):
         """`simplex` on the kept rows of P, ints over `scale`, priced by exact

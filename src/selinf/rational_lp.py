@@ -68,23 +68,6 @@ class Witness(tuple):
         return witness
 
 
-class Presolve(NamedTuple):
-    """What presolve decided before phase one.
-
-    The rows with P-component 0, the zero rows, leave phase one, and every
-    column that meets one is forced to zero.  `infeasible_row` is a row with
-    P-component nonzero that meets no live column, which proves
-    infeasibility alone, or -1.  `free[f][w]` lists the outcomes a whose
-    cell (w, a) of front f (see `lft.LftSystem`) holds no zero row, none on
-    a dead front: the live columns are made of them.  `fired()` computes,
-    when called, the zero rows that still met a live column then.
-    """
-
-    infeasible_row: int
-    free: list[list[list[int]]]
-    fired: Callable[[], tuple[int, ...]]
-
-
 def _width(bound: int) -> int:
     """The digit width, in bits, of packed columns whose digits below the
     top are at most `bound` in absolute value: the least multiple of 8 with
@@ -280,16 +263,15 @@ def solve_equality_feasibility(
 
     P is read once per tuple (`_scaled_p`), as ints over its common
     denominator, which change no sign, ratio or tie.  Presolve
-    (`M.presolve`) decides the zero rows on per-cell front masks; the sweeps
-    of its rule run only for a row with P > 0 that no column free of zero
-    rows meets, or for the fired rows that a Farkas vector needs.
-    Phase one runs on the rows of `row_basis` (all rows if None) with
-    P-component nonzero, and its Farkas vector, zero on the rows it skipped,
-    certifies the whole system.  A feasible result solves the whole system
-    when the basis rows span every row and P obeys the same linear
-    relations (a zero row meets no live column, so they still hold among the
-    other rows); otherwise its witness may fail the skipped rows, which
-    `verify_certificate` against the full M rejects.
+    (`M.presolve`) forces to zero the columns that meet a row with P = 0,
+    and a row with P > 0 whose columns are all forced proves infeasibility
+    alone.  Phase one runs on the rows of `row_basis` (all rows if None)
+    with P-component nonzero, and its Farkas vector, zero on the rows it
+    skipped, certifies the whole system.  A feasible result solves the
+    whole system when the basis rows span every row and P obeys the same
+    linear relations (a zero row meets no live column, so they still hold
+    among the other rows); otherwise its witness may fail the skipped rows,
+    which `verify_certificate` against the full M rejects.
     """
     scale, P = _scaled_p(P)
     if len(P) != M.nrows:

@@ -262,6 +262,18 @@ class TestTest:
         assert main(["test", path, "--orders-file", str(opath)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: orders file") and str(opath) in err
+        # each part of the wrong type is named, not met by a bad index or
+        # read as a string: the orders, a record, an order's name
+        named = {"name": None, "classes": [[[1, 1], [2, 2]], [[1, 2], [2, 1]]]}
+        for bad, message in (
+            ({"orders": "ab"}, "the top level must be an object and its 'orders' a list"),
+            (["orders"], "the top level must be an object and its 'orders' a list"),
+            ({"orders": [["x"]]}, "order record ['x'] is not an object"),
+            ({"orders": [named]}, f"order record {named!r}: 'name' must be a string"),
+        ):
+            opath.write_text(json.dumps(bad))
+            assert main(["test", path, "--orders-file", str(opath)]) == 2
+            assert capsys.readouterr().err == f"error: orders file {opath}: {message}\n"
         # no order at all would let every chain test pass vacuously
         opath.write_text(json.dumps({"orders": []}))
         assert main(["test", path, "--orders-file", str(opath)]) == 2

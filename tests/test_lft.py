@@ -586,7 +586,8 @@ _SYSTEM_DESIGNS = [
     ((2, 2), (3, 1), None),
 ]
 
-# 3-atom classical data on these leave most fronts dead
+# 3-atom classical data on these, alone or mixed with the lifted PR box,
+# leave most fronts dead
 _THREE_ATOM_DESIGNS = [((2, 2, 2), (3, 3, 3), None), ((2, 2, 2, 2), (2, 2, 2, 2), None)]
 
 
@@ -686,7 +687,7 @@ class TestLftSystem:
         dense, lft = dense_m(design), LftSystem(design)
         decided = dead = seen = 0
         if (ks, ms, treatments) in _THREE_ATOM_DESIGNS:  # most fronts dead
-            draws = _presolve_draws(design, 8, lambda d, rng: list(build_p_vector(_three_atoms(d, rng))))
+            draws = _presolve_draws(design, 12, _three_atoms_or_box)
         else:
             draws = _presolve_draws(design)
         for p in draws:
@@ -774,24 +775,88 @@ class TestDeferredSweeps:
         assert len(calls) == 2
 
 
+# designs whose dense M is too large for `reference_presolve`, and
+# non-factorial subsets of three of them
+_PINNED_PRESOLVE_DESIGNS = [
+    ((4, 4), (3, 3), None),
+    ((3, 3, 3), (2, 2, 2), None),
+    ((2, 2, 2, 2), (2, 2, 2, 2), None),
+    ((2, 2, 2), (4, 4, 4), None),
+    ((3, 3, 3), (3, 3, 3), None),
+    ((2, 2, 2, 2), (2, 2, 2, 2), [t for i, t in enumerate(product((1, 2), repeat=4)) if i % 4 != 3]),
+    ((3, 3, 3), (2, 2, 2), [t for t in product((1, 2, 3), repeat=3) if sum(t) % 3]),
+    ((4, 4), (3, 3), [t for t in product((1, 2, 3, 4), repeat=2) if t[0] != t[1] or t[0] < 3]),
+]
+
+
+class TestPinnedPresolveRule:
+    """`presolve`'s (infeasible row, fired rows) where no dense reference
+    fits, pinned as the per-front sweeps gave them: the lifted PR box, its
+    mixtures with 3-atom data at 1/2, 1/5 and 4/5, 3-atom data as drawn
+    and with one cell's mass moved."""
+
+    def test_pinned(self):
+        lines = []
+        first = second = deferred = 0
+        for ks, ms, treatments in _PINNED_PRESOLVE_DESIGNS:
+            design = make_design(ks, ms, treatments)
+            lft = LftSystem(design)
+            rng = random.Random(sum(ks) * 100 + sum(ms) + len(treatments or ()))
+            box = lifted_prbox(design)
+            draws = [build_p_vector(Dataset(design, box))]
+            for weight in (F(1, 2), F(1, 5), F(4, 5)):
+                draws.append(build_p_vector(Dataset(design, mix_tables(weight, box, _three_atoms(design, rng).tables))))
+            draws.append(build_p_vector(_three_atoms(design, rng)))
+            for _ in range(3):
+                draws.append(_move_mass(list(build_p_vector(_three_atoms(design, rng))), design, rng))
+            for p in draws:
+                pre = lft.presolve(p)
+                row, fired = pre.infeasible_row, pre.fired()
+                lines.append(f"{row} {fired}")
+                # the first sweep stops at its row; the second reads every zero row
+                first += row >= 0 and max(fired, default=-1) < row
+                second += row >= 0 and max(fired, default=-1) > row
+                deferred += row < 0 and bool(fired)
+        assert first and second and deferred
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
+            "d3679d9f4f572a645198a684b0984e6d98c5370b8da032f8d5a50ee71f393366"
+        )
+
+
 def _presolve_draws(design, count=25, sample=None):
     """`count` P vectors of `sample(design, rng)` (`_mixed_p` if None), some
     with a positive cell zeroed and its mass put on another cell of its
-    table; seeded by the design's sizes."""
+    table (`_move_mass`); seeded by the design's sizes."""
     rng = random.Random(sum(design.input_sizes) * 100 + sum(design.outcome_sizes))
     for _ in range(count):
         p = (sample or _mixed_p)(design, rng)
         if rng.random() < 0.3:
-            block = len(p) // len(design.treatments)
-            i = rng.choice([i for i, v in enumerate(p) if v])
-            j = i - i % block + rng.randrange(block)
-            if j != i:
-                p[j], p[i] = p[j] + p[i], F(0)
+            _move_mass(p, design, rng)
         yield p
+
+
+def _move_mass(p, design, rng):
+    """Zero a random positive cell of P, a list, and add its mass to a random
+    cell of its table (maybe itself)."""
+    block = len(p) // len(design.treatments)
+    i = rng.choice([i for i, v in enumerate(p) if v])
+    j = i - i % block + rng.randrange(block)
+    if j != i:
+        p[j], p[i] = p[j] + p[i], F(0)
+    return p
 
 
 def _three_atoms(design, rng):
     return gen_classical(design, seed=rng.randrange(10**9), max_support=3)[0]
+
+
+def _three_atoms_or_box(design, rng):
+    """P of 3-atom data, or of the lifted PR box mixed with it, at weight 1/5
+    to 1 (the box alone): zero rows of both kinds, most fronts dead."""
+    atoms = _three_atoms(design, rng)
+    if rng.random() < 0.5:
+        atoms = Dataset(design, mix_tables(F(rng.randint(1, 5), 5), lifted_prbox(design), atoms.tables))
+    return list(build_p_vector(atoms))
 
 
 def _shift_mass(ds, rng):
