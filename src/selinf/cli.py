@@ -189,12 +189,13 @@ def _stage_cosphericity(dataset, args):
     return ("pass" if result.passed else "fail"), text, detail
 
 
-def _stage_lft(dataset, args, validation_report, chain_failure):
+def _stage_lft(dataset, args, validation_report, chain_failure, marginal_report):
     verdict = run_lft(
         dataset,
         column_guard=args.column_guard,
         validation_report=validation_report,
         chain_failure=chain_failure,
+        marginal_report=marginal_report,
     )
     detail = verdict.to_json_dict()
     if verdict.feasible:
@@ -202,6 +203,8 @@ def _stage_lft(dataset, args, validation_report, chain_failure):
         return "pass", f"feasible; classical model with {atoms} atom(s)", detail
     if verdict.chain_failure is not None:
         return "fail", "infeasible; Farkas certificate from the failing chain attached", detail
+    if verdict.marginal_violation is not None:
+        return "fail", "infeasible; Farkas certificate from the marginal-selectivity violation attached", detail
     return "fail", "infeasible; Farkas certificate attached", detail
 
 
@@ -212,7 +215,7 @@ def cmd_test(args) -> int:
         print(f"{args.file}: invalid dataset: {vreport.summary()}", file=sys.stderr)
         return 2
 
-    # the later stages are handed these reports, and the LFT the first
+    # the later stages are handed these reports, and the LFT also the first
     # failing chain, instead of checking again
     mreport = check_marginal_selectivity(dataset, comparison_guard=args.marginal_guard)
     stages = [("marginal-selectivity", *_stage_marginal(mreport))]
@@ -228,7 +231,7 @@ def cmd_test(args) -> int:
     if args.no_lft:
         stages.append(("lft", "skip", "disabled with --no-lft", {}))
     else:
-        stages.append(("lft", *_stage_lft(dataset, args, vreport, chain_failure)))
+        stages.append(("lft", *_stage_lft(dataset, args, vreport, chain_failure, mreport)))
 
     failed = [s for s in stages if s[1] == "fail"]
     verdict = "ruled-out" if failed else "consistent"

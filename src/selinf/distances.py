@@ -64,17 +64,18 @@ class OrderRelation:
     _rank: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
-        classes = tuple(
-            frozenset((parse_index(k), parse_index(a)) for k, a in cls) for cls in self.classes
-        )
-        if not classes or any(not cls for cls in classes):
-            raise ValueError("order needs nonempty classes")
+        if not isinstance(self.classes, (list, tuple)) or not self.classes:
+            raise ValueError(f"'classes' {self.classes!r} is not a nonempty list")
         rank: dict[Labeled, int] = {}
-        for r, cls in enumerate(classes):
+        for r, cls in enumerate(self.classes):
+            if not isinstance(cls, (list, tuple, set, frozenset)) or not cls:
+                raise ValueError(f"class {cls!r} is not a nonempty list")
             for el in cls:
-                if el in rank:
-                    raise ValueError(f"label {el} appears in two classes")
-                rank[el] = r
+                if not isinstance(el, (list, tuple)) or len(el) != 2:
+                    raise ValueError(f"label {el!r} is not an (input, outcome) pair")
+                if rank.setdefault(key := (parse_index(el[0]), parse_index(el[1])), r) != r:
+                    raise ValueError(f"label {key} appears in two classes")
+        classes = tuple(frozenset(el for el, i in rank.items() if i == r) for r in range(len(self.classes)))
         object.__setattr__(self, "classes", classes)
         object.__setattr__(self, "_rank", rank)
 

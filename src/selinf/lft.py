@@ -11,23 +11,19 @@ produces row r's outcomes under row r's treatment, so each column has one 1
 per treatment.
 
 `run_lft` never builds M: the solver reads `LftSystem`, derived from the
-design.  `build_jdc_matrix` builds M's rows as the columns of their 1s, row
-(t, o) as the Kronecker product of the rows (t_i, o_i) of per-input matrices
-M_i, for the tests' checks by plain arithmetic and the benchmark's M span;
-no solver and no request reaches it.
-
-Phase one uses only the rows that `collins_gisin_rows` picks, which span M;
-presolve and certificate verification cover every row.
+design.  `build_jdc_matrix` builds M's rows, each as the Kronecker product
+of per-input rows, for the tests' plain-arithmetic checks and the
+benchmark's M span; no solver and no request reaches it.
 
 A feasible witness converts into an explicit classical model (`Si2Model`)
 whose forward simulation reproduces the dataset exactly; infeasibility comes
-with a verified Farkas vector.
-
-A failing chain inequality is such a vector already: an order distance is a
-pseudo-quasi-metric on every single assignment, so the chain's terms as
-rows of y give y'M <= 0 and y'P = -slack > 0 (`chain_farkas`).  Handed the
-chain stage's first failure, `run_lft` verifies that y and returns it,
-skipping presolve and phase one; if the check fails it solves as usual.
+with a verified Farkas vector.  A failing chain inequality is one already:
+an order distance is a pseudo-quasi-metric on every single assignment, so
+the chain's terms as rows of y give y'M <= 0 and y'P = -slack > 0
+(`chain_farkas`).  So is a broken subset marginal (`marginal_farkas`).
+`run_lft` takes the chain's, then the marginal's; only marginally selective
+data reach presolve and phase one, which uses the rows `collins_gisin_rows`
+picks, spanning M.  Verification covers every row.
 """
 from __future__ import annotations
 
@@ -50,6 +46,7 @@ from .experiment import (
     OutcomeTuple,
     Treatment,
     ValidationReport,
+    check_marginal_selectivity,
     coerce_prob,
     scaled,
     validate_dataset,
@@ -65,6 +62,7 @@ from .rational_lp import (
 
 if TYPE_CHECKING:
     from .distances import ChainRecord, OrderRelation
+    from .experiment import MarginalReport, MarginalViolation
 
 Assignment = tuple[int, ...]
 # default bound on the assignment count, the columns of M
@@ -576,8 +574,8 @@ class LftVerdict(NamedTuple):
 
     Feasible means a classical (selective-influences) explanation exists and
     `witness` holds one; infeasible refutes it and `farkas` proves it.
-    `chain_failure`, the (order, failing chain) that `farkas` was built
-    from, is set only when the chain route decided the verdict.
+    `chain_failure` (an order and its failing chain) or `marginal_violation`
+    is what `farkas` was built from, set only when its route decided.
     """
 
     design: ExperimentDesign
@@ -586,6 +584,7 @@ class LftVerdict(NamedTuple):
     farkas: tuple[Fraction, ...] | None
     pivots: int
     chain_failure: tuple[OrderRelation, ChainRecord] | None = None
+    marginal_violation: MarginalViolation | None = None
 
     def to_json_dict(self) -> dict:
         doc: dict = {
@@ -619,6 +618,10 @@ class LftVerdict(NamedTuple):
                     "order": order.name,
                     "points": [list(point) for point in record.sequence.points],
                 }
+            if self.marginal_violation is not None:
+                subset, ta, tb, _ = self.marginal_violation
+                doc["farkas_source"] = {"stage": "marginal-selectivity", "subset": list(subset),
+                                        "treatments": [list(ta), list(tb)]}
         return doc
 
 
@@ -639,7 +642,8 @@ def collins_gisin_rows(design: ExperimentDesign) -> list[int]:
     and P obeys this when tables t and r agree on the marginal over the other
     outputs.  A dropped row (t, o) has an i with o_i = m_i and t != r, so
     r_i < t_i, and every row on the right comes earlier in the order of (how
-    many i have o_i = m_i, then sum(t)): induct on it.
+    many i have o_i = m_i, then sum(t)): induct on it.  Data that break the
+    agreement go to `marginal_farkas` instead of phase one (`run_lft`).
     """
     return list(_collins_gisin_rows(design))
 
@@ -686,29 +690,42 @@ def chain_farkas(
     return tuple(map(Fraction, y))
 
 
+def marginal_farkas(
+    design: ExperimentDesign, P: Sequence, violation: MarginalViolation
+) -> tuple[Fraction, ...]:
+    """A Farkas vector for MQ = P: sign(d) on treatment a's rows with outcomes
+    o_S on the inputs S and -sign(d) on b's, for the first o_S in P's order
+    whose S-marginals differ by d.  As a and b agree on S, y'M = 0 < y'P = |d|."""
+    outcomes, (subset, ta, tb, _) = list(design.all_outcomes()), violation
+    a, b = (design.treatments.index(t) * len(outcomes) for t in (ta, tb))
+    keys = [tuple([o[l - 1] for l in subset]) for o in outcomes]
+    delta = defaultdict(int)
+    for i, key in enumerate(keys):
+        delta[key] += P[a + i] - P[b + i]
+    o_s = next((key for key, d in delta.items() if d), None)
+    sign, y = ONE if delta[o_s] > 0 else -ONE, [ZERO] * p_length(design)
+    for i, key in enumerate(keys):
+        if key == o_s:
+            y[a + i], y[b + i] = sign, -sign
+    return tuple(y)
+
+
 def run_lft(
     dataset: Dataset,
     column_guard: int = COLUMN_GUARD,
     *,
     validation_report: ValidationReport | None = None,
     chain_failure: tuple[OrderRelation, ChainRecord] | None = None,
+    marginal_report: MarginalReport | None = None,
 ) -> LftVerdict:
-    """Run the feasibility test on a valid dataset.
-
-    `validation_report` goes to `build_p_vector`, which refuses invalid data.
-    `chain_failure`, an (order, failing `ChainRecord`) from `chain_test` on
-    the same dataset, is a certificate already: `chain_farkas` turns it into
-    y, and if `verify_certificate` accepts y the verdict is infeasible with
-    0 pivots, without presolve or phase one.  If it does not, the test runs
-    as without it.
-
-    The system is `LftSystem`, so M is never built.  Phase one runs on the
-    rows `collins_gisin_rows` picks, and the result is verified against every
-    row.  An infeasible verdict there holds for all of M.  A witness from
-    those rows that fails the check means P breaks the relations that give
-    the dropped rows (marginal selectivity), and the system is solved again
-    on every row.  Any other verification failure would be an internal error
-    and raises RuntimeError.
+    """Run the feasibility test on a valid dataset by the first route that
+    applies (`validation_report` goes to `build_p_vector`, which refuses
+    invalid data); a certificate that fails verification raises RuntimeError.
+    - `chain_farkas` of `chain_failure`, an (order, failing `ChainRecord`)
+      from `chain_test`, if `verify_certificate` accepts it: 0 pivots;
+    - `marginal_farkas` of the first violation in `marginal_report`, or in
+      `check_marginal_selectivity(dataset)` if None (SizeGuardError): 0 pivots;
+    - phase one, once, over `LftSystem` on the rows `collins_gisin_rows` picks.
     """
     p = build_p_vector(dataset, validation_report=validation_report)
     m = LftSystem(dataset.design, column_guard)
@@ -716,15 +733,14 @@ def run_lft(
         y = chain_farkas(dataset.design, *chain_failure)
         if verify_certificate(m, p, FeasibilityResult(False, None, y, 0)):
             return LftVerdict(dataset.design, False, None, y, 0, chain_failure)
-    result = solve_equality_feasibility(m, p, collins_gisin_rows(dataset.design))
-    verified = verify_certificate(m, p, result)
-    if not verified and result.feasible:
-        result = solve_equality_feasibility(m, p)
-        verified = verify_certificate(m, p, result)
-    if not verified:
-        raise RuntimeError("solver produced a certificate that failed verification")
+    report = check_marginal_selectivity(dataset) if marginal_report is None else marginal_report
+    violation = next(iter(report.violations), None)
+    result = (solve_equality_feasibility(m, p, collins_gisin_rows(dataset.design)) if violation is None
+              else FeasibilityResult(False, None, marginal_farkas(dataset.design, p, violation), 0))
+    if not verify_certificate(m, p, result):
+        raise RuntimeError("a certificate failed verification")
     witness = QVector(dataset.design, result.witness) if result.feasible else None
-    return LftVerdict(dataset.design, result.feasible, witness, result.farkas, result.pivots)
+    return LftVerdict(dataset.design, result.feasible, witness, result.farkas, result.pivots, None, violation)
 
 
 class Si2Model(NamedTuple):

@@ -265,13 +265,13 @@ def solve_equality_feasibility(
     denominator, which change no sign, ratio or tie.  Presolve
     (`M.presolve`) forces to zero the columns that meet a row with P = 0,
     and a row with P > 0 whose columns are all forced proves infeasibility
-    alone.  Phase one runs on the rows of `row_basis` (all rows if None)
-    with P-component nonzero, and its Farkas vector, zero on the rows it
-    skipped, certifies the whole system.  A feasible result solves the
-    whole system when the basis rows span every row and P obeys the same
-    linear relations (a zero row meets no live column, so they still hold
-    among the other rows); otherwise its witness may fail the skipped rows,
-    which `verify_certificate` against the full M rejects.
+    alone.  Phase one runs once, on the rows of `row_basis` with P-component
+    nonzero, and its Farkas vector, zero on the rows it skipped, certifies
+    the whole system.  Its witness solves the whole system when the basis
+    rows span every row and P obeys the same linear relations (a zero row
+    meets no live column, so they still hold among the other rows), as on
+    the marginally selective data that `run_lft` solves.  `row_basis=None`,
+    every row, serves only as the tests' full-row reference.
     """
     scale, P = _scaled_p(P)
     if len(P) != M.nrows:

@@ -113,6 +113,17 @@ class TestTest:
             "comparisons": 4,
             "violations": [{"subset": [1], "treatments": [[1, 1], [1, 2]], "discrepancy": "1/6"}],
         }
+        # that violation is the LFT's certificate: +1 on the rows of (1, 1)
+        # where output 1 is 1, -1 on those of (1, 2), with no pivot
+        lft_stage = doc["stages"][-1]
+        assert lft_stage["summary"] == (
+            "infeasible; Farkas certificate from the marginal-selectivity violation attached"
+        )
+        assert lft_stage["detail"]["pivots"] == 0
+        assert lft_stage["detail"]["farkas"] == ["1/1", "1/1", "0/1", "0/1", "-1/1", "-1/1"] + ["0/1"] * 10
+        assert lft_stage["detail"]["farkas_source"] == {
+            "stage": "marginal-selectivity", "subset": [1], "treatments": [[1, 1], [1, 2]],
+        }
 
     def test_json_report_schema(self, tmp_path, capsys):
         path = write(tmp_path, "pr.json", gen_prbox())
@@ -263,13 +274,19 @@ class TestTest:
         err = capsys.readouterr().err
         assert err.startswith("error: orders file") and str(opath) in err
         # each part of the wrong type is named, not met by a bad index or
-        # read as a string: the orders, a record, an order's name
+        # read as a string: the orders, a record, an order's name, its
+        # classes, a class and a label
         named = {"name": None, "classes": [[[1, 1], [2, 2]], [[1, 2], [2, 1]]]}
         for bad, message in (
             ({"orders": "ab"}, "the top level must be an object and its 'orders' a list"),
             (["orders"], "the top level must be an object and its 'orders' a list"),
             ({"orders": [["x"]]}, "order record ['x'] is not an object"),
             ({"orders": [named]}, f"order record {named!r}: 'name' must be a string"),
+            ({"orders": [{"classes": "ab"}]}, "'classes' 'ab' is not a nonempty list"),
+            ({"orders": [{"classes": 7}]}, "'classes' 7 is not a nonempty list"),
+            ({"orders": [{"classes": [[[1, 1]], "ab"]}]}, "class 'ab' is not a nonempty list"),
+            ({"orders": [{"classes": [[[1, 1, 3]]]}]}, "label [1, 1, 3] is not an (input, outcome) pair"),
+            ({"orders": [{"classes": [[5]]}]}, "label 5 is not an (input, outcome) pair"),
         ):
             opath.write_text(json.dumps(bad))
             assert main(["test", path, "--orders-file", str(opath)]) == 2

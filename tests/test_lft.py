@@ -1,10 +1,12 @@
 import hashlib
+import json
 import random
 from collections import defaultdict
 from fractions import Fraction
 from functools import cache
 from itertools import product
 from math import lcm, prod
+from operator import mul
 
 import pytest
 
@@ -31,6 +33,7 @@ from selinf.lft import (
     chain_farkas,
     collins_gisin_rows,
     construct_si2,
+    marginal_farkas,
     mixed_radix_digits,
     p_length,
     q_length,
@@ -51,6 +54,7 @@ from helpers import (
     dense_m,
     dense_pricer,
     lifted_prbox,
+    marginal,
     matrix_rank,
     mix_tables,
     project,
@@ -254,7 +258,7 @@ class TestRowBasis:
     """Phase one on the Collins-Gisin rows against a solve on every row."""
 
     @staticmethod
-    def _run_lft(ds, monkeypatch):
+    def _run_lft(ds, monkeypatch, **kwargs):
         """`run_lft` and the row basis of each solve it made."""
         calls = []
 
@@ -263,7 +267,7 @@ class TestRowBasis:
             return solve_equality_feasibility(m, p, row_basis)
 
         monkeypatch.setattr("selinf.lft.solve_equality_feasibility", spy)
-        verdict = run_lft(ds)
+        verdict = run_lft(ds, **kwargs)
         monkeypatch.undo()
         return verdict, calls
 
@@ -323,40 +327,35 @@ class TestRowBasis:
         assert verdicts == ({True} if len(ks) == 1 else {True, False})
 
     def _check_signalling(self, ds, monkeypatch):
-        """`run_lft` on data that break marginal selectivity against a solve on
-        every row.  Returns whether the basis-row solve looked feasible, which
-        is when `run_lft` must fall back to every row."""
-        assert not check_marginal_selectivity(ds).passed
+        """`run_lft` on data that break marginal selectivity: no solve, 0
+        pivots and `marginal_farkas` of the first violation, which the full M
+        accepts, as a solve on every row confirms; the same with the report
+        handed over.  Returns whether phase one on the basis rows alone looked
+        feasible, with a witness that misses the dropped rows' equations."""
+        report = check_marginal_selectivity(ds)
+        assert not report.passed
         p = build_p_vector(ds)
         m, dense = LftSystem(ds.design), dense_m(ds.design)
-        basis = collins_gisin_rows(ds.design)
-        on_basis = solve_equality_feasibility(m, p, basis)
+        on_basis = solve_equality_feasibility(m, p, collins_gisin_rows(ds.design))
         full = solve_equality_feasibility(m, p)
         assert not full.feasible and dense_certifies(dense, p, full)
+        y = marginal_farkas(ds.design, p, report.violations[0])
+        assert dense_certifies(dense, p, FeasibilityResult(False, None, y, 0))
         verdict, calls = self._run_lft(ds, monkeypatch)
-        assert not verdict.feasible
-        cert = FeasibilityResult(False, None, verdict.farkas, verdict.pivots)
-        assert dense_certifies(dense, p, cert)
+        assert calls == [] and verdict == LftVerdict(ds.design, False, None, y, 0, None, report.violations[0])
+        assert self._run_lft(ds, monkeypatch, marginal_report=report) == (verdict, [])
         if on_basis.feasible:
             # the basis witness misses the dropped rows' equations
             assert not dense_certifies(dense, p, on_basis)
-            assert calls == [basis, None] and verdict.farkas == full.farkas
         else:
             # a Farkas vector of some rows is one of all rows
             assert dense_certifies(dense, p, on_basis)
-            assert calls == [basis] and verdict.farkas == on_basis.farkas
         return on_basis.feasible
 
-    def test_marginal_selectivity_violation_falls_back_to_every_row(self, monkeypatch):
+    def test_marginal_selectivity_violation_certifies_without_a_solve(self, monkeypatch):
         # the first output's marginal moves with the second input's value
-        design = make_design((2, 2), (2, 2))
-        tables = {}
-        for i, j in design.treatments:
-            p1 = F(1, 3) if (i, j) == (1, 2) else F(1, 2)
-            tables[(i, j)] = {
-                (a, b): (p1 if a == 1 else 1 - p1) * F(1, 2) for a in (1, 2) for b in (1, 2)
-            }
-        ds = Dataset(design, tables)
+        ds = _signalling_2x2()
+        design = ds.design
         # on the basis rows alone the dropped rows' equations would be lost:
         # that solve is feasible, and only the full-M check catches it
         p = build_p_vector(ds)
@@ -364,14 +363,19 @@ class TestRowBasis:
         dense = dense_m(design)
         assert wrong.feasible and not dense_certifies(dense, p, wrong)
         assert self._check_signalling(ds, monkeypatch)
+        # output 1 is 1 with 1/2 at (1, 1) and 1/3 at (1, 2): y is +1 on the
+        # rows (1, 1) with o_1 = 1 and -1 on those of (1, 2), y'P = 1/6
+        y = run_lft(ds).farkas
+        assert y == (1, 1, 0, 0, -1, -1, 0, 0) + (0,) * 8 and sum(map(mul, y, p)) == F(1, 6)
 
-    def _signalling_fallbacks(self, design, seed, monkeypatch):
+    def _signalling_draws(self, design, seed, monkeypatch):
         """`_check_signalling` on classical data and lifted-PR-box mixtures
         with mass moved between two outcomes that differ in output 1 only, in
         one table, so that table's output-1 marginal differs from its
-        neighbours'.  Returns the set of whether each run fell back."""
+        neighbours'.  Returns the set of whether the basis-row solve looked
+        feasible on each."""
         rng = random.Random(seed)
-        fell_back = set()
+        looked_feasible = set()
         for _ in range(3):
             classical = gen_classical(design, seed=rng.randrange(10**9))[0]
             weight = F(rng.randint(1, 3), 4)
@@ -384,22 +388,22 @@ class TestRowBasis:
                 delta = table[src] / rng.randint(2, 1000)
                 table[src] -= delta
                 table[dst] = table.get(dst, 0) + delta
-                fell_back.add(self._check_signalling(Dataset(design, tables), monkeypatch))
-        return fell_back
+                looked_feasible.add(self._check_signalling(Dataset(design, tables), monkeypatch))
+        return looked_feasible
 
     @pytest.mark.parametrize(
         "ks, ms", [((2, 2), (2, 2)), ((2, 2), (3, 3)), ((3, 3), (2, 2)), ((2, 2, 2), (2, 2, 2))]
     )
     def test_signalling_matches_full_row_solve(self, ks, ms, monkeypatch):
         seed = len(ks) * 100 + ks[0] * 10 + ms[0] + 7
-        assert self._signalling_fallbacks(make_design(ks, ms), seed, monkeypatch) == {True, False}
+        assert self._signalling_draws(make_design(ks, ms), seed, monkeypatch) == {True, False}
 
     def test_signalling_on_a_non_factorial_design(self, monkeypatch):
         # every treatment shares its value of input 1 with another, so the
         # moved mass always breaks marginal selectivity
         treatments = [(1, 1), (1, 2), (2, 1), (2, 2), (2, 3), (3, 1), (3, 2)]
         design = make_design((3, 3), (2, 2), treatments)
-        assert self._signalling_fallbacks(design, 237, monkeypatch) == {True, False}
+        assert self._signalling_draws(design, 237, monkeypatch) == {True, False}
 
 
 class TestSi2Model:
@@ -875,9 +879,9 @@ def _shift_mass(ds, rng):
 
 class TestRunLftWithoutM:
     def test_matches_sparse_path_field_for_field(self, monkeypatch):
-        # verdict, pivots, Farkas vector, witness and whether `run_lft` fell
-        # back to every row, recorded from phase one over the stored sparse M
-        # (on the row basis, then on every row when that witness failed it)
+        # verdict, pivots, Farkas vector and witness of the 24 marginally
+        # selective cases, recorded from phase one over the stored sparse M;
+        # the 16 signalling cases take `marginal_farkas`, with no solve
         rng = random.Random(1961)
         cases = []
         for ks, ms in (((2, 2), (2, 2)), ((2, 2), (3, 3)), ((3, 3), (2, 2)), ((2, 2, 2), (2, 2, 2))):
@@ -886,7 +890,8 @@ class TestRunLftWithoutM:
                 classical = gen_classical(design, seed=rng.randrange(10**9))[0]
                 mixture = Dataset(design, mix_tables(F(rng.randint(1, 3), 4), lifted_prbox(design), classical.tables))
                 three = _three_atoms(design, rng)
-                cases += [classical, mixture, three, _shift_mass(classical, rng), _shift_mass(mixture, rng)]
+                cases += [(classical, False), (mixture, False), (three, False),
+                          (_shift_mass(classical, rng), True), (_shift_mass(mixture, rng), True)]
 
         def refuse(*args, **kwargs):
             raise AssertionError("run_lft built M")
@@ -899,21 +904,25 @@ class TestRunLftWithoutM:
             return solve_equality_feasibility(m, p, row_basis)
 
         monkeypatch.setattr("selinf.lft.solve_equality_feasibility", spy)
-        lines, fell_back = [], set()
-        for ds in cases:
+        lines = []
+        for ds, signalling in cases:
             calls.clear()
             verdict = run_lft(ds)
-            basis = collins_gisin_rows(ds.design)
-            assert calls in ([basis], [basis, None])
-            fell_back.add(len(calls) == 2)
+            # at most one solve, always on the basis rows
+            assert calls == ([] if signalling else [collins_gisin_rows(ds.design)])
+            if signalling:
+                violation = check_marginal_selectivity(ds).violations[0]
+                y = marginal_farkas(ds.design, build_p_vector(ds), violation)
+                assert verdict == LftVerdict(ds.design, False, None, y, 0, None, violation)
+                continue
             witness = verdict.witness.values if verdict.feasible else ()
             lines.append(";".join([
                 str(int(verdict.feasible)), str(verdict.pivots), str(len(calls) - 1),
                 ",".join(map(format_exact, verdict.farkas or ())), ",".join(map(format_exact, witness)),
             ]))
-        assert fell_back == {True, False} and {line[0] for line in lines} == {"0", "1"}
+        assert len(lines) == 24 and {line[0] for line in lines} == {"0", "1"}
         assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
-            "ebde7306815106108a5ea8283f8c59bb31d96cdeb8ac92242752bd517fd60478"
+            "ac8396085d490b557528e93fb0b3ac075dac594a6975d3bd0dab21f059e31826"
         )
 
     def test_column_guard(self):
@@ -1191,6 +1200,127 @@ class TestChainRoute:
         p = build_p_vector(pr)
         assert sum(y * v for y, v in zip(verdict.farkas, p)) == -record.slack
         assert "farkas_source" not in run_lft(pr).to_json_dict()
+
+
+def _signalling_2x2():
+    """Output 1's marginal moves with input 2's value at input 1 = 1: it is
+    1 with 1/2 under (1, 1) and 1/3 under (1, 2)."""
+    design = make_design((2, 2), (2, 2))
+    tables = {}
+    for i, j in design.treatments:
+        p1 = F(1, 3) if (i, j) == (1, 2) else F(1, 2)
+        tables[(i, j)] = {(a, b): (p1 if a == 1 else 1 - p1) * F(1, 2) for a in (1, 2) for b in (1, 2)}
+    return Dataset(design, tables)
+
+
+class TestMarginalRoute:
+    """`marginal_farkas` on signalling data, factorial and not: each
+    violation's y against plain arithmetic on the full M and
+    `helpers.reference_verify`, and defects planted in it that every check
+    must reject."""
+
+    @staticmethod
+    def _checks(ds, p, y):
+        """Whether y certifies MQ = P, by all three checks, which must agree."""
+        result = FeasibilityResult(False, None, tuple(y), 0)
+        system = LftSystem(ds.design)
+        ok = verify_certificate(system, p, result)
+        assert ok == reference_verify(system, p, result) == dense_certifies(dense_m(ds.design), p, result)
+        return ok
+
+    @staticmethod
+    def _y(design, subset, ta, tb, o_s, sign):
+        """y by hand: `sign` on ta's rows whose outcomes on `subset` are o_s,
+        -sign on tb's."""
+        outcomes = list(design.all_outcomes())
+        y = [F(0)] * p_length(design)
+        for tr, s in ((ta, sign), (tb, -sign)):
+            row = design.treatments.index(tr) * len(outcomes)
+            for i, o in enumerate(outcomes):
+                if tuple(o[l - 1] for l in subset) == o_s:
+                    y[row + i] += s
+        return tuple(y)
+
+    def test_planted_defects_fail_verification(self):
+        rng = random.Random(34)
+        designs = [make_design((2, 2), (2, 2)), make_design((2, 2), (3, 3)), make_design((2, 2, 2), (2, 2, 2)),
+                   make_design((3, 3), (2, 2), [(1, 1), (1, 2), (2, 1), (2, 2), (2, 3), (3, 1), (3, 2)]),
+                   make_design((2, 3), (3, 2), [(1, 2), (2, 1), (2, 3), (1, 3)])]
+        planted = defaultdict(int)
+        for design in designs:
+            outcomes = list(design.all_outcomes())
+            for _ in range(3):
+                classical = gen_classical(design, seed=rng.randrange(10**9))[0]
+                mixture = Dataset(design, mix_tables(F(1, 2), lifted_prbox(design), classical.tables))
+                for ds in (_shift_mass(classical, rng), _shift_mass(mixture, rng), random_tables_dataset(design, rng)):
+                    p = build_p_vector(ds)
+                    for v in check_marginal_selectivity(ds).violations[:4]:
+                        (subset, a, b, _), y = v, marginal_farkas(design, p, v)
+                        ma, mb = marginal(ds, a, subset), marginal(ds, b, subset)
+                        # the outcomes on S in P's order, each with p_a - p_b
+                        keys = dict.fromkeys(tuple(o[l - 1] for l in subset) for o in outcomes)
+                        diff = {k: ma.get(k, 0) - mb.get(k, 0) for k in keys}
+                        o_s = next(k for k, d in diff.items() if d)
+                        assert y == self._y(design, subset, a, b, o_s, 1 if diff[o_s] > 0 else -1)
+                        assert self._checks(ds, p, y) and sum(map(mul, y, p)) == abs(diff[o_s])
+                        assert not self._checks(ds, p, [-e for e in y])
+                        planted["flipped sign"] += 1
+                        for k in [k for k, d in diff.items() if not d][:1]:
+                            for sign in (1, -1):
+                                assert not self._checks(ds, p, self._y(design, subset, a, b, k, sign))
+                            planted["agreeing o_S"] += 1
+                        away = [t for t in design.treatments
+                                if any(t[l - 1] != a[l - 1] for l in subset) and marginal(ds, t, subset) != ma]
+                        for c in away[:1]:
+                            assert not self._checks(ds, p, marginal_farkas(design, p, v._replace(treatment_b=c)))
+                            planted["treatments differ on S"] += 1
+        assert min(planted.values()) > 10 and len(planted) == 3, planted
+
+    def test_chain_route_goes_first(self, tmp_path, capsys):
+        # data that fail both stages keep the chain's certificate; without a
+        # chain failure the marginal stage's is taken
+        both = 0
+        for ds, orders, sequences, plain, p, dense in _chain_cases():
+            report = check_marginal_selectivity(ds)
+            if report.passed:
+                assert plain.marginal_violation is None
+                continue
+            assert plain == run_lft(ds, marginal_report=report)
+            assert plain.marginal_violation == report.violations[0] and plain.pivots == 0
+            for order in orders:
+                for record in chain_test(ds, order, sequences).failures()[:1]:
+                    verdict = run_lft(ds, chain_failure=(order, record), marginal_report=report)
+                    y = chain_farkas(ds.design, order, record)
+                    assert verdict == LftVerdict(ds.design, False, None, y, 0, (order, record))
+                    both += 1
+        assert both > 20
+        # end to end: the PR box with one table's output-1 marginal moved
+        pr = gen_prbox()
+        tables = {tr: dict(t) for tr, t in pr.tables.items()}
+        tables[1, 1][1, 1] -= F(1, 10)
+        tables[1, 1][2, 1] = F(1, 10)
+        path = str(tmp_path / "pr.json")
+        dump_dataset(Dataset(pr.design, tables), path)
+        assert main(["test", path, "--json"]) == 1
+        stages = {s["name"]: s for s in json.loads(capsys.readouterr().out)["stages"]}
+        assert stages["marginal-selectivity"]["status"] == stages["chain-tests"]["status"] == "fail"
+        assert stages["lft"]["detail"]["farkas_source"]["stage"] == "chain-tests"
+
+    def test_a_failed_verification_raises(self, monkeypatch):
+        # a report of other data: on marginally selective data its violation
+        # gives y = 0, and a passing report sends signalling data to phase
+        # one, whose basis-row witness fails the dropped rows
+        signalling = _signalling_2x2()
+        report = check_marginal_selectivity(signalling)
+        classical = gen_classical(signalling.design, seed=5)[0]
+        assert not any(marginal_farkas(classical.design, build_p_vector(classical), report.violations[0]))
+        with pytest.raises(RuntimeError, match="failed verification"):
+            run_lft(classical, marginal_report=report)
+        with pytest.raises(RuntimeError, match="failed verification"):
+            run_lft(signalling, marginal_report=check_marginal_selectivity(classical))
+        calls = []
+        monkeypatch.setattr("selinf.lft.check_marginal_selectivity", lambda ds: calls.append(ds) or report)
+        assert run_lft(signalling).marginal_violation == report.violations[0] and calls == [signalling]
 
 
 # the per-process caches of tables derived from a design alone

@@ -67,5 +67,5 @@ def test_record_defaults():
     assert LftVerdict(None, True, None, None, 0).chain_failure is None
     assert {cls.__name__: cls._field_defaults for cls in RECORDS if cls._field_defaults} == {
         "ValidationBreach": {"treatment": None},
-        "LftVerdict": {"chain_failure": None},
+        "LftVerdict": {"chain_failure": None, "marginal_violation": None},
     }
